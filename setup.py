@@ -2,29 +2,20 @@
 
 The package is fully functional without the extension (a NumPy fallback is
 selected at import time); building it just makes backward induction faster.
+-ffp-contract=off stops the compiler from fusing a * b + c into one
+multiply-add, which rounds once instead of twice and would make the compiled
+results differ from NumPy's in the last bit on targets with FMA.
 """
 
 from setuptools import Extension, setup
 
-try:
-    import numpy as np
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "chargeopt.optimizer._ddp_kernel",
-                ["src/chargeopt/optimizer/_ddp_kernel.pyx"],
-                include_dirs=[np.get_include()],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-    for ext in extensions:
-        ext.optional = True  # fall back to the pure-Python kernel if the build fails
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension(
+            "chargeopt.optimizer._ddp_kernel",
+            ["src/chargeopt/optimizer/_ddp_kernel.c"],
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            optional=True,  # fall back to the NumPy kernel if the build fails
+        )
+    ]
+)

@@ -1,12 +1,9 @@
 """Selects the backward-induction kernel: compiled if available, NumPy otherwise.
 
-Override with the environment variable CHARGEOPT_BACKEND=compiled|python or
-per call via the backend argument.
+Override per call with the backend argument, "compiled" or "python".
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -21,13 +18,10 @@ except ImportError:
     _ddp_kernel = None
     HAVE_COMPILED = False
 
-_ALIASES = {"c": "compiled", "cython": "compiled", "py": "python", "numpy": "python"}
-
 
 def normalize_backend(name: str | None) -> str:
     if name is None:
-        name = os.environ.get("CHARGEOPT_BACKEND") or ("compiled" if HAVE_COMPILED else "python")
-    name = _ALIASES.get(name.lower(), name.lower())
+        name = "compiled" if HAVE_COMPILED else "python"
     if name not in ("compiled", "python"):
         raise InvalidParameterError(f"unknown backend {name!r}")
     if name == "compiled" and not HAVE_COMPILED:

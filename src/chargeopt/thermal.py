@@ -97,11 +97,26 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+# predict_batch evaluates 2 * PREDICT_PIECE_ROWS rows or more in pieces of
+# this many rows, the last piece taking the remainder, so that a transition
+# table's ~10^6 rows never hold the MLP's (rows, neurons) temporaries all at
+# once. The pieces give the bits of one call because BLAS's matrix-vector
+# kernel (the output layer) sums the rows of each block of 4, counted from
+# the start of a call, in one order and the last rows % 4 rows in another:
+# keep this a multiple of 4. No piece has one row, which takes another path.
+PREDICT_PIECE_ROWS = 2**16
+
+
 def predict_batch(model: ThermalModel, x_full: np.ndarray) -> np.ndarray:
     """Temperature changes in K for a (M, 4) feature matrix in canonical order."""
     x_full = np.atleast_2d(np.asarray(x_full, float))
     if model.variant == VARIANT_CONSTANT:
         return np.zeros(x_full.shape[0])
+    bounds = range(PREDICT_PIECE_ROWS, x_full.shape[0] - PREDICT_PIECE_ROWS + 1, PREDICT_PIECE_ROWS)
+    return np.concatenate([_predict_rows(model, x) for x in np.split(x_full, bounds)])
+
+
+def _predict_rows(model: ThermalModel, x_full: np.ndarray) -> np.ndarray:
     cols = [FEATURE_NAMES.index(name) for name in model.feature_names]
     z = (x_full[:, cols] - model.means) / model.stds
     h = z

@@ -8,10 +8,12 @@ import pytest
 from chargeopt import electrical, thermal
 from chargeopt.aging import calendar_fade, default_params
 from chargeopt.core import TimeGrid
+from chargeopt.errors import InvalidParameterError
 from chargeopt.optimizer import (
     HAVE_COMPILED,
     BatteryModels,
     Scenario,
+    active_backend,
     backward_induction,
     build_grids,
     build_transition_table,
@@ -24,6 +26,8 @@ from chargeopt.optimizer import (
     save_scenario_json,
     solve,
 )
+from chargeopt.optimizer import _kernel_py
+from chargeopt.optimizer import backend as backend_mod
 from chargeopt.tariff import PriceProfile
 from oracles import brute_force_optimum, chain_transitions, random_tiny_instance
 
@@ -294,6 +298,104 @@ def test_backends_bitwise_identical():
         backward_induction(s, gb, models, table=table, backend="compiled")
         assert np.array_equal(ga.cost, gb.cost)
         assert np.array_equal(ga.action, gb.action)
+
+
+def _kernel_args():
+    """Keyword arguments of a well-formed backward_pass call on random data."""
+    rng = np.random.default_rng(0)
+    n_steps, ni, nj, k = 3, 2, 3, 4
+    m = ni * nj
+    cost = np.zeros((n_steps + 1, m))
+    cost[-1] = rng.uniform(0.0, 5.0, m)
+    return dict(
+        cost=cost,
+        action_kw=np.zeros((n_steps, m)),
+        valid=(rng.uniform(size=(m, k)) < 0.8).astype(np.uint8),
+        corner00=rng.integers(0, (ni - 1) * nj - 1, size=(m, k)).astype(np.int64),
+        frac_e=rng.uniform(size=(m, k)),
+        frac_theta=rng.uniform(size=(m, k)),
+        stride_e=nj,
+        stride_t=1,
+        jd=rng.uniform(size=(m, k)),
+        je=rng.normal(size=(n_steps, k)),
+        p_d=np.linspace(-1.0, 1.0, k),
+        penalty=1e6,
+    )
+
+
+def _non_contiguous(a):
+    """Same shape, dtype and values as a, but every other element in memory."""
+    return np.repeat(a, 2, axis=-1)[..., ::2]
+
+
+def _short(a):
+    """a with one entry fewer along its last axis, still C-contiguous."""
+    return np.ascontiguousarray(a[..., :-1])
+
+
+@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+@pytest.mark.parametrize("int64_format", ["int64", "longlong"])
+def test_compiled_kernel_matches_numpy_kernel(int64_format):
+    ref = _kernel_args()
+    _kernel_py.backward_pass(**ref)
+    args = _kernel_args()
+    args["corner00"] = args["corner00"].astype(int64_format)
+    backend_mod._ddp_kernel.backward_pass(*args.values())
+    assert args["cost"].tobytes() == ref["cost"].tobytes()
+    assert args["action_kw"].tobytes() == ref["action_kw"].tobytes()
+
+
+@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+@pytest.mark.parametrize(
+    "name", ["cost", "action_kw", "valid", "corner00", "frac_e", "frac_theta", "jd", "je", "p_d"]
+)
+@pytest.mark.parametrize(
+    "misuse, error, match",
+    [
+        (lambda a: a.astype(np.int8 if a.dtype == np.uint8 else np.float32), TypeError, "{name} has item"),
+        (lambda a: a.astype(np.int32 if a.dtype == np.int64 else np.int64), TypeError, "{name} has item"),
+        (_non_contiguous, ValueError, "{name} is not C-contiguous"),
+        # N and K are read from je, so a short je is reported on the first array it disagrees with
+        (_short, ValueError, "entries along axis"),
+        (lambda a: a[None], ValueError, "{name} has [23] dimensions"),
+    ],
+    ids=["narrow-or-signed", "wrong-kind", "non-contiguous", "short", "extra-axis"],
+)
+def test_compiled_kernel_rejects_malformed_buffers(name, misuse, error, match):
+    args = _kernel_args()
+    args[name] = misuse(args[name])
+    with pytest.raises(error, match=match.format(name=name)):
+        backend_mod._ddp_kernel.backward_pass(*args.values())
+
+
+@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+def test_compiled_kernel_rejects_bad_corners_and_outputs():
+    kernel = backend_mod._ddp_kernel.backward_pass
+    args = _kernel_args()
+    args["valid"][2, 1] = 1
+    args["corner00"][2, 1] = args["cost"].shape[1] - 1  # its upper corners lie past the slice
+    with pytest.raises(ValueError, match=r"corner00\[2, 1\]"):
+        kernel(*args.values())
+    args = _kernel_args()
+    args["cost"].flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        kernel(*args.values())
+    args = _kernel_args()
+    args["stride_e"] = -1
+    with pytest.raises(ValueError, match="strides"):
+        kernel(*args.values())
+
+
+def test_backend_names(monkeypatch):
+    rng = np.random.default_rng(7)
+    s, models = random_tiny_instance(rng)
+    with pytest.raises(InvalidParameterError, match="unknown backend"):
+        solve(s, models, backend="cython")
+    monkeypatch.setattr(backend_mod, "HAVE_COMPILED", False)
+    with pytest.raises(InvalidParameterError, match="not available"):
+        solve(s, models, backend="compiled")
+    assert active_backend() == "python"
+    assert solve(s, models).cost.total == solve(s, models, backend="python").cost.total
 
 
 def test_bellman_consistency_post_hoc():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chargeopt import electrical
+from chargeopt import electrical, thermal
 from chargeopt.core import BatteryState
 from chargeopt.errors import InvalidParameterError
 from chargeopt.thermal import (
@@ -168,6 +168,25 @@ def test_model_json_round_trip(tmp_path):
     back = load_model(path)
     x = np.abs(rng.normal(size=(40, 4)))
     assert np.all(np.abs(predict_batch(back, x) - predict_batch(m, x)) <= 1e-12)
+
+
+@pytest.mark.parametrize("variant", ["linear", "mlp"])
+@pytest.mark.parametrize("rows", [24, 41, 701])
+def test_predict_batch_in_pieces_is_bit_identical(monkeypatch, variant, rows):
+    rng = np.random.default_rng(11)
+    widths = [4, 1] if variant == "linear" else [4, 10, 10, 1]
+    m = ThermalModel(
+        variant=variant,
+        means=rng.normal(size=4),
+        stds=np.abs(rng.normal(size=4)) + 0.5,
+        layers=tuple((rng.normal(size=(a, b)), rng.normal(size=b)) for a, b in zip(widths, widths[1:])),
+    )
+    x = np.abs(rng.normal(size=(rows, 4)))
+    whole = predict_batch(m, x)
+    monkeypatch.setattr(thermal, "PREDICT_PIECE_ROWS", 12)  # 2 pieces; 3 with a remainder; 58 with a remainder
+    pieces = predict_batch(m, x)
+    assert pieces.shape == (rows,)
+    assert pieces.tobytes() == whole.tobytes()
 
 
 def test_plant_linear_model_matches_newtonian_plant():
