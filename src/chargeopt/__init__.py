@@ -5,12 +5,12 @@ cost-optimal bidirectional charging-power trajectories per charging event
 via discrete dynamic programming.
 """
 
-from .aging import AgingParams, SohState
+from .aging import AgingParams
 from .core import BatteryState, ChargingEvent, CostBreakdown, TimeGrid
 from .electrical import EcmTables
 from .optimizer import BatteryModels, DdpGrids, DdpSolution, Scenario, solve
 from .tariff import PriceProfile
-from .thermal import ThermalFeatures, ThermalModel, ThermalPlant
+from .thermal import ThermalModel, ThermalPlant
 
 __version__ = "0.1.0"
 
@@ -25,8 +25,6 @@ __all__ = [
     "EcmTables",
     "PriceProfile",
     "Scenario",
-    "SohState",
-    "ThermalFeatures",
     "ThermalModel",
     "ThermalPlant",
     "TimeGrid",

@@ -1,4 +1,4 @@
-"""Battery degradation: SOH bookkeeping, cyclic and calendar fade, aging cost.
+"""Battery degradation: cyclic and calendar fade, aging cost.
 
 Cyclic fade grows with absolute energy throughput; calendar fade follows
 Arrhenius-type kinetics in temperature and stored energy. To keep calendar
@@ -80,24 +80,6 @@ def default_params() -> AgingParams:
         v_ev_eur=6080.0,
         h_ev=0.20,
     )
-
-
-@dataclass(frozen=True)
-class SohState:
-    """State of health H = e_max / e_nom at the start of a charging event."""
-
-    h0: float
-    e_nom: float = 80.0
-
-    def __post_init__(self):
-        if not 0.0 < self.h0 <= 1.0:
-            raise InvalidParameterError(f"h0 must be in (0, 1], got {self.h0}")
-        if self.e_nom <= 0:
-            raise InvalidParameterError("e_nom must be positive")
-
-    @property
-    def e_max(self) -> float:
-        return self.h0 * self.e_nom
 
 
 def cyclic_fade(params: AgingParams, delta_e):

@@ -138,13 +138,6 @@ class RawSamples:
             object.__setattr__(self, "u_bat_v", np.zeros_like(np.asarray(self.t_s, float)))
 
 
-def soc(e: float, e_nom: float) -> float:
-    """Battery energy normalized by nominal capacity."""
-    if e_nom <= 0:
-        raise InvalidParameterError(f"nominal capacity must be positive, got {e_nom}")
-    return e / e_nom
-
-
 def discretize_event(
     samples: RawSamples,
     dt_min: float = 5.0,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BatteryState
 from .errors import InfeasiblePowerError, InvalidParameterError
 
 
@@ -61,34 +60,29 @@ def default_tables() -> EcmTables:
     return EcmTables(e_axis, theta_axis, u, r)
 
 
-def _interp2(e_axis, theta_axis, grid, e, theta):
-    """Bilinear interpolation with clamping to the table hull."""
+def lookup_arrays(tables: EcmTables, e, theta):
+    """Vectorized (u_ocv, r_i) lookup; e/theta broadcast elementwise.
+
+    Bilinear interpolation with clamping to the table hull; both grids share
+    one set of cell indices and weights.
+    """
+    e_axis, theta_axis = tables.e_axis, tables.theta_axis
     e = np.clip(np.asarray(e, float), e_axis[0], e_axis[-1])
     th = np.clip(np.asarray(theta, float), theta_axis[0], theta_axis[-1])
     ie = np.clip(np.searchsorted(e_axis, e, side="right") - 1, 0, len(e_axis) - 2)
     it = np.clip(np.searchsorted(theta_axis, th, side="right") - 1, 0, len(theta_axis) - 2)
     fe = (e - e_axis[ie]) / (e_axis[ie + 1] - e_axis[ie])
     ft = (th - theta_axis[it]) / (theta_axis[it + 1] - theta_axis[it])
-    return (
-        grid[ie, it] * (1 - fe) * (1 - ft)
-        + grid[ie + 1, it] * fe * (1 - ft)
-        + grid[ie, it + 1] * (1 - fe) * ft
-        + grid[ie + 1, it + 1] * fe * ft
-    )
 
+    def interp(grid):
+        return (
+            grid[ie, it] * (1 - fe) * (1 - ft)
+            + grid[ie + 1, it] * fe * (1 - ft)
+            + grid[ie, it + 1] * (1 - fe) * ft
+            + grid[ie + 1, it + 1] * fe * ft
+        )
 
-def lookup_arrays(tables: EcmTables, e, theta):
-    """Vectorized (u_ocv, r_i) lookup; e/theta broadcast elementwise."""
-    return (
-        _interp2(tables.e_axis, tables.theta_axis, tables.u_ocv, e, theta),
-        _interp2(tables.e_axis, tables.theta_axis, tables.r_i, e, theta),
-    )
-
-
-def lookup(tables: EcmTables, state: BatteryState) -> tuple[float, float]:
-    """(U_OCV in V, R_i in Ohm) at one battery state."""
-    u, r = lookup_arrays(tables, state.e, state.theta)
-    return float(u), float(r)
+    return interp(tables.u_ocv), interp(tables.r_i)
 
 
 def max_discharge_power(u_ocv, r_i):
@@ -124,20 +118,18 @@ def ohmic_loss(r_i, i_bat):
     return q if q.ndim else float(q)
 
 
-def energy_step(
-    tables: EcmTables, state: BatteryState, p_kw: float, dt_min: float
-) -> tuple[float, float]:
+def energy_step(tables: EcmTables, e, theta, p_kw, dt_min: float):
     """(delta_e in kWh, q_loss in kW) over one interval at constant power.
 
-    U_OCV and R_i are held fixed within the interval. Losses reduce the
-    stored energy gain while charging and increase the drawn energy while
-    discharging.
+    e, theta and p_kw broadcast elementwise; 0-d inputs give floats. U_OCV
+    and R_i are looked up at the interval-start state and held fixed within
+    the interval. Losses reduce the stored energy gain while charging and
+    increase the drawn energy while discharging.
     """
-    u, r = lookup(tables, state)
-    i = battery_current(u, r, p_kw)
-    q = ohmic_loss(r, i)
-    delta_e = (dt_min / 60.0) * (p_kw - q)
-    return float(delta_e), float(q)
+    u, r = lookup_arrays(tables, e, theta)
+    q = ohmic_loss(r, battery_current(u, r, p_kw))
+    delta_e = (dt_min / 60.0) * (np.asarray(p_kw, float) - q)
+    return (delta_e if np.ndim(delta_e) else float(delta_e)), q
 
 
 ECM_CSV_HEADER = ["e_kwh", "theta_c", "u_ocv_v", "r_i_ohm"]

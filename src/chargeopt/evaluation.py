@@ -62,15 +62,6 @@ class ValidationReport:
         return self.electrical.global_mae
 
 
-def _event_one_step(tables, ev: ChargingEvent):
-    """Predicted (delta_e, q_loss) per interval from measured interval-start states."""
-    u, r = electrical.lookup_arrays(tables, ev.e[:-1], ev.theta[:-1])
-    i_bat = electrical.battery_current(u, r, ev.p)
-    q_loss = electrical.ohmic_loss(r, i_bat)
-    delta_e = (ev.grid.dt_min / 60.0) * (ev.p - q_loss)
-    return delta_e, q_loss
-
-
 def validate_models(
     events: list[ChargingEvent],
     tables,
@@ -88,18 +79,18 @@ def validate_models(
     err_de = []
     err_dtheta = {name: [] for name in thermal_models}
     for ev in events:
-        de_hat, q_loss = _event_one_step(tables, ev)
-        de_meas = np.diff(ev.e)
-        err_de.append((de_hat - de_meas) / e_nom * 100.0)
-        feats = thermal.feature_matrix(ev.p, q_loss, de_hat, ev.theta[:-1])
-        dth_meas = np.diff(ev.theta)
+        measured = (ev.e[:-1], ev.theta[:-1], ev.p, ev.grid.dt_min)
+        de_hat, _ = electrical.energy_step(tables, *measured)
+        err_de.append((de_hat - np.diff(ev.e)) / e_nom * 100.0)
         for name, model in thermal_models.items():
-            err_dtheta[name].append(thermal.predict_batch(model, feats) - dth_meas)
+            _, _, dth_hat = thermal.step(tables, model, *measured)
+            err_dtheta[name].append(dth_hat - np.diff(ev.theta))
     local_soc = float(np.sqrt(np.mean(np.concatenate(err_de) ** 2)))
     local_theta = {
         name: float(np.sqrt(np.mean(np.concatenate(errs) ** 2))) for name, errs in err_dtheta.items()
     }
 
+    # one 0-d step per event-step: predict_batch results depend on the batch size
     gl_soc = []
     gl_theta = {name: [] for name in thermal_models}
     for ev in events:
@@ -107,21 +98,14 @@ def validate_models(
         # electrical rollout with measured temperatures
         e_hat = ev.e[0]
         for n in range(ev.grid.n_intervals):
-            u, r = electrical.lookup_arrays(tables, e_hat, ev.theta[n])
-            i_bat = electrical.battery_current(u, r, ev.p[n])
-            e_hat = e_hat + (dt / 60.0) * (ev.p[n] - electrical.ohmic_loss(r, i_bat))
+            e_hat = e_hat + electrical.energy_step(tables, e_hat, ev.theta[n], ev.p[n], dt)[0]
         gl_soc.append(abs(e_hat - ev.e[-1]) / e_nom * 100.0)
         # joint rollouts per thermal model
         for name, model in thermal_models.items():
             e_hat, th_hat = ev.e[0], ev.theta[0]
             for n in range(ev.grid.n_intervals):
-                u, r = electrical.lookup_arrays(tables, e_hat, th_hat)
-                i_bat = electrical.battery_current(u, r, ev.p[n])
-                q = electrical.ohmic_loss(r, i_bat)
-                de = (dt / 60.0) * (ev.p[n] - q)
-                feats = thermal.feature_matrix([ev.p[n]], [q], [de], [th_hat])
-                th_hat = th_hat + float(thermal.predict_batch(model, feats)[0])
-                e_hat = e_hat + de
+                de, _, dth = thermal.step(tables, model, e_hat, th_hat, ev.p[n], dt)
+                e_hat, th_hat = e_hat + de, th_hat + dth
             gl_theta[name].append(abs(th_hat - ev.theta[-1]))
     report_thermal = {
         name: ModelErrors(local_rmse=local_theta[name], global_mae=float(np.mean(gl_theta[name])))
@@ -388,10 +372,7 @@ def gamma_star_two_interval(
     """Threshold from charging one interval and discharging the next at
     equal magnitude: energy cost of the buy interval plus twice the
     per-interval aging cost, against the discounted resale."""
-    from .core import BatteryState
-
-    state = BatteryState(e, theta)
-    delta_e, _ = electrical.energy_step(models.tables, state, p_abs, dt_min)
+    delta_e, _ = electrical.energy_step(models.tables, e, theta, p_abs, dt_min)
     j_cyc, j_cal = aging_cost(models.aging, delta_e, theta, e, h0, dt_min)
     j_e = p_abs * (dt_min / 60.0) * eps_buy
     return gamma_star(j_e, j_cyc + j_cal, eta)

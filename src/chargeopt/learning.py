@@ -19,7 +19,7 @@ from . import electrical, thermal
 from .core import ChargingEvent
 from .electrical import EcmTables
 from .errors import InvalidParameterError, TrainingFailureError, UndefinedCorrelationError
-from .thermal import FEATURE_NAMES, ThermalModel
+from .thermal import FEATURE_NAMES, ThermalModel, mlp_forward
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,9 @@ def build_dataset(events: list[ChargingEvent], tables: EcmTables) -> Dataset:
         raise InvalidParameterError("empty event corpus")
     xs, ys = [], []
     for ev in events:
-        e_n = ev.e[:-1]
         th_n = ev.theta[:-1]
-        u, r = electrical.lookup_arrays(tables, e_n, th_n)
-        i_bat = electrical.battery_current(u, r, ev.p)
-        q_loss = electrical.ohmic_loss(r, i_bat)
-        delta_e = np.diff(ev.e)
-        xs.append(thermal.feature_matrix(ev.p, q_loss, delta_e, th_n))
+        _, q_loss = electrical.energy_step(tables, ev.e[:-1], th_n, ev.p, ev.grid.dt_min)
+        xs.append(thermal.feature_matrix(ev.p, q_loss, np.diff(ev.e), th_n))
         ys.append(np.diff(ev.theta))
     return Dataset(np.vstack(xs), np.concatenate(ys), FEATURE_NAMES)
 
@@ -192,18 +188,6 @@ def _init_layers(arch: MlpArchitecture, n_features: int, rng: np.random.Generato
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         layers.append([rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out)])
     return layers
-
-
-def mlp_forward(layers, x: np.ndarray):
-    """Forward pass; returns predictions (n,) and per-layer activations."""
-    acts = [np.atleast_2d(x)]
-    h = acts[0]
-    for w, b in layers[:-1]:
-        h = thermal._sigmoid(h @ w + b)
-        acts.append(h)
-    w, b = layers[-1]
-    out = h @ w + b
-    return out[:, 0], acts
 
 
 def mlp_gradients(layers, x: np.ndarray, y: np.ndarray):

@@ -68,6 +68,10 @@ def backward_induction(
         table = build_transition_table(s, models, grids)
     elif not table.matches(grids):
         raise InvalidParameterError("transition table was built for different grids")
+    elif table.dt_min != s.grid.dt_min:
+        raise InvalidParameterError(
+            f"transition table was built for dt = {table.dt_min} min, scenario has dt = {s.grid.dt_min} min"
+        )
     eps_buy, eps_sell = tariff.interval_prices(s.profile, s.grid)
     je = table.buy_energy[None, :] * eps_buy[:, None] + table.sell_energy[None, :] * eps_sell[:, None]
     if s.include_aging_in_objective:
@@ -91,25 +95,11 @@ def backward_induction(
     return grids
 
 
-def _step_costs(s: Scenario, models: BatteryModels, e: float, theta: float, p: float, n: int, prices):
-    """Continuous one-step transition and its cost components."""
-    eps_buy, eps_sell = prices
-    state = BatteryState(e, theta)
-    delta_e, q_loss = electrical.energy_step(models.tables, state, p, s.grid.dt_min)
-    d_theta = thermal.predict_delta_theta(
-        models.thermal, thermal.make_features(state, p, q_loss, delta_e)
-    )
-    dt_h = s.grid.dt_h
-    j_buy = max(p, 0.0) * dt_h * eps_buy[n]
-    j_sell = min(p, 0.0) * dt_h * eps_sell[n]
-    j_cyc, j_cal = aging_cost(models.aging, delta_e, theta, e, s.soh0, s.grid.dt_min)
-    return delta_e, d_theta, j_buy, j_sell, j_cyc, j_cal
-
-
 def _simulate(s: Scenario, models: BatteryModels, powers, grids: DdpGrids | None, clamp_power: bool):
     """Shared forward loop for policy rollout and replay."""
     n_steps = s.grid.n_intervals
-    prices = tariff.interval_prices(s.profile, s.grid)
+    eps_buy, eps_sell = tariff.interval_prices(s.profile, s.grid)
+    dt_h = s.grid.dt_h
     p_star = np.zeros(n_steps)
     e_traj = np.empty(n_steps + 1)
     theta_traj = np.empty(n_steps + 1)
@@ -131,20 +121,24 @@ def _simulate(s: Scenario, models: BatteryModels, powers, grids: DdpGrids | None
             p = float(powers[n])
             if not s.p_lo - 1e-12 <= p <= s.p_hi + 1e-12:
                 notes.append(f"interval {n}: power {p:.3f} kW outside [{s.p_lo}, {s.p_hi}]")
-        if clamp_power:
-            u, r = electrical.lookup(models.tables, BatteryState(e, th))
-            p_floor = electrical.max_discharge_power(u, r)
-            if p < p_floor:
-                notes.append(f"interval {n}: power {p:.3f} kW clamped to deliverable {p_floor:.3f}")
-                p = float(p_floor)
         try:
-            delta_e, d_theta, j_buy, j_sell, j_cyc, j_cal = _step_costs(s, models, e, th, p, n, prices)
+            BatteryState(e, th)  # e >= 0 and theta in the physical range, else InvalidParameterError
+            # the deliverable floor is negative, so only a discharge can be clamped
+            if clamp_power and p < 0:
+                p_floor = electrical.max_discharge_power(*electrical.lookup_arrays(models.tables, e, th))
+                if p < p_floor:
+                    notes.append(f"interval {n}: power {p:.3f} kW clamped to deliverable {p_floor:.3f}")
+                    p = float(p_floor)
+            delta_e, _, d_theta = thermal.step(models.tables, models.thermal, e, th, p, s.grid.dt_min)
+            j_cyc, j_cal = aging_cost(models.aging, delta_e, th, e, s.soh0, s.grid.dt_min)
         except (InfeasiblePowerError, InvalidParameterError) as exc:
             notes.append(f"interval {n}: cannot simulate action {p:.3f} kW ({exc})")
             feasible = False
             e_traj[n + 1 :] = e
             theta_traj[n + 1 :] = th
             break
+        j_buy = max(p, 0.0) * dt_h * eps_buy[n]
+        j_sell = min(p, 0.0) * dt_h * eps_sell[n]
         p_star[n] = p
         totals += (j_buy, j_sell, j_cyc, j_cal)
         j_e_steps[n] = j_buy + j_sell

@@ -78,7 +78,6 @@ def build_transition_table(s: Scenario, models: BatteryModels, grids: DdpGrids) 
     battery price, or the horizon length, so it can be shared across solves.
     """
     e_d, theta_d, p_d = grids.e_d, grids.theta_d, grids.p_d
-    nj = len(theta_d)
     e_mesh, th_mesh = np.meshgrid(e_d, theta_d, indexing="ij")
     e_cells = e_mesh.reshape(-1)
     th_cells = th_mesh.reshape(-1)
@@ -97,16 +96,10 @@ def build_transition_table(s: Scenario, models: BatteryModels, grids: DdpGrids) 
 
     deliverable = p_row >= electrical.max_discharge_power(u, r)[:, None]
     p_eff = np.where(deliverable, p_row, 0.0)  # placeholder where the root is complex
-    i_bat = electrical.battery_current(u[:, None], r[:, None], p_eff)
-    q_loss = electrical.ohmic_loss(r[:, None], i_bat)
-    delta_e = (s.grid.dt_min / 60.0) * (p_eff - q_loss)
-    e_next = e_cells[:, None] + delta_e
-
-    th_bc = np.broadcast_to(th_cells[:, None], (m, k))
-    features = thermal.feature_matrix(
-        p_eff.reshape(-1), q_loss.reshape(-1), delta_e.reshape(-1), th_bc.reshape(-1)
+    delta_e, _, d_theta = thermal.step(
+        models.tables, models.thermal, e_cells[:, None], th_cells[:, None], p_eff, s.grid.dt_min
     )
-    d_theta = thermal.predict_batch(models.thermal, features).reshape(m, k)
+    e_next = e_cells[:, None] + delta_e
     th_next = th_cells[:, None] + d_theta
 
     valid_state = (

@@ -83,12 +83,6 @@ def scale_gamma(profile: PriceProfile, gamma: float) -> PriceProfile:
     return PriceProfile(profile.eps_buy.copy(), gamma * np.asarray(profile.eps_buy, float), profile.label)
 
 
-def price_at(profile: PriceProfile, t_epoch: float) -> tuple[float, float]:
-    """(eps_buy, eps_sell) at the UTC hour of day containing t_epoch."""
-    hour = int(np.floor(t_epoch / 3600.0)) % 24
-    return float(profile.eps_buy[hour]), float(profile.eps_sell[hour])
-
-
 def interval_prices(profile: PriceProfile, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Per-interval (eps_buy, eps_sell), priced at each interval's start hour."""
     starts = grid.interval_starts()

@@ -33,23 +33,6 @@ VARIANT_LINEAR = "linear"
 VARIANT_MLP = "mlp"
 
 
-@dataclass(frozen=True)
-class ThermalFeatures:
-    """Predictor inputs for one interval; p and delta_e enter as magnitudes."""
-
-    p_abs: float
-    q_loss: float
-    delta_e_abs: float
-    theta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_abs, self.q_loss, self.delta_e_abs, self.theta])
-
-
-def make_features(state: BatteryState, p_kw: float, q_loss_kw: float, delta_e_kwh: float) -> ThermalFeatures:
-    return ThermalFeatures(abs(p_kw), q_loss_kw, abs(delta_e_kwh), state.theta)
-
-
 def feature_matrix(p_kw, q_loss_kw, delta_e_kwh, theta) -> np.ndarray:
     """Stack features column-wise for a batch of intervals, shape (M, 4)."""
     return np.column_stack(
@@ -108,7 +91,16 @@ PREDICT_PIECE_ROWS = 2**16
 
 
 def predict_batch(model: ThermalModel, x_full: np.ndarray) -> np.ndarray:
-    """Temperature changes in K for a (M, 4) feature matrix in canonical order."""
+    """Temperature changes in K for a (M, 4) feature matrix in canonical order.
+
+    A row's result depends on the batch it sits in: BLAS sums the MLP's
+    matrix products (gemv for the output layer, gemm for the hidden ones)
+    in an order set by the call's row count and the row's position, so a
+    one-row call and the same row inside a larger batch can differ in the
+    last bits. Rollouts and replay therefore call the model with one row
+    per event-step, as they always have; batching those rows across events
+    would change MLP results.
+    """
     x_full = np.atleast_2d(np.asarray(x_full, float))
     if model.variant == VARIANT_CONSTANT:
         return np.zeros(x_full.shape[0])
@@ -118,20 +110,34 @@ def predict_batch(model: ThermalModel, x_full: np.ndarray) -> np.ndarray:
 
 def _predict_rows(model: ThermalModel, x_full: np.ndarray) -> np.ndarray:
     cols = [FEATURE_NAMES.index(name) for name in model.feature_names]
-    z = (x_full[:, cols] - model.means) / model.stds
-    h = z
-    for w, b in model.layers[:-1]:
-        h = _sigmoid(h @ w + b)
-    w, b = model.layers[-1]
-    out = h @ w + b
-    return out[:, 0]
+    out, _ = mlp_forward(model.layers, (x_full[:, cols] - model.means) / model.stds)
+    return out
 
 
-def predict_delta_theta(model: ThermalModel, f: ThermalFeatures) -> float:
-    """Temperature change in K over one interval."""
-    if model.variant == VARIANT_CONSTANT:
-        return 0.0
-    return float(predict_batch(model, f.as_array()[None, :])[0])
+def mlp_forward(layers, x: np.ndarray):
+    """Forward pass through (weights, bias) layers: sigmoid hidden units and
+    a linear output unit. Returns predictions (n,) and the per-layer
+    activations, input first, that backpropagation needs."""
+    acts = [np.atleast_2d(x)]
+    for w, b in layers[:-1]:
+        acts.append(_sigmoid(acts[-1] @ w + b))
+    w, b = layers[-1]
+    return (acts[-1] @ w + b)[:, 0], acts
+
+
+def step(tables: EcmTables, model: ThermalModel, e, theta, p_kw, dt_min: float):
+    """(delta_e in kWh, q_loss in kW, d_theta in K) over one interval.
+
+    The coupled model step: circuit losses and energy throughput from
+    electrical.energy_step, then the predicted temperature change. e, theta
+    and p_kw broadcast elementwise; the predictor sees the broadcast inputs
+    flattened in C order in one predict_batch call. 0-d inputs give floats.
+    """
+    delta_e, q_loss = electrical.energy_step(tables, e, theta, p_kw, dt_min)
+    p, q, de, th = np.broadcast_arrays(p_kw, q_loss, delta_e, theta)
+    x = feature_matrix(p.ravel(), q.ravel(), de.ravel(), th.ravel())
+    d_theta = predict_batch(model, x).reshape(p.shape)
+    return delta_e, q_loss, (d_theta if d_theta.ndim else float(d_theta))
 
 
 def save_model(model: ThermalModel, path) -> None:
@@ -263,7 +269,6 @@ def generate_synthetic_events(
         e_target = min(soc_target, soh0) * e_nom
         e = np.empty(n + 1)
         theta = np.empty(n + 1)
-        u_bat = np.empty(n + 1)
         p = np.empty(n)
         e[0] = soc0 * e_nom
         theta[0] = theta0
@@ -277,14 +282,13 @@ def generate_synthetic_events(
             else:
                 p_i = p_max
             state = BatteryState(e[i], theta[i])
-            delta_e, q_loss = electrical.energy_step(tables, state, p_i, dt_min)
-            u, r = electrical.lookup(tables, state)
-            i_bat = electrical.battery_current(u, r, p_i)
+            delta_e, q_loss = electrical.energy_step(tables, e[i], theta[i], p_i, dt_min)
             p[i] = p_i
-            u_bat[i] = u + r * i_bat
             e[i + 1] = e[i] + delta_e
             theta[i + 1] = theta[i] + plant_step(plant, state, p_i, q_loss, dt_min, rng)
-        u_bat[n], _ = electrical.lookup(tables, BatteryState(e[n], theta[n]))
+        # terminal voltage U_OCV + R_i * I at each interval start; U_OCV at the end
+        u_bat, r = electrical.lookup_arrays(tables, e, theta)
+        u_bat[:-1] += r[:-1] * electrical.battery_current(u_bat[:-1], r[:-1], p)
         events.append(
             ChargingEvent(
                 grid=TimeGrid(t0=t0, n_intervals=n, dt_min=dt_min),

@@ -1,9 +1,9 @@
 """Independent oracles for the test suite.
 
 The brute-force search enumerates every action sequence on the snapped
-state chain using direct scalar model calls, entirely separate from the
-solver's vectorized transition table. Gradients are checked against
-central finite differences.
+state chain with one model step per (cell, action) on 0-d inputs, entirely
+separate from the solver's batched transition table. Gradients are
+checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from chargeopt import aging as aging_mod
 from chargeopt import electrical, tariff, thermal
-from chargeopt.core import BatteryState, TimeGrid
+from chargeopt.core import TimeGrid
 from chargeopt.optimizer import BatteryModels, Scenario, nearest_index
 from chargeopt.thermal import ThermalModel
 
@@ -33,15 +33,11 @@ def chain_transitions(s: Scenario, grids, models: BatteryModels):
                 if not lo <= p <= hi:
                     out[i, j, k] = None
                     continue
-                state = BatteryState(e, th)
-                u, r = electrical.lookup(models.tables, state)
+                u, r = electrical.lookup_arrays(models.tables, e, th)
                 if p < electrical.max_discharge_power(u, r):
                     out[i, j, k] = None
                     continue
-                delta_e, q = electrical.energy_step(models.tables, state, p, s.grid.dt_min)
-                dth = thermal.predict_delta_theta(
-                    models.thermal, thermal.make_features(state, p, q, delta_e)
-                )
+                delta_e, _, dth = thermal.step(models.tables, models.thermal, e, th, p, s.grid.dt_min)
                 e1, th1 = e + delta_e, th + dth
                 if not (s.e_lo <= e1 <= s.e_hi and s.theta_lo <= th1 <= s.theta_hi):
                     out[i, j, k] = None

@@ -13,7 +13,7 @@ import pytest
 
 from chargeopt import electrical, learning, thermal
 from chargeopt.aging import aging_cost, calendar_fade, cyclic_fade, default_params
-from chargeopt.core import BatteryState, TimeGrid
+from chargeopt.core import TimeGrid
 from chargeopt.evaluation import (
     compare_modes,
     default_scenario,
@@ -139,9 +139,9 @@ def test_criterion_02_power_balance():
 
 @criterion(3, "round-trip asymmetry reproduces +2.92100 / -3.08831 kWh")
 def test_criterion_03_round_trip_asymmetry(tables):
-    state = BatteryState(40.0, 25.0)  # default tables give 360 V, 0.1 Ohm here
-    de_chg, _ = electrical.energy_step(tables, state, 36.0, 5.0)
-    de_dis, _ = electrical.energy_step(tables, state, -36.0, 5.0)
+    # default tables give 360 V, 0.1 Ohm at 40 kWh and 25 degC
+    de_chg, _ = electrical.energy_step(tables, 40.0, 25.0, 36.0, 5.0)
+    de_dis, _ = electrical.energy_step(tables, 40.0, 25.0, -36.0, 5.0)
     assert round(de_chg, 5) == 2.92100
     assert round(de_dis, 5) == -3.08831
 

@@ -6,7 +6,6 @@ import pytest
 from chargeopt.aging import (
     SECONDS_PER_YEAR,
     AgingParams,
-    SohState,
     aging_cost,
     calendar_fade,
     cyclic_fade,
@@ -104,13 +103,6 @@ def test_aging_cost_linear_in_value():
     j2 = aging_cost(half, 2.0, 25.0, 40.0, 0.975, 5.0)
     assert j2[0] == pytest.approx(j1[0] / 2, rel=1e-12)
     assert j2[1] == pytest.approx(j1[1] / 2, rel=1e-12)
-
-
-def test_soh_state():
-    s = SohState(h0=0.95, e_nom=80.0)
-    assert s.e_max == pytest.approx(76.0)
-    with pytest.raises(InvalidParameterError):
-        SohState(h0=1.2)
 
 
 def test_params_validation():

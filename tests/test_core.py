@@ -1,4 +1,4 @@
-"""Core types, SOC, and event discretization."""
+"""Core types and event discretization."""
 
 import numpy as np
 import pytest
@@ -12,22 +12,8 @@ from chargeopt.core import (
     load_event_csv,
     load_samples_csv,
     save_event_csv,
-    soc,
 )
 from chargeopt.errors import InvalidParameterError
-
-
-def test_soc_values():
-    assert soc(40.0, 80.0) == 0.5
-    assert soc(80.0, 80.0) == 1.0
-    assert soc(8.0, 80.0) == pytest.approx(0.1)  # the default lower energy bound
-
-
-def test_soc_rejects_nonpositive_capacity():
-    with pytest.raises(InvalidParameterError):
-        soc(10.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        soc(10.0, -5.0)
 
 
 def test_time_grid_counts():

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from chargeopt.core import BatteryState
 from chargeopt.electrical import (
     EcmTables,
     battery_current,
     default_tables,
     energy_step,
     load_tables_csv,
-    lookup,
     lookup_arrays,
     max_discharge_power,
     ohmic_loss,
@@ -26,14 +24,14 @@ def test_lookup_constant_field():
         u_ocv=np.full((2, 2), 360.0),
         r_i=np.full((2, 2), 0.1),
     )
-    u, r = lookup(t, BatteryState(33.3, 7.7))
+    u, r = lookup_arrays(t, 33.3, 7.7)
     assert u == 360.0
     assert r == 0.1
 
 
 def test_lookup_preserves_linearity():
     t = default_tables()  # u_ocv affine 300 V at 0 kWh to 420 V at 80 kWh
-    u, _ = lookup(t, BatteryState(40.0, 25.0))
+    u, _ = lookup_arrays(t, 40.0, 25.0)
     assert u == pytest.approx(360.0)
 
 
@@ -44,15 +42,14 @@ def test_lookup_bilinear_cell_center():
         u_ocv=np.full((2, 2), 300.0),
         r_i=np.array([[0.10, 0.14], [0.12, 0.16]]),
     )
-    _, r = lookup(t, BatteryState(5.0, 5.0))
+    _, r = lookup_arrays(t, 5.0, 5.0)
     assert r == pytest.approx(0.13)
 
 
 def test_lookup_clamps_outside_hull():
     t = default_tables()
-    u_inside, r_inside = lookup(t, BatteryState(80.0, 60.0))
-    u_out, r_out = lookup(t, BatteryState(500.0, 75.0))
-    assert (u_out, r_out) == (u_inside, r_inside)
+    u, r = lookup_arrays(t, np.array([80.0, 500.0]), np.array([60.0, 75.0]))
+    assert (u[1], r[1]) == (u[0], r[0])
 
 
 def test_tables_reject_non_monotone_axes():
@@ -88,29 +85,33 @@ def test_ohmic_loss_examples():
     assert ohmic_loss(0.1, -102.9437) == pytest.approx(1.05974, abs=1e-5)
 
 
-def _state_360() -> tuple[EcmTables, BatteryState]:
-    t = EcmTables(
+def _tables_360() -> EcmTables:
+    return EcmTables(
         e_axis=np.array([0.0, 80.0]),
         theta_axis=np.array([-25.0, 60.0]),
         u_ocv=np.full((2, 2), 360.0),
         r_i=np.full((2, 2), 0.1),
     )
-    return t, BatteryState(40.0, 25.0)
 
 
 def test_energy_step_examples():
-    t, st = _state_360()
-    de0, _ = energy_step(t, st, 0.0, 5.0)
+    t = _tables_360()
+    de0, _ = energy_step(t, 40.0, 25.0, 0.0, 5.0)
     assert de0 == 0.0
-    de_chg, q_chg = energy_step(t, st, 36.0, 5.0)
+    de_chg, q_chg = energy_step(t, 40.0, 25.0, 36.0, 5.0)
     assert de_chg == pytest.approx(2.92100, abs=1e-5)
     assert q_chg == pytest.approx(0.94803, abs=1e-5)
-    de_dis, q_dis = energy_step(t, st, -36.0, 5.0)
+    de_dis, q_dis = energy_step(t, 40.0, 25.0, -36.0, 5.0)
     assert de_dis == pytest.approx(-3.08831, abs=1e-5)
     assert q_dis == pytest.approx(1.05974, abs=1e-5)
     # losses shrink the gain while charging and grow the drain while discharging
     assert de_chg < 36.0 * 5.0 / 60.0
     assert abs(de_dis) > 36.0 * 5.0 / 60.0
+    # the same steps as one broadcast call over a (states, powers) grid
+    de, q = energy_step(t, np.array([[40.0], [40.0]]), 25.0, np.array([0.0, 36.0, -36.0]), 5.0)
+    assert de.shape == q.shape == (2, 3)
+    assert de[1].tolist() == [de0, de_chg, de_dis]
+    assert q[0].tolist() == [0.0, q_chg, q_dis]
 
 
 def test_power_balance_property():
@@ -132,19 +133,17 @@ def test_power_balance_property():
 
 
 def test_delta_e_monotone_in_power():
-    t, st = _state_360()
-    powers = np.linspace(-40, 50, 91)
-    des = np.array([energy_step(t, st, p, 5.0)[0] for p in powers])
+    des, _ = energy_step(_tables_360(), 40.0, 25.0, np.linspace(-40, 50, 91), 5.0)
     assert np.all(np.diff(des) > 0)
 
 
 def test_round_trip_loss_bisection():
-    t, st = _state_360()
-    de, _ = energy_step(t, st, 36.0, 5.0)
+    t = _tables_360()
+    de, _ = energy_step(t, 40.0, 25.0, 36.0, 5.0)
     lo, hi = -40.0, 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if energy_step(t, st, mid, 5.0)[0] > -de:
+        if energy_step(t, 40.0, 25.0, mid, 5.0)[0] > -de:
             hi = mid
         else:
             lo = mid
@@ -181,6 +180,6 @@ def test_lookup_arrays_matches_scalar():
     ths = rng.uniform(-25, 60, 50)
     u_vec, r_vec = lookup_arrays(t, es, ths)
     for e, th, uv, rv in zip(es, ths, u_vec, r_vec):
-        u, r = lookup(t, BatteryState(e, th))
+        u, r = lookup_arrays(t, e, th)
         assert u == uv
         assert r == rv

@@ -9,6 +9,7 @@ from chargeopt import electrical, thermal
 from chargeopt.aging import calendar_fade, default_params
 from chargeopt.core import TimeGrid
 from chargeopt.errors import InvalidParameterError
+from chargeopt.evaluation import default_scenario
 from chargeopt.optimizer import (
     HAVE_COMPILED,
     BatteryModels,
@@ -284,6 +285,73 @@ def test_replay_reports_bound_violation():
     )
     sol = replay([5.0, 0.0], s, models)  # exceeds p_hi
     assert any("outside" in note for note in sol.notes)
+
+
+def test_replay_clamps_undeliverable_discharge():
+    models = _simple_models(r=1.0)  # at 360 V the floor is -360^2 / (4 * 1 Ohm) W = -32.4 kW
+    s = Scenario(
+        grid=TimeGrid(t0=0.0, n_intervals=2, dt_min=5.0),
+        e0=50.0,
+        e_target=40.0,
+        theta0=20.0,
+        profile=_flat_profile(),
+        e_lo=0.0,
+        e_hi=80.0,
+        theta_lo=10.0,
+        theta_hi=30.0,
+        p_lo=-50.0,
+        p_hi=50.0,
+    )
+    sol = replay([-40.0, 0.0], s, models)
+    assert sol.notes == ("interval 0: power -40.000 kW clamped to deliverable -32.400",)
+    assert sol.p_star.tolist() == [-32.4, 0.0]
+    assert sol.feasible
+
+
+def test_replay_stops_when_temperature_leaves_physical_range():
+    hot = thermal.ThermalModel(
+        variant=thermal.VARIANT_LINEAR,
+        means=np.zeros(4),
+        stds=np.ones(4),
+        layers=((np.zeros((4, 1)), np.array([25.0])),),  # +25 K per interval
+    )
+    models = replace(_simple_models(), thermal=hot)
+    s = Scenario(
+        grid=TimeGrid(t0=0.0, n_intervals=5, dt_min=60.0),
+        e0=1.0,
+        e_target=3.0,
+        theta0=20.0,
+        profile=_flat_profile(),
+        e_lo=0.0,
+        e_hi=6.0,
+        theta_lo=10.0,
+        theta_hi=30.0,
+        p_lo=-2.0,
+        p_hi=2.0,
+    )
+    sol = replay(np.ones(5), s, models)
+    # theta reaches 95 degC at instant 3, outside [-40, 80]: interval 3 cannot start
+    assert sol.notes[0].startswith("interval 3: cannot simulate action 1.000 kW (temperature 95.0 degC")
+    assert not sol.feasible
+    assert sol.theta_traj.tolist() == [20.0, 45.0, 70.0, 95.0, 95.0, 95.0]
+    assert np.all(sol.e_traj[3:] == sol.e_traj[3])
+    assert sol.p_star.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+
+
+def test_table_built_for_another_dt_is_rejected():
+    # coarse reference instance: reusing its dt = 5 min table for dt = 10 min
+    # returned 13.398 EUR, where a fresh table gives 13.213 EUR
+    models = BatteryModels(
+        tables=electrical.default_tables(),
+        thermal=thermal.plant_linear_model(thermal.ThermalPlant()),
+        aging=default_params(),
+    )
+    s5 = default_scenario(e_step=1.6, theta_step=2.0, p_step=2.0)
+    table = build_transition_table(s5, models, build_grids(s5))
+    s10 = replace(s5, grid=replace(s5.grid, n_intervals=48, dt_min=10.0))
+    with pytest.raises(InvalidParameterError, match="dt = 5.0 min, scenario has dt = 10.0 min"):
+        solve(s10, models, table=table)
+    assert solve(s10, models).cost.total == pytest.approx(13.213, abs=5e-4)
 
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")

@@ -12,7 +12,6 @@ from chargeopt.tariff import (
     interval_prices,
     load_market_csv,
     load_profile_csv,
-    price_at,
     save_profile_csv,
     scale_gamma,
     supplement,
@@ -91,16 +90,6 @@ def test_scale_gamma():
         scale_gamma(p, 0.0)
 
 
-def test_price_at_hour_boundaries():
-    buy = np.arange(24, dtype=float) / 100.0
-    p = PriceProfile(buy, buy.copy())
-    assert price_at(p, 1800.0)[0] == 0.0  # 00:30
-    assert price_at(p, 23 * 3600 + 59 * 60.0)[0] == pytest.approx(0.23)
-    # piecewise constant within each hour with exactly 24 breakpoints
-    vals = [price_at(p, t)[0] for t in np.arange(0, 86400, 300.0)]
-    assert len(np.unique(vals)) == 24
-
-
 def test_interval_priced_at_start_hour():
     buy = np.arange(24, dtype=float) / 100.0
     p = PriceProfile(buy, buy.copy())
@@ -108,6 +97,13 @@ def test_interval_priced_at_start_hour():
     grid = TimeGrid(t0=13 * 3600 + 58 * 60.0, n_intervals=1, dt_min=5.0)
     eps_buy, _ = interval_prices(p, grid)
     assert eps_buy[0] == pytest.approx(0.13)
+    # one day of 5-min intervals from 00:30: hour boundaries, piecewise
+    # constant within each hour with exactly 24 breakpoints
+    eps_buy, _ = interval_prices(p, TimeGrid(t0=1800.0, n_intervals=288, dt_min=5.0))
+    assert eps_buy[0] == 0.0
+    assert eps_buy[-1] == 0.0  # 00:25 the next day
+    assert eps_buy[5 + 12 * 23] == pytest.approx(0.23)  # 23:55
+    assert len(np.unique(eps_buy)) == 24
 
 
 def test_default_profiles_shape():

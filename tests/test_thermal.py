@@ -11,38 +11,34 @@ from chargeopt.thermal import (
     ThermalModel,
     ThermalPlant,
     constant_model,
+    feature_matrix,
     generate_synthetic_events,
     load_model,
-    make_features,
     plant_linear_model,
     plant_step,
     predict_batch,
-    predict_delta_theta,
     save_model,
+    step,
 )
 
 
-def test_make_features_absolute_values():
-    f0 = make_features(BatteryState(10.0, 20.0), 0.0, 0.0, 0.0)
-    assert (f0.p_abs, f0.q_loss, f0.delta_e_abs, f0.theta) == (0.0, 0.0, 0.0, 20.0)
-    f_dis = make_features(BatteryState(40.0, 25.0), -36.0, 1.05974, -3.08831)
-    assert f_dis.p_abs == 36.0
-    assert f_dis.delta_e_abs == 3.08831
-    f_chg = make_features(BatteryState(40.0, 25.0), 36.0, 0.94803, 2.92100)
-    assert (f_chg.p_abs, f_chg.q_loss, f_chg.delta_e_abs, f_chg.theta) == (36.0, 0.94803, 2.92100, 25.0)
+def test_feature_matrix_absolute_values():
+    p = [0.0, -36.0, 36.0]
+    x = feature_matrix(p, [0.0, 1.05974, 0.94803], [0.0, -3.08831, 2.92100], [20.0, 25.0, 25.0])
+    assert x.tolist() == [
+        [0.0, 0.0, 0.0, 20.0],
+        [36.0, 1.05974, 3.08831, 25.0],
+        [36.0, 0.94803, 2.92100, 25.0],
+    ]
 
 
 def test_constant_model_is_exactly_zero():
     m = constant_model()
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        f = make_features(
-            BatteryState(rng.uniform(0, 80), rng.uniform(-25, 60)),
-            rng.uniform(-50, 50),
-            rng.uniform(0, 3),
-            rng.uniform(-4, 4),
-        )
-        assert predict_delta_theta(m, f) == 0.0
+    x = feature_matrix(*(rng.uniform(lo, hi, 50) for lo, hi in ((-50, 50), (0, 3), (-4, 4), (-25, 60))))
+    assert np.all(predict_batch(m, x) == 0.0)
+    _, _, d_theta = step(electrical.default_tables(), m, 40.0, 20.0, 11.0, 5.0)
+    assert d_theta == 0.0
 
 
 def test_linear_bias_only():
@@ -53,8 +49,7 @@ def test_linear_bias_only():
         stds=np.ones(4),
         layers=((np.zeros((4, 1)), np.array([0.3])),),
     )
-    f = make_features(BatteryState(10.0, 20.0), 11.0, 0.1, 0.9)
-    assert predict_delta_theta(m, f) == pytest.approx(0.3)
+    assert predict_batch(m, feature_matrix([11.0], [0.1], [0.9], [20.0]))[0] == pytest.approx(0.3)
 
 
 def test_mlp_zero_output_weights():
@@ -63,8 +58,7 @@ def test_mlp_zero_output_weights():
         (np.zeros((8, 1)), np.zeros(1)),
     )
     m = ThermalModel(variant="mlp", feature_names=FEATURE_NAMES, layers=layers)
-    f = make_features(BatteryState(10.0, 20.0), 11.0, 0.1, 0.9)
-    assert predict_delta_theta(m, f) == 0.0
+    assert predict_batch(m, feature_matrix([11.0], [0.1], [0.9], [20.0]))[0] == 0.0
 
 
 def test_model_validation():
@@ -198,6 +192,23 @@ def test_plant_linear_model_matches_newtonian_plant():
         p = rng.uniform(0, 50)
         q = rng.uniform(0, 2)
         de = rng.uniform(0, 4)
-        predicted = predict_delta_theta(model, make_features(st, p, q, de))
+        predicted = predict_batch(model, feature_matrix([p], [q], [de], [st.theta]))[0]
         truth = plant_step(plant, st, p, q, 5.0)
         assert predicted == pytest.approx(truth, abs=1e-12)
+
+
+def test_step_broadcast_matches_one_state_at_a_time():
+    tables = electrical.default_tables()
+    model = plant_linear_model(ThermalPlant(fan_gain=0.0))
+    e = np.array([[10.0], [40.0], [70.0]])
+    theta = np.array([[0.0], [20.0], [35.0]])
+    p = np.array([-20.0, 0.0, 11.0, 36.0])
+    de, q, dth = step(tables, model, e, theta, p, 5.0)
+    assert de.shape == q.shape == dth.shape == (3, 4)
+    for i in range(3):
+        for k in range(4):
+            one = step(tables, model, e[i, 0], theta[i, 0], p[k], 5.0)
+            assert all(isinstance(v, float) for v in one)
+            assert one[:2] == (de[i, k], q[i, k])
+            # a one-row predict_batch call may round differently from a batched one
+            assert one[2] == pytest.approx(dth[i, k], abs=1e-12)
