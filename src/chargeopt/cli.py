@@ -16,8 +16,6 @@ from . import aging, core, electrical, evaluation, learning, tariff, thermal
 from .errors import InvalidParameterError, TrainingFailureError
 from .optimizer import (
     BatteryModels,
-    build_grids,
-    build_transition_table,
     load_scenario_json,
     save_solution_csv,
     solve,
@@ -239,13 +237,10 @@ def cmd_compare_modes(cfg) -> int:
     out = _out_dir(cfg)
     models, events, wd, we = _corpus_setup(cfg)
     rows = []
-    table = None
     for ev in events:
         profile = tariff.profile_for_time(ev.grid.t0, wd, we)
         s = evaluation.scenario_for_event(ev, profile)
-        if table is None:
-            table = build_transition_table(s, models, build_grids(s))
-        cmp_ = evaluation.compare_modes(ev, s, models, table=table, backend=cfg.get("backend"))
+        cmp_ = evaluation.compare_modes(ev, s, models, backend=cfg.get("backend"))
         for mode, sol in (("I", cmp_.mode_i), ("II", cmp_.mode_ii), ("III", cmp_.mode_iii)):
             if not sol.feasible:
                 print(f"event {ev.name} mode {mode}: infeasible", file=sys.stderr)

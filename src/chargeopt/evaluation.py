@@ -25,8 +25,6 @@ from .optimizer import (
     DdpSolution,
     Scenario,
     TransitionTable,
-    build_grids,
-    build_transition_table,
     replay,
     solve,
 )
@@ -184,8 +182,6 @@ def compare_modes(
         raise InvalidParameterError(
             f"event lasts {event.duration_h:.2f} h; mode comparison needs >= {MIN_EVENT_DURATION_H} h"
         )
-    if table is None:
-        table = build_transition_table(s, models, build_grids(s))
     mode_i = replay(event.p, s, models)
     s_ii = replace(s, include_aging_in_objective=False)
     s_iii = replace(s, include_aging_in_objective=True)
@@ -226,11 +222,10 @@ class ThermalEffectReport:
 def thermal_effect(
     s: Scenario,
     models: BatteryModels,
-    table: TransitionTable | None = None,
     backend: str | None = None,
 ) -> ThermalEffectReport:
     models_const = replace(models, thermal=constant_model())
-    sol_learned = solve(s, models, table=table, backend=backend)
+    sol_learned = solve(s, models, backend=backend)
     sol_const = solve(s, models_const, backend=backend)
     repriced = replay(sol_const.p_star, s, models)
     dev = np.abs(sol_const.p_star - sol_learned.p_star)
@@ -287,17 +282,14 @@ def sweep_gamma(
     s: Scenario,
     models: BatteryModels,
     gammas,
-    table: TransitionTable | None = None,
     backend: str | None = None,
 ) -> SweepResult:
     """Mode III solved per gamma, with sell prices scaled to gamma times buy."""
     gammas = _check_axis(gammas, "gamma")
-    if table is None:
-        table = build_transition_table(s, models, build_grids(s))
     points = []
     for g in gammas:
         sg = s.with_profile(tariff.scale_gamma(s.profile, float(g)))
-        sol = solve(sg, models, table=table, backend=backend)
+        sol = solve(sg, models, backend=backend)
         points.append(
             SweepPoint(
                 axis_value=float(g),
@@ -314,18 +306,15 @@ def sweep_battery_price(
     s: Scenario,
     models: BatteryModels,
     v_ev_values,
-    table: TransitionTable | None = None,
     backend: str | None = None,
 ) -> SweepResult:
     """Mode III re-solved per battery value loss V_EV; the axis is sorted
     ascending (the conventional listing runs from today's price downward)."""
     values = _check_axis(np.sort(np.asarray(v_ev_values, float)), "v_ev")
-    if table is None:
-        table = build_transition_table(s, models, build_grids(s))
     points = []
     for v in values:
         models_v = replace(models, aging=models.aging.with_value(float(v)))
-        sol = solve(s, models_v, table=table, backend=backend)
+        sol = solve(s, models_v, backend=backend)
         points.append(
             SweepPoint(
                 axis_value=float(v),

@@ -22,7 +22,7 @@ from .solver import (
     save_solution_csv,
     solve,
 )
-from .transitions import TransitionTable, build_transition_table
+from .transitions import TransitionTable, build_transition_table, clear_table_cache
 
 __all__ = [
     "BatteryModels",
@@ -36,6 +36,7 @@ __all__ = [
     "backward_pass",
     "build_grids",
     "build_transition_table",
+    "clear_table_cache",
     "forward_integration",
     "load_scenario_json",
     "make_range",

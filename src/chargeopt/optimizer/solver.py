@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import electrical, tariff, thermal
-from ..aging import aging_cost
+from ..aging import aging_cost, calendar_fade
 from ..core import BatteryState, CostBreakdown
 from ..errors import InfeasiblePowerError, InvalidParameterError
 from . import backend as backend_mod
@@ -62,21 +62,19 @@ def backward_induction(
     actions cache the penalty. The minimum over actions (lowest index on
     ties) lands in the grids. With include_aging_in_objective False the
     aging term is dropped from the transition cost (the models still drive
-    the dynamics).
+    the dynamics). A table passed in must be the one build_transition_table
+    gives for these inputs, else InvalidParameterError is raised.
     """
     if table is None:
         table = build_transition_table(s, models, grids)
-    elif not table.matches(grids):
-        raise InvalidParameterError("transition table was built for different grids")
-    elif table.dt_min != s.grid.dt_min:
-        raise InvalidParameterError(
-            f"transition table was built for dt = {table.dt_min} min, scenario has dt = {s.grid.dt_min} min"
-        )
+    else:
+        table.check(s, models, grids)
     eps_buy, eps_sell = tariff.interval_prices(s.profile, s.grid)
     je = table.buy_energy[None, :] * eps_buy[:, None] + table.sell_energy[None, :] * eps_sell[:, None]
     if s.include_aging_in_objective:
         scale = models.aging.cost_per_fade
-        jd = scale * table.cyc_fade + (scale * table.calendar_fades(models.aging, s.soh0))[:, None]
+        cal_fade = calendar_fade(models.aging, table.theta_cells, table.e_cells, s.soh0, table.dt_min)
+        jd = scale * table.cyc_fade + (scale * cal_fade)[:, None]
     else:
         jd = np.zeros_like(table.cyc_fade)
     backend_mod.backward_pass(

@@ -10,7 +10,9 @@ combination and reused across events, modes, and sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,9 +31,14 @@ class TransitionTable:
     slice: corner00 is the flattened lower-left grid corner enclosing the
     continuous successor state and (frac_e, frac_theta) its interpolation
     weights. valid marks transitions that satisfy the power bounds, the
-    deliverable-power limit, and the state bounds. cyc_fade and the cached
-    calendar fades are capacity-fade fractions (unscaled by battery value),
-    so one table serves every battery price.
+    deliverable-power limit, and the state bounds. cyc_fade is a
+    capacity-fade fraction (unscaled by battery value), so one table serves
+    every battery price. All arrays are read-only: one table is shared by
+    every solve that asks for it (see build_transition_table).
+
+    fingerprint is table_fingerprint() of the inputs the table was built
+    from; power_bounds is the hook it was built with, kept so that check()
+    can compare it by identity.
     """
 
     e_d: np.ndarray
@@ -42,32 +49,89 @@ class TransitionTable:
     corner00: np.ndarray  # (M, K) int64, flat index i*Nj + j of the lower corner
     frac_e: np.ndarray  # (M, K) in [0, 1]
     frac_theta: np.ndarray  # (M, K) in [0, 1]
-    delta_e: np.ndarray  # (M, K) kWh
     cyc_fade: np.ndarray  # (M, K) fade fraction
     buy_energy: np.ndarray  # (K,) kWh drawn when p >= 0
     sell_energy: np.ndarray  # (K,) kWh fed back when p < 0
     theta_cells: np.ndarray  # (M,) degC of each cell
     e_cells: np.ndarray  # (M,) kWh of each cell
-    _cal_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    fingerprint: str
+    power_bounds: Callable | None
 
-    def calendar_fades(self, params: aging_mod.AgingParams, soh0: float) -> np.ndarray:
-        """Per-cell calendar fade fractions for one interval at this soh0."""
-        key = (params.beta_c, params.beta_d, params.beta_e, params.beta_f, soh0)
-        if key not in self._cal_cache:
-            self._cal_cache[key] = aging_mod.calendar_fade(
-                params, self.theta_cells, self.e_cells, soh0, self.dt_min
-            )
-        return self._cal_cache[key]
-
-    def matches(self, grids: DdpGrids) -> bool:
-        return (
-            len(self.e_d) == len(grids.e_d)
-            and len(self.theta_d) == len(grids.theta_d)
-            and len(self.p_d) == len(grids.p_d)
-            and np.array_equal(self.e_d, grids.e_d)
+    def check(self, s: Scenario, models: BatteryModels, grids: DdpGrids) -> None:
+        """Raise InvalidParameterError unless this table is the one
+        build_transition_table(s, models, grids) would build."""
+        if not (
+            np.array_equal(self.e_d, grids.e_d)
             and np.array_equal(self.theta_d, grids.theta_d)
             and np.array_equal(self.p_d, grids.p_d)
-        )
+        ):
+            raise InvalidParameterError("transition table was built for different grids")
+        if self.dt_min != s.grid.dt_min:
+            raise InvalidParameterError(
+                f"transition table was built for dt = {self.dt_min} min, scenario has dt = {s.grid.dt_min} min"
+            )
+        if self.power_bounds is not s.power_bounds:
+            raise InvalidParameterError("transition table was built with another power_bounds hook")
+        if self.fingerprint != table_fingerprint(s, models, grids):
+            raise InvalidParameterError(
+                "transition table was built for other battery models or state and power bounds"
+            )
+
+
+def table_fingerprint(s: Scenario, models: BatteryModels, grids: DdpGrids) -> str:
+    """SHA-256 over the array contents and values a table build reads.
+
+    Covers the ECM tables, the thermal model, the cyclic aging coefficients
+    (not v_ev_eur, so every battery price shares a table), the grid axes,
+    the state and power bounds, and dt. The power_bounds hook is not
+    hashable by content; tables and the cache compare it by identity.
+    """
+    thermal_model = models.thermal
+    arrays = [
+        models.tables.e_axis,
+        models.tables.theta_axis,
+        models.tables.u_ocv,
+        models.tables.r_i,
+        thermal_model.variant,
+        thermal_model.feature_names,
+        thermal_model.means,
+        thermal_model.stds,
+        len(thermal_model.layers),
+        *(a for layer in thermal_model.layers for a in layer),
+        grids.e_d,
+        grids.theta_d,
+        grids.p_d,
+    ]
+    scalars = (
+        models.aging.beta_a,
+        models.aging.beta_b,
+        s.e_lo,
+        s.e_hi,
+        s.theta_lo,
+        s.theta_hi,
+        s.p_lo,
+        s.p_hi,
+        s.grid.dt_min,
+    )
+    digest = hashlib.sha256()
+    for value in arrays + [np.asarray(scalars, float)]:
+        a = np.asarray(value)
+        # dtype and shape first, so that no two different inputs give one byte stream
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+# The last table built. One entry: a solve without a table, a sweep and a
+# corpus of events share one model and bounds, and a second entry would keep
+# another ~26 MB alive at full scale.
+_last_table: TransitionTable | None = None
+
+
+def clear_table_cache() -> None:
+    """Drop the cached table, so that the next build evaluates the models."""
+    global _last_table
+    _last_table = None
 
 
 def build_transition_table(s: Scenario, models: BatteryModels, grids: DdpGrids) -> TransitionTable:
@@ -76,7 +140,23 @@ def build_transition_table(s: Scenario, models: BatteryModels, grids: DdpGrids) 
     Depends on the models, bounds, grid steps, dt, and the optional power
     derating hook; it does not depend on e0/e_target/theta0, prices, soh0,
     battery price, or the horizon length, so it can be shared across solves.
+    The last table built is cached under its fingerprint: a call with the
+    same inputs, and the same power_bounds object, returns that table
+    instead of building it again. A model changed in place hashes to
+    another fingerprint and is rebuilt.
     """
+    global _last_table
+    fingerprint = table_fingerprint(s, models, grids)
+    cached = _last_table  # read once: a racing thread costs a second build, never a wrong table
+    if cached is not None and cached.fingerprint == fingerprint and cached.power_bounds is s.power_bounds:
+        return cached
+    _last_table = None  # drop the old table before building, so two are never alive here
+    table = _build(s, models, grids, fingerprint)
+    _last_table = table
+    return table
+
+
+def _build(s: Scenario, models: BatteryModels, grids: DdpGrids, fingerprint: str) -> TransitionTable:
     e_d, theta_d, p_d = grids.e_d, grids.theta_d, grids.p_d
     e_mesh, th_mesh = np.meshgrid(e_d, theta_d, indexing="ij")
     e_cells = e_mesh.reshape(-1)
@@ -115,7 +195,7 @@ def build_transition_table(s: Scenario, models: BatteryModels, grids: DdpGrids) 
         raise InvalidParameterError("transition table produced non-finite energy steps")
 
     dt_h = s.grid.dt_min / 60.0
-    return TransitionTable(
+    table = TransitionTable(
         e_d=e_d.copy(),
         theta_d=theta_d.copy(),
         p_d=p_d.copy(),
@@ -124,13 +204,18 @@ def build_transition_table(s: Scenario, models: BatteryModels, grids: DdpGrids) 
         corner00=corner00,
         frac_e=frac_e,
         frac_theta=frac_theta,
-        delta_e=delta_e,
         cyc_fade=aging_mod.cyclic_fade(models.aging, delta_e),
         buy_energy=np.maximum(p_d, 0.0) * dt_h,
         sell_energy=np.minimum(p_d, 0.0) * dt_h,
         theta_cells=th_cells,
         e_cells=e_cells,
+        fingerprint=fingerprint,
+        power_bounds=s.power_bounds,
     )
+    for value in vars(table).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return table
 
 
 def _interp_corners(e_d, theta_d, e_next, th_next):

@@ -31,7 +31,6 @@ from chargeopt.optimizer import (
     Scenario,
     backward_induction,
     build_grids,
-    build_transition_table,
     forward_integration,
     nearest_index,
     solve,
@@ -220,14 +219,10 @@ STRICTLY_CLEAN_FRACTION = 0.95
 def mode_runs(corpus, models):
     """Mode comparison for every eligible corpus event, shared downstream."""
     workday, weekend = default_profiles()
-    events = eligible_events(corpus)
-    table = None
     runs = []
-    for ev in events:
+    for ev in eligible_events(corpus):
         s = scenario_for_event(ev, profile_for_time(ev.grid.t0, workday, weekend))
-        if table is None:
-            table = build_transition_table(s, models, build_grids(s))
-        runs.append((ev, s, compare_modes(ev, s, models, table=table)))
+        runs.append((ev, s, compare_modes(ev, s, models)))
     return runs
 
 

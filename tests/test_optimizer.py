@@ -1,5 +1,6 @@
 """DDP solver: grids, nearest-index rules, oracle equivalence, backends."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from chargeopt.optimizer import (
     backward_induction,
     build_grids,
     build_transition_table,
+    clear_table_cache,
     forward_integration,
     load_scenario_json,
     make_range,
@@ -354,6 +356,124 @@ def test_table_built_for_another_dt_is_rejected():
     assert solve(s10, models).cost.total == pytest.approx(13.213, abs=5e-4)
 
 
+def test_table_built_for_another_model_is_rejected():
+    # reusing the coarse reference instance's plant-linear table under the
+    # constant model returned 13.441 EUR with feasible=True; a fresh table gives 13.292 EUR
+    linear = BatteryModels(
+        tables=electrical.default_tables(),
+        thermal=thermal.plant_linear_model(thermal.ThermalPlant()),
+        aging=default_params(),
+    )
+    const = replace(linear, thermal=thermal.constant_model())
+    s = default_scenario(e_step=1.6, theta_step=2.0, p_step=2.0)
+    table = build_transition_table(s, linear, build_grids(s))
+    with pytest.raises(InvalidParameterError, match="other battery models or state and power bounds"):
+        solve(s, const, table=table)
+    assert solve(s, const).cost.total == pytest.approx(13.292, abs=5e-4)
+
+
+def _cache_instance():
+    """A coarse reference instance with a small MLP, cheap to build."""
+    rng = np.random.default_rng(5)
+    mlp = thermal.ThermalModel(
+        variant=thermal.VARIANT_MLP,
+        means=np.zeros(4),
+        stds=np.ones(4),
+        layers=(
+            (0.01 * rng.standard_normal((4, 3)), np.zeros(3)),
+            (0.01 * rng.standard_normal((3, 1)), np.zeros(1)),
+        ),
+    )
+    models = BatteryModels(tables=electrical.default_tables(), thermal=mlp, aging=default_params())
+    s = default_scenario(e_step=8.0, theta_step=5.0, p_step=5.0)
+    return s, models, build_grids(s)
+
+
+def test_same_inputs_return_the_cached_table():
+    s, models, grids = _cache_instance()
+    table = build_transition_table(s, models, grids)
+    assert build_transition_table(s, models, grids) is table
+    # the key is the inputs' contents, not their identity
+    assert build_transition_table(replace(s), copy.deepcopy(models), build_grids(s)) is table
+    # the battery price and the state of health do not enter the table
+    assert build_transition_table(s, replace(models, aging=models.aging.with_value(1000.0)), grids) is table
+    assert build_transition_table(replace(s, soh0=0.8), models, grids) is table
+    solve(s, models)  # goes through the cache
+    assert build_transition_table(s, models, grids) is table
+    # one entry: building for other inputs drops this table
+    build_transition_table(replace(s, e_hi=81.0), models, grids)
+    assert build_transition_table(s, models, grids) is not table
+
+
+def _mutate_mlp_weight(s, models, grids):
+    models.thermal.layers[0][0][1, 2] += 0.01
+    return s, models, grids
+
+
+def _with_power_bounds(s, models, grids):
+    return replace(s, power_bounds=lambda e, theta: (s.p_lo, s.p_hi)), models, grids
+
+
+def _replace_bound(name, value):
+    # the grids are kept, so that the bound itself, not the grid it implies, must miss
+    return lambda s, models, grids: (replace(s, **{name: value}), models, grids)
+
+
+def _halve_step(name):
+    def change(s, models, grids):
+        s2 = replace(s, **{name: getattr(s, name) / 2})
+        return s2, models, build_grids(s2)
+
+    return change
+
+
+def _double_dt(s, models, grids):
+    return replace(s, grid=replace(s.grid, n_intervals=48, dt_min=10.0)), models, grids
+
+
+def _raise_beta_a(s, models, grids):
+    return s, replace(models, aging=replace(models.aging, beta_a=2e-6)), grids
+
+
+TABLE_INPUT_CHANGES = {
+    "mlp weight in place": _mutate_mlp_weight,
+    "e_lo": _replace_bound("e_lo", 7.0),
+    "e_hi": _replace_bound("e_hi", 81.0),
+    "theta_lo": _replace_bound("theta_lo", -26.0),
+    "theta_hi": _replace_bound("theta_hi", 61.0),
+    "p_lo": _replace_bound("p_lo", -45.0),
+    "p_hi": _replace_bound("p_hi", 45.0),
+    "e_step": _halve_step("e_step"),
+    "theta_step": _halve_step("theta_step"),
+    "p_step": _halve_step("p_step"),
+    "dt": _double_dt,
+    "power_bounds": _with_power_bounds,
+    "beta_a": _raise_beta_a,
+}
+
+
+@pytest.mark.parametrize("change", TABLE_INPUT_CHANGES)
+def test_changed_table_input_misses_the_cache(change):
+    s, models, grids = _cache_instance()
+    table = build_transition_table(s, models, grids)
+    s2, models2, grids2 = TABLE_INPUT_CHANGES[change](s, models, grids)
+    rebuilt = build_transition_table(s2, models2, grids2)
+    assert rebuilt is not table
+    with pytest.raises(InvalidParameterError, match="transition table was built"):
+        table.check(s2, models2, grids2)
+    rebuilt.check(s2, models2, grids2)
+
+
+def test_table_arrays_are_read_only():
+    s, models, grids = _cache_instance()
+    table = build_transition_table(s, models, grids)
+    arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 12
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+
+
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 def test_backends_bitwise_identical():
     rng = np.random.default_rng(99)
@@ -513,15 +633,16 @@ def test_mode_ii_iii_objective_ordering():
 def test_transition_table_reuse_matches_fresh_build():
     rng = np.random.default_rng(31)
     s, models = random_tiny_instance(rng)
-    grids_fresh = build_grids(s)
-    backward_induction(s, grids_fresh, models)
     table = build_transition_table(s, models, build_grids(s))
     # different endpoints, same bounds: the shared table must be valid
     s_alt = replace(s, e0=s.e_target, e_target=s.e0)
     grids_shared = build_grids(s_alt)
     backward_induction(s_alt, grids_shared, models, table=table)
+    clear_table_cache()
+    fresh = build_transition_table(s_alt, models, build_grids(s_alt))
+    assert fresh is not table
     grids_direct = build_grids(s_alt)
-    backward_induction(s_alt, grids_direct, models)
+    backward_induction(s_alt, grids_direct, models, table=fresh)
     assert np.array_equal(grids_shared.cost, grids_direct.cost)
     assert np.array_equal(grids_shared.action, grids_direct.action)
 
