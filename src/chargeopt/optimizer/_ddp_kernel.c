@@ -6,6 +6,20 @@
  * long as the compiler does not contract a * b + c into a fused multiply-add
  * (setup.py builds with -ffp-contract=off).
  *
+ * On x86-64 CPUs with AVX-512F (checked once, when the module is imported),
+ * scan_lanes evaluates the actions of a cell in whole blocks of 8, one
+ * action per lane, and the scalar loop scan_actions takes the last K mod 8.
+ * Each lane does the same IEEE multiplies and adds as the scalar loop, in the
+ * same order and as separate instructions (no FMA), so a candidate has the
+ * same bits in a lane as in the scalar loop. Each lane keeps the first
+ * strict-< minimum of its own actions; the 8 lanes are then reduced to the
+ * smallest value, equal values going to the lowest action index, and the
+ * scalar loop goes on from that minimum, which gives the first minimum over
+ * all K. Invalid transitions are masked out of the gathers, so their corners
+ * are never read. The scalar loop runs alone for every K on other compilers
+ * and CPUs, and when K < 8, which leaves no whole block. The module constant
+ * LANES is 8 where the lanes run and 1 elsewhere.
+ *
  * The loop does no bounds checks. The binding checks every buffer's item
  * type, dimensions, contiguity and shape, and every valid successor corner,
  * before it runs the loop with the GIL released.
@@ -18,13 +32,122 @@
 #include <stdint.h>
 #include <string.h>
 
+#if defined(__GNUC__) && defined(__x86_64__)
+#include <immintrin.h>
+#define HAVE_LANES 1
+#endif
+
+/* The (M, K) transition arrays of one backward pass. */
+typedef struct {
+    const unsigned char *valid;
+    const int64_t *corner00;
+    const double *frac_e;
+    const double *frac_theta;
+    const double *jd;
+    int64_t stride_e;
+    int64_t stride_t;
+    double penalty;
+} Transitions;
+
+/* First minimum over actions [k0, k1) of the cell whose row starts at row,
+ * continuing from *best and *best_k. */
+static inline void
+scan_actions(const Transitions *t, Py_ssize_t row, const double *je_n,
+             const double *nxt, Py_ssize_t k0, Py_ssize_t k1, double *best,
+             Py_ssize_t *best_k)
+{
+    const int64_t stride_e = t->stride_e, stride_t = t->stride_t;
+    double min = *best;
+    Py_ssize_t min_k = *best_k;
+    for (Py_ssize_t k = k0; k < k1; k++) {
+        double cand;
+        if (t->valid[row + k]) {
+            const int64_t c00 = t->corner00[row + k];
+            const double fe = t->frac_e[row + k];
+            const double ft = t->frac_theta[row + k];
+            const double lo = (1.0 - ft) * nxt[c00] + ft * nxt[c00 + stride_t];
+            const double hi = (1.0 - ft) * nxt[c00 + stride_e]
+                              + ft * nxt[c00 + stride_e + stride_t];
+            cand = (je_n[k] + t->jd[row + k]) + ((1.0 - fe) * lo + fe * hi);
+        }
+        else {
+            cand = t->penalty;
+        }
+        if (cand < min) {
+            min = cand;
+            min_k = k;
+        }
+    }
+    *best = min;
+    *best_k = min_k;
+}
+
+#ifdef HAVE_LANES
+/* First minimum over actions [0, 8 * n_blocks) of the cell whose row starts
+ * at row, 8 actions at a time. */
+__attribute__((target("avx512f"))) static void
+scan_lanes(const Transitions *t, Py_ssize_t row, const double *je_n,
+           const double *nxt, Py_ssize_t n_blocks, double *best,
+           Py_ssize_t *best_k)
+{
+    const __m512d one = _mm512_set1_pd(1.0);
+    const __m512d zero = _mm512_setzero_pd();
+    const __m512d penalty = _mm512_set1_pd(t->penalty);
+    const __m512i stride_e = _mm512_set1_epi64(t->stride_e);
+    const __m512i stride_t = _mm512_set1_epi64(t->stride_t);
+    __m512i k = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    __m512d lane_min = _mm512_set1_pd(INFINITY);
+    __m512i lane_k = _mm512_setzero_si512();
+    for (Py_ssize_t b = 0; b < n_blocks; b++) {
+        const Py_ssize_t i = row + 8 * b;
+        const __m512i flags = _mm512_cvtepu8_epi64(_mm_loadl_epi64((const __m128i *)(t->valid + i)));
+        const __mmask8 valid = _mm512_test_epi64_mask(flags, flags);
+        const __m512i c00 = _mm512_loadu_si512(t->corner00 + i);
+        const __m512i c10 = _mm512_add_epi64(c00, stride_e);
+        const __m512d n00 = _mm512_mask_i64gather_pd(zero, valid, c00, nxt, 8);
+        const __m512d n01 = _mm512_mask_i64gather_pd(zero, valid, _mm512_add_epi64(c00, stride_t), nxt, 8);
+        const __m512d n10 = _mm512_mask_i64gather_pd(zero, valid, c10, nxt, 8);
+        const __m512d n11 = _mm512_mask_i64gather_pd(zero, valid, _mm512_add_epi64(c10, stride_t), nxt, 8);
+        const __m512d fe = _mm512_loadu_pd(t->frac_e + i);
+        const __m512d ft = _mm512_loadu_pd(t->frac_theta + i);
+        const __m512d lo = _mm512_add_pd(_mm512_mul_pd(_mm512_sub_pd(one, ft), n00),
+                                         _mm512_mul_pd(ft, n01));
+        const __m512d hi = _mm512_add_pd(_mm512_mul_pd(_mm512_sub_pd(one, ft), n10),
+                                         _mm512_mul_pd(ft, n11));
+        const __m512d succ = _mm512_add_pd(_mm512_mul_pd(_mm512_sub_pd(one, fe), lo),
+                                           _mm512_mul_pd(fe, hi));
+        const __m512d cost = _mm512_add_pd(
+            _mm512_add_pd(_mm512_loadu_pd(je_n + 8 * b), _mm512_loadu_pd(t->jd + i)), succ);
+        const __m512d cand = _mm512_mask_blend_pd(valid, penalty, cost);
+        const __mmask8 lower = _mm512_cmp_pd_mask(cand, lane_min, _CMP_LT_OQ);
+        lane_min = _mm512_mask_mov_pd(lane_min, lower, cand);
+        lane_k = _mm512_mask_mov_epi64(lane_k, lower, k);
+        k = _mm512_add_epi64(k, _mm512_set1_epi64(8));
+    }
+    double mins[8];
+    int64_t ks[8];
+    _mm512_storeu_pd(mins, lane_min);
+    _mm512_storeu_si512(ks, lane_k);
+    double min = mins[0];
+    int64_t min_k = ks[0];
+    for (int lane = 1; lane < 8; lane++) {
+        if (mins[lane] < min || (mins[lane] == min && ks[lane] < min_k)) {
+            min = mins[lane];
+            min_k = ks[lane];
+        }
+    }
+    *best = min;
+    *best_k = min_k;
+}
+#endif
+
+/* Actions evaluated per instruction: 8 once PyInit finds AVX-512F, else 1. */
+static int lanes = 1;
+
 static void
 backward_loop(Py_ssize_t n_steps, Py_ssize_t m, Py_ssize_t n_actions,
-              double *cost, double *action_kw, const unsigned char *valid,
-              const int64_t *corner00, const double *frac_e,
-              const double *frac_theta, int64_t stride_e, int64_t stride_t,
-              const double *jd, const double *je, const double *p_d,
-              double penalty)
+              double *cost, double *action_kw, const Transitions *t,
+              const double *je, const double *p_d)
 {
     for (Py_ssize_t n = n_steps - 1; n >= 0; n--) {
         const double *nxt = cost + (n + 1) * m;
@@ -33,25 +156,14 @@ backward_loop(Py_ssize_t n_steps, Py_ssize_t m, Py_ssize_t n_actions,
             const Py_ssize_t row = cell * n_actions;
             double best = INFINITY;
             Py_ssize_t best_k = 0;
-            for (Py_ssize_t k = 0; k < n_actions; k++) {
-                double cand;
-                if (valid[row + k]) {
-                    const int64_t c00 = corner00[row + k];
-                    const double fe = frac_e[row + k];
-                    const double ft = frac_theta[row + k];
-                    const double lo = (1.0 - ft) * nxt[c00] + ft * nxt[c00 + stride_t];
-                    const double hi = (1.0 - ft) * nxt[c00 + stride_e]
-                                      + ft * nxt[c00 + stride_e + stride_t];
-                    cand = (je_n[k] + jd[row + k]) + ((1.0 - fe) * lo + fe * hi);
-                }
-                else {
-                    cand = penalty;
-                }
-                if (cand < best) {
-                    best = cand;
-                    best_k = k;
-                }
+            Py_ssize_t k0 = 0;
+#ifdef HAVE_LANES
+            if (lanes == 8 && n_actions >= 8) {
+                scan_lanes(t, row, je_n, nxt, n_actions / 8, &best, &best_k);
+                k0 = n_actions - n_actions % 8;
             }
+#endif
+            scan_actions(t, row, je_n, nxt, k0, n_actions, &best, &best_k);
             cost[n * m + cell] = best;
             action_kw[n * m + cell] = p_d[best_k];
         }
@@ -199,11 +311,12 @@ py_backward_pass(PyObject *self, PyObject *args)
     Py_ssize_t bad;
     Py_BEGIN_ALLOW_THREADS
     bad = first_bad_corner(m * n_actions, m, valid, corner00, stride_e, stride_t);
-    if (bad < 0)
-        backward_loop(n_steps, m, n_actions, views[COST].buf, views[ACTION].buf,
-                      valid, corner00, views[FRAC_E].buf, views[FRAC_THETA].buf,
-                      stride_e, stride_t, views[JD].buf, views[JE].buf,
-                      views[P_D].buf, penalty);
+    if (bad < 0) {
+        const Transitions t = {valid, corner00, views[FRAC_E].buf, views[FRAC_THETA].buf,
+                               views[JD].buf, stride_e, stride_t, penalty};
+        backward_loop(n_steps, m, n_actions, views[COST].buf, views[ACTION].buf, &t,
+                      views[JE].buf, views[P_D].buf);
+    }
     Py_END_ALLOW_THREADS
     if (bad >= 0) {
         PyErr_Format(PyExc_ValueError,
@@ -238,5 +351,12 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__ddp_kernel(void)
 {
-    return PyModule_Create(&module);
+#ifdef HAVE_LANES
+    if (__builtin_cpu_supports("avx512f"))
+        lanes = 8;
+#endif
+    PyObject *mod = PyModule_Create(&module);
+    if (mod != NULL && PyModule_AddIntConstant(mod, "LANES", lanes) < 0)
+        Py_CLEAR(mod);
+    return mod;
 }

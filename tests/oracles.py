@@ -100,8 +100,9 @@ def brute_force_optimum(s: Scenario, grids, models: BatteryModels):
     return best_cost, np.array([grids.p_d[k] for k in best_seq]), best_ok
 
 
-def random_tiny_instance(rng: np.random.Generator):
-    """Random DDP instance with grid-closed dynamics.
+def random_tiny_instance(rng: np.random.Generator, n_k: int | None = None):
+    """Random DDP instance with grid-closed dynamics and n_k actions (drawn
+    from 2-6 when None).
 
     A near-lossless test cell (high open-circuit voltage, vanishing
     resistance) and integer-step temperature offsets keep transitions from
@@ -113,7 +114,8 @@ def random_tiny_instance(rng: np.random.Generator):
     """
     n_e = int(rng.integers(3, 7))
     n_t = int(rng.integers(2, 5))
-    n_k = int(rng.integers(2, 7))
+    if n_k is None:
+        n_k = int(rng.integers(2, 7))
     n_steps = int(rng.integers(2, 5))
 
     e_lo = 0.0

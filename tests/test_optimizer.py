@@ -1,7 +1,11 @@
 """DDP solver: grids, nearest-index rules, oracle equivalence, backends."""
 
 import copy
+import platform
+import re
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,24 +118,40 @@ def test_nearest_indices_match_argmin():
         assert np.array_equal(nearest_indices(grid, xs), expected)
 
 
+def _check_against_oracle(s, models, backend, trial):
+    grids = build_grids(s)
+    backward_induction(s, grids, models, backend=backend)
+    best_cost, best_seq, best_ok = brute_force_optimum(s, grids, models)
+    i0 = nearest_index(grids.e_d, s.e0)
+    j0 = nearest_index(grids.theta_d, s.theta0)
+    assert grids.cost[0, i0, j0] == pytest.approx(best_cost, abs=1e-9), f"trial {trial}"
+    sol = forward_integration(s, grids, models)
+    if best_ok:  # feasible: trajectories must agree too
+        assert np.array_equal(sol.p_star, best_seq), f"trial {trial}"
+        assert sol.feasible, f"trial {trial}"
+    else:
+        assert not sol.feasible, f"trial {trial}"
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_oracle_equivalence_tiny_instances(backend):
     # mandatory: DDP equals exhaustive search on the snapped chain
     rng = np.random.default_rng(1234)
     for trial in range(20):
         s, models = random_tiny_instance(rng)
-        grids = build_grids(s)
-        backward_induction(s, grids, models, backend=backend)
-        best_cost, best_seq, best_ok = brute_force_optimum(s, grids, models)
-        i0 = nearest_index(grids.e_d, s.e0)
-        j0 = nearest_index(grids.theta_d, s.theta0)
-        assert grids.cost[0, i0, j0] == pytest.approx(best_cost, abs=1e-9), f"trial {trial}"
-        sol = forward_integration(s, grids, models)
-        if best_ok:  # feasible: trajectories must agree too
-            assert np.array_equal(sol.p_star, best_seq), f"trial {trial}"
-            assert sol.feasible, f"trial {trial}"
-        else:
-            assert not sol.feasible, f"trial {trial}"
+        _check_against_oracle(s, models, backend, trial)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n_k", [8, 9, 12])
+def test_oracle_equivalence_beyond_eight_actions(backend, n_k):
+    # K >= 8 reaches the compiled kernel's 8-action lanes; 2-3 steps keep
+    # the exhaustive search to K^N <= 1,728 sequences
+    rng = np.random.default_rng(4000 + n_k)
+    for trial in range(6):
+        s, models = random_tiny_instance(rng, n_k=n_k)
+        s = replace(s, grid=replace(s.grid, n_intervals=2 + trial % 2))
+        _check_against_oracle(s, models, backend, trial)
 
 
 def test_stay_put_costs_only_calendar_aging():
@@ -531,6 +551,75 @@ def test_compiled_kernel_matches_numpy_kernel(int64_format):
     backend_mod._ddp_kernel.backward_pass(*args.values())
     assert args["cost"].tobytes() == ref["cost"].tobytes()
     assert args["action_kw"].tobytes() == ref["action_kw"].tobytes()
+
+
+def _lane_case(k, ni, nj, ties):
+    """backward_pass arguments with K = k actions on an ni x nj grid. With
+    ties, costs, weights and prices take a few exact values, so that equal
+    candidates sit at different k, some candidates equal the penalty and -0.0
+    meets 0.0; without, they are random, so that rounding shows. Every third
+    cell has all transitions valid, the next one none; invalid transitions
+    carry NaN weights and corners far outside the cost slice. Returns the
+    arguments and the invalid entries' mask."""
+    rng = np.random.default_rng(1000 * k + 10 * ni + nj)
+
+    def draw(shape, exact_values):
+        return rng.choice(exact_values, shape) if ties else rng.uniform(size=shape)
+
+    n_steps, m, penalty = 3, ni * nj, 8.0
+    stride_e, stride_t = (nj if ni > 1 else 0), (1 if nj > 1 else 0)
+    cost = np.zeros((n_steps + 1, m))
+    cost[-1] = draw(m, [0.0, -0.0, -0.0, 1.0, penalty])
+    valid = (rng.uniform(size=(m, k)) < 0.6).astype(np.uint8)
+    valid[0::3] = 1
+    valid[1::3] = 0
+    invalid = valid == 0
+    corner00 = rng.integers(0, m - stride_e - stride_t, size=(m, k))
+    corner00[invalid] = rng.choice([-(2**40), -m - 1, m, 2**40], invalid.sum())
+    frac_e, frac_theta = draw((2, m, k), [0.0, 0.5, 1.0])
+    jd = draw((m, k), [0.0, -0.0, -0.0, 0.5])
+    for a in (frac_e, frac_theta, jd):
+        a[invalid] = np.nan
+    args = dict(
+        cost=cost,
+        action_kw=np.zeros((n_steps, m)),
+        valid=valid,
+        corner00=corner00,
+        frac_e=frac_e,
+        frac_theta=frac_theta,
+        stride_e=stride_e,
+        stride_t=stride_t,
+        jd=jd,
+        je=draw((n_steps, k), [0.0, -0.0, -0.0, 0.5]),
+        p_d=np.arange(k) - k / 2,
+        penalty=penalty,
+    )
+    return args, invalid
+
+
+@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 17, 101])
+@pytest.mark.parametrize("ni, nj", [(3, 4), (1, 5), (4, 1), (1, 1)])
+@pytest.mark.parametrize("ties", [True, False], ids=["ties", "random"])
+def test_compiled_lanes_match_numpy_kernel(k, ni, nj, ties):
+    args, invalid = _lane_case(k, ni, nj, ties)
+    ref = copy.deepcopy(args)
+    ref["corner00"][invalid] = 0  # the NumPy kernel gathers every corner before masking
+    _kernel_py.backward_pass(**ref)
+    backend_mod._ddp_kernel.backward_pass(*args.values())
+    assert args["cost"].tobytes() == ref["cost"].tobytes()
+    assert args["action_kw"].tobytes() == ref["action_kw"].tobytes()
+
+
+@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+def test_compiled_kernel_uses_lanes_where_the_cpu_has_avx512f():
+    lanes = backend_mod._ddp_kernel.LANES
+    if sys.platform == "linux" and platform.machine() == "x86_64":
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+        has_avx512f = re.search(r"^flags\s*:.*\bavx512f\b", cpuinfo, re.MULTILINE) is not None
+        assert lanes == (8 if has_avx512f else 1)
+    else:
+        assert lanes in (1, 8)
 
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
