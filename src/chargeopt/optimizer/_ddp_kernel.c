@@ -20,9 +20,17 @@
  * and CPUs, and when K < 8, which leaves no whole block. The module constant
  * LANES is 8 where the lanes run and 1 elsewhere.
  *
+ * Each step computes only the cells of its region: row i of step n holds the
+ * cells j in [j_lo[n, i], j_hi[n, i]) of energy row i, with Nj = M / Ni
+ * cells per row. Every other cell gets the penalty and the action p_d[0],
+ * what a cell without a valid transition gets. The caller chooses regions
+ * closed under the corners the computed cells read, so that no computed cell
+ * reads a cell left out one step later (solver.backward_induction); with
+ * full rows, [0, Nj) everywhere, this is the plain pass over all M cells.
+ *
  * The loop does no bounds checks. The binding checks every buffer's item
- * type, dimensions, contiguity and shape, and every valid successor corner,
- * before it runs the loop with the GIL released.
+ * type, dimensions, contiguity and shape, every valid successor corner and
+ * every region row before it runs the loop with the GIL released.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -145,27 +153,38 @@ scan_lanes(const Transitions *t, Py_ssize_t row, const double *je_n,
 static int lanes = 1;
 
 static void
-backward_loop(Py_ssize_t n_steps, Py_ssize_t m, Py_ssize_t n_actions,
-              double *cost, double *action_kw, const Transitions *t,
-              const double *je, const double *p_d)
+backward_loop(Py_ssize_t n_steps, Py_ssize_t m, Py_ssize_t n_actions, Py_ssize_t n_rows,
+              double *cost, double *action_kw, const Transitions *t, const double *je,
+              const double *p_d, const int64_t *j_lo, const int64_t *j_hi)
 {
+    const Py_ssize_t n_cols = m / n_rows;
     for (Py_ssize_t n = n_steps - 1; n >= 0; n--) {
         const double *nxt = cost + (n + 1) * m;
         const double *je_n = je + n * n_actions;
+        double *cost_n = cost + n * m;
+        double *action_n = action_kw + n * m;
         for (Py_ssize_t cell = 0; cell < m; cell++) {
-            const Py_ssize_t row = cell * n_actions;
-            double best = INFINITY;
-            Py_ssize_t best_k = 0;
-            Py_ssize_t k0 = 0;
+            cost_n[cell] = t->penalty;
+            action_n[cell] = p_d[0];
+        }
+        for (Py_ssize_t i = 0; i < n_rows; i++) {
+            const Py_ssize_t first = i * n_cols + j_lo[n * n_rows + i];
+            const Py_ssize_t end = i * n_cols + j_hi[n * n_rows + i];
+            for (Py_ssize_t cell = first; cell < end; cell++) {
+                const Py_ssize_t row = cell * n_actions;
+                double best = INFINITY;
+                Py_ssize_t best_k = 0;
+                Py_ssize_t k0 = 0;
 #ifdef HAVE_LANES
-            if (lanes == 8 && n_actions >= 8) {
-                scan_lanes(t, row, je_n, nxt, n_actions / 8, &best, &best_k);
-                k0 = n_actions - n_actions % 8;
-            }
+                if (lanes == 8 && n_actions >= 8) {
+                    scan_lanes(t, row, je_n, nxt, n_actions / 8, &best, &best_k);
+                    k0 = n_actions - n_actions % 8;
+                }
 #endif
-            scan_actions(t, row, je_n, nxt, k0, n_actions, &best, &best_k);
-            cost[n * m + cell] = best;
-            action_kw[n * m + cell] = p_d[best_k];
+                scan_actions(t, row, je_n, nxt, k0, n_actions, &best, &best_k);
+                cost_n[cell] = best;
+                action_n[cell] = p_d[best_k];
+            }
         }
     }
 }
@@ -184,7 +203,18 @@ first_bad_corner(Py_ssize_t size, Py_ssize_t m, const unsigned char *valid,
     return -1;
 }
 
-enum { COST, ACTION, VALID, CORNER00, FRAC_E, FRAC_THETA, JD, JE, P_D, N_ARRAYS };
+/* Index of the first region row outside 0 <= j_lo <= j_hi <= n_cols, or -1. */
+static Py_ssize_t
+first_bad_row(Py_ssize_t size, Py_ssize_t n_cols, const int64_t *j_lo, const int64_t *j_hi)
+{
+    for (Py_ssize_t r = 0; r < size; r++) {
+        if (j_lo[r] < 0 || j_lo[r] > j_hi[r] || j_hi[r] > n_cols)
+            return r;
+    }
+    return -1;
+}
+
+enum { COST, ACTION, VALID, CORNER00, FRAC_E, FRAC_THETA, JD, JE, P_D, J_LO, J_HI, N_ARRAYS };
 
 static const struct {
     const char *name;
@@ -203,6 +233,8 @@ static const struct {
     [JD] = {"jd", "d", 8, 2, 0},
     [JE] = {"je", "d", 8, 2, 0},
     [P_D] = {"p_d", "d", 8, 1, 0},
+    [J_LO] = {"j_lo", "lq", 8, 2, 0},
+    [J_HI] = {"j_hi", "lq", 8, 2, 0},
 };
 
 static int
@@ -241,13 +273,15 @@ get_array(PyObject *obj, int which, Py_buffer *view)
 
 PyDoc_STRVAR(backward_pass_doc,
 "backward_pass(cost, action_kw, valid, corner00, frac_e, frac_theta,\n"
-"              stride_e, stride_t, jd, je, p_d, penalty)\n"
+"              stride_e, stride_t, jd, je, p_d, penalty, j_lo, j_hi)\n"
 "\n"
 "Backward induction over flattened state cells; fills cost[N-1..0] and\n"
-"action_kw in place from cost[N]. Arguments as in _kernel_py.backward_pass:\n"
+"action_kw in place from cost[N], computing at step n only the cells\n"
+"[j_lo[n, i], j_hi[n, i]) of each of the Ni rows of M / Ni cells; the\n"
+"others get penalty and p_d[0]. Arguments as in _kernel_py.backward_pass:\n"
 "C-contiguous float64 cost (N+1, M) and action_kw (N, M); uint8 valid,\n"
 "int64 corner00 and float64 frac_e, frac_theta and jd, each (M, K);\n"
-"float64 je (N, K) and p_d (K,).");
+"float64 je (N, K) and p_d (K,); int64 j_lo and j_hi (N, Ni).");
 
 static PyObject *
 py_backward_pass(PyObject *self, PyObject *args)
@@ -255,10 +289,11 @@ py_backward_pass(PyObject *self, PyObject *args)
     PyObject *objs[N_ARRAYS];
     long long stride_e, stride_t;
     double penalty;
-    if (!PyArg_ParseTuple(args, "OOOOOOLLOOOd:backward_pass", &objs[COST],
+    if (!PyArg_ParseTuple(args, "OOOOOOLLOOOdOO:backward_pass", &objs[COST],
                           &objs[ACTION], &objs[VALID], &objs[CORNER00],
                           &objs[FRAC_E], &objs[FRAC_THETA], &stride_e, &stride_t,
-                          &objs[JD], &objs[JE], &objs[P_D], &penalty))
+                          &objs[JD], &objs[JE], &objs[P_D], &penalty, &objs[J_LO],
+                          &objs[J_HI]))
         return NULL;
 
     Py_buffer views[N_ARRAYS];
@@ -272,6 +307,13 @@ py_backward_pass(PyObject *self, PyObject *args)
     const Py_ssize_t n_steps = views[JE].shape[0];
     const Py_ssize_t m = views[VALID].shape[0];
     const Py_ssize_t n_actions = views[JE].shape[1];
+    const Py_ssize_t n_rows = views[J_LO].shape[1];
+    if (n_rows < 1 || m % n_rows != 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "backward_pass: j_lo has %zd rows, which do not divide M=%zd cells",
+                     n_rows, m);
+        goto done;
+    }
     const Py_ssize_t want[N_ARRAYS][2] = {
         [COST] = {n_steps + 1, m},
         [ACTION] = {n_steps, m},
@@ -282,15 +324,17 @@ py_backward_pass(PyObject *self, PyObject *args)
         [JD] = {m, n_actions},
         [JE] = {n_steps, n_actions},
         [P_D] = {n_actions, 0},
+        [J_LO] = {n_steps, n_rows},
+        [J_HI] = {n_steps, n_rows},
     };
     for (int i = 0; i < N_ARRAYS; i++) {
         for (int d = 0; d < views[i].ndim; d++) {
             if (views[i].shape[d] != want[i][d]) {
                 PyErr_Format(PyExc_ValueError,
                              "backward_pass: %s has %zd entries along axis %d, expected %zd "
-                             "(N=%zd steps, M=%zd cells, K=%zd actions)",
+                             "(N=%zd steps, M=%zd cells, K=%zd actions, Ni=%zd rows)",
                              SPECS[i].name, views[i].shape[d], d, want[i][d],
-                             n_steps, m, n_actions);
+                             n_steps, m, n_actions, n_rows);
                 goto done;
             }
         }
@@ -308,21 +352,33 @@ py_backward_pass(PyObject *self, PyObject *args)
 
     const unsigned char *valid = views[VALID].buf;
     const int64_t *corner00 = views[CORNER00].buf;
-    Py_ssize_t bad;
+    const int64_t *j_lo = views[J_LO].buf;
+    const int64_t *j_hi = views[J_HI].buf;
+    Py_ssize_t bad_corner, bad_row;
     Py_BEGIN_ALLOW_THREADS
-    bad = first_bad_corner(m * n_actions, m, valid, corner00, stride_e, stride_t);
-    if (bad < 0) {
+    bad_corner = first_bad_corner(m * n_actions, m, valid, corner00, stride_e, stride_t);
+    bad_row = first_bad_row(n_steps * n_rows, m / n_rows, j_lo, j_hi);
+    if (bad_corner < 0 && bad_row < 0) {
         const Transitions t = {valid, corner00, views[FRAC_E].buf, views[FRAC_THETA].buf,
                                views[JD].buf, stride_e, stride_t, penalty};
-        backward_loop(n_steps, m, n_actions, views[COST].buf, views[ACTION].buf, &t,
-                      views[JE].buf, views[P_D].buf);
+        backward_loop(n_steps, m, n_actions, n_rows, views[COST].buf, views[ACTION].buf, &t,
+                      views[JE].buf, views[P_D].buf, j_lo, j_hi);
     }
     Py_END_ALLOW_THREADS
-    if (bad >= 0) {
+    if (bad_corner >= 0) {
         PyErr_Format(PyExc_ValueError,
                      "backward_pass: corner00[%zd, %zd] = %lld puts a successor corner "
                      "outside the %zd cells",
-                     bad / n_actions, bad % n_actions, (long long)corner00[bad], m);
+                     bad_corner / n_actions, bad_corner % n_actions,
+                     (long long)corner00[bad_corner], m);
+        goto done;
+    }
+    if (bad_row >= 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "backward_pass: region row [j_lo, j_hi) = [%lld, %lld) at [%zd, %zd] "
+                     "is not within [0, Nj=%zd]",
+                     (long long)j_lo[bad_row], (long long)j_hi[bad_row], bad_row / n_rows,
+                     bad_row % n_rows, m / n_rows);
         goto done;
     }
     result = Py_NewRef(Py_None);

@@ -10,6 +10,15 @@ adds as this code, in the same order and without fused multiply-adds, and
 the lanes' minima are combined with ties going to the lowest action index,
 the index np.argmin returns. So the lanes change nothing here; this module
 stays the reference the tests compare both kernels against.
+
+Both kernels compute at step n only the cells of its region, the cells j
+in [j_lo[n, i], j_hi[n, i]) of each energy row i; every other cell gets the
+penalty and the action p_d[0], what a cell without a valid transition gets.
+Here a step evaluates the box of rows and columns around its region, as
+slice views of the (M, K) arrays, and keeps the region cells' results: the
+ufuncs work element by element, so a cell gets the same bits in any box.
+Invalid transitions read corner 0 instead of their own corners, as the
+compiled kernel reads none of them, so both accept the same inputs.
 """
 
 from __future__ import annotations
@@ -30,21 +39,34 @@ def backward_pass(
     je: np.ndarray,  # (N, K) energy cost per action and interval, EUR
     p_d: np.ndarray,  # (K,)
     penalty: float,
+    j_lo: np.ndarray,  # (N, Ni) first region cell of each row
+    j_hi: np.ndarray,  # (N, Ni) one past the last region cell of each row
 ) -> None:
     n_steps = je.shape[0]
-    mask = valid.astype(bool)
-    rows = np.arange(valid.shape[0])
-    c00 = corner00
-    c01 = corner00 + stride_t
-    c10 = corner00 + stride_e
-    c11 = c10 + stride_t
+    n_rows = j_lo.shape[1]
+    shape = (n_rows, valid.shape[0] // n_rows, len(p_d))  # (Ni, Nj, K) views of the (M, K) arrays
+    mask = valid.astype(bool).reshape(shape)
+    c00 = np.where(mask, corner00.reshape(shape), 0)
+    frac_e, frac_theta, jd = (a.reshape(shape) for a in (frac_e, frac_theta, jd))
+    columns = np.arange(shape[1])
     for n in range(n_steps - 1, -1, -1):
+        cost[n] = penalty
+        action_kw[n] = p_d[0]
+        rows = np.flatnonzero(j_lo[n] < j_hi[n])
+        if len(rows) == 0:
+            continue
+        # the box of rows and columns around the region: slices, so views, not copies
+        r0, c0 = rows[0], j_lo[n, rows].min()
+        box = np.s_[r0 : rows[-1] + 1, c0 : j_hi[n, rows].max()]
+        fe, ft, c = frac_e[box], frac_theta[box], c00[box]
         nxt = cost[n + 1]
-        lo = (1.0 - frac_theta) * nxt[c00] + frac_theta * nxt[c01]
-        hi = (1.0 - frac_theta) * nxt[c10] + frac_theta * nxt[c11]
-        succ_cost = (1.0 - frac_e) * lo + frac_e * hi
-        cand = (je[n][None, :] + jd) + succ_cost
-        cand = np.where(mask, cand, penalty)
-        k_best = np.argmin(cand, axis=1)
-        cost[n] = cand[rows, k_best]
-        action_kw[n] = p_d[k_best]
+        lo = (1.0 - ft) * nxt[c] + ft * nxt[c + stride_t]
+        hi = (1.0 - ft) * nxt[c + stride_e] + ft * nxt[c + stride_e + stride_t]
+        succ_cost = (1.0 - fe) * lo + fe * hi
+        cand = (je[n] + jd[box]) + succ_cost
+        cand = np.where(mask[box], cand, penalty)
+        k_best = np.argmin(cand, axis=2)
+        i, j = np.nonzero(((columns >= j_lo[n][:, None]) & (columns < j_hi[n][:, None]))[box])
+        cells = (r0 + i) * shape[1] + (c0 + j)
+        cost[n, cells] = cand[i, j, k_best[i, j]]
+        action_kw[n, cells] = p_d[k_best[i, j]]

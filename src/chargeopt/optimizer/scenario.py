@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -14,6 +14,9 @@ from ..electrical import EcmTables
 from ..errors import InvalidParameterError
 from ..tariff import PriceProfile
 from ..thermal import ThermalModel
+
+if TYPE_CHECKING:
+    from .transitions import TransitionTable
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,8 @@ class Scenario:
             raise InvalidParameterError("p_lo must not exceed p_hi")
         if min(self.e_step, self.theta_step, self.p_step) <= 0:
             raise InvalidParameterError("grid steps must be positive")
-        if self.penalty <= 0:
-            raise InvalidParameterError("penalty must be positive")
+        if not 0 < self.penalty < np.inf:  # finite: a zero weight times a cost must be zero
+            raise InvalidParameterError("penalty must be positive and finite")
         if not 0.0 < self.soh0 <= 1.0:
             raise InvalidParameterError("soh0 must be in (0, 1]")
 
@@ -102,6 +105,15 @@ class DdpGrids:
 
     cost has one slice per state instant (N+1 of them); action holds the
     optimal power in kW for each time interval and state cell.
+
+    backward_induction computes only the cells the initial cell can reach
+    and records them in region, a (2, N, Ni) int64 array: at slice n < N,
+    row i holds the computed cells j with region[0, n, i] <= j <
+    region[1, n, i]. The other cells of slices 0 to N-1 hold the penalty
+    and the action p_d[0]. region is None before backward induction and
+    after a pass over every cell. table and backend are the transition
+    table and kernel of the last pass, which forward_integration reuses
+    when it has to rerun the pass over every cell.
     """
 
     e_d: np.ndarray
@@ -109,6 +121,9 @@ class DdpGrids:
     p_d: np.ndarray
     cost: np.ndarray
     action: np.ndarray
+    region: np.ndarray | None = None
+    table: TransitionTable | None = None
+    backend: str | None = None
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -120,7 +135,8 @@ def build_grids(s: Scenario) -> DdpGrids:
 
     Slice N is 0 along the target-energy row and penalty elsewhere; slice 0
     is 0 only at the initial-state cell. Interior slices are filled by
-    backward induction.
+    backward induction, which overwrites slices 0 to N-1 and computes only
+    the cells the initial cell can reach (see DdpGrids).
     """
     e_d = make_range(s.e_lo, s.e_hi, s.e_step)
     theta_d = make_range(s.theta_lo, s.theta_hi, s.theta_step)

@@ -2,7 +2,8 @@
 
 Backward induction fills the cost grid over a precomputed transition table
 (cells of one time slice are independent; the table and models are
-read-only, so results do not depend on evaluation order). Forward
+read-only, so results do not depend on evaluation order), on the cells the
+initial cell can reach. Forward
 integration then walks the continuous dynamics from the initial state,
 looking the policy up at the nearest grid cell, which is exactly how the
 cost grid was built. Costs along the returned trajectory are recomputed
@@ -64,11 +65,69 @@ def backward_induction(
     aging term is dropped from the transition cost (the models still drive
     the dynamics). A table passed in must be the one build_transition_table
     gives for these inputs, else InvalidParameterError is raised.
+
+    Only the cells the initial cell can reach are computed: the region
+    (reachable_region) that grows forward from the initial cell through the
+    corners that computed cells read with a nonzero weight. A region cell
+    therefore reads only region cells of the next slice, or slice N, and
+    gets the same bits as in a pass over every cell: a corner left out
+    carries a zero weight and adds 0 * c = 0, every cost being finite. Cells
+    outside the region hold the penalty and the action p_d[0], the values
+    of a cell without a valid action. grids.region records the region, and
+    grids.table and grids.backend what forward_integration needs to rerun
+    the pass over every cell.
     """
     if table is None:
         table = build_transition_table(s, models, grids)
     else:
         table.check(s, models, grids)
+    i0 = nearest_index(grids.e_d, s.e0)
+    j0 = nearest_index(grids.theta_d, s.theta0)
+    region = reachable_region(table, len(grids.e_d), len(grids.theta_d), i0, j0, s.grid.n_intervals)
+    _backward_pass(s, grids, models, table, backend, region)
+    return grids
+
+
+def reachable_region(table: TransitionTable, ni: int, nj: int, i0: int, j0: int, n_steps: int) -> np.ndarray:
+    """The cells backward induction computes, as per-row column ranges.
+
+    Returns a (2, N, Ni) int64 array: slice n computes the cells
+    (i, j) with region[0, n, i] <= j < region[1, n, i]. Slice 0 is the
+    initial cell (i0, j0). Slice n + 1 covers, row by row, the hull of the
+    successor boxes (TransitionTable.succ_*) of slice n's cells, taken per
+    source row: each row's cells contribute the box around their boxes. That
+    may take in more cells than the reachable set, never fewer, so every
+    corner a region cell reads with a nonzero weight lies in the next
+    slice's region. An empty row is [0, 0). Once a slice equals the one
+    before, every later slice equals it too.
+    """
+    region = np.zeros((2, n_steps, ni), dtype=np.int64)
+    region[:, 0, i0] = (j0, j0 + 1)
+    i_lo, i_hi, j_lo, j_hi = (
+        a.reshape(ni, nj) for a in (table.succ_i_lo, table.succ_i_hi, table.succ_j_lo, table.succ_j_hi)
+    )
+    columns = np.arange(nj)
+    rows = np.arange(ni)
+    for n in range(n_steps - 1):
+        inside = (columns >= region[0, n, :, None]) & (columns < region[1, n, :, None])
+        # per source row, the box around its region cells' successor boxes
+        top = np.min(i_lo, axis=1, where=inside, initial=ni)
+        bottom = np.max(i_hi, axis=1, where=inside, initial=-1)
+        left = np.broadcast_to(np.min(j_lo, axis=1, where=inside, initial=nj)[:, None], (ni, ni))
+        right = np.broadcast_to(np.max(j_hi, axis=1, where=inside, initial=-1)[:, None], (ni, ni))
+        covers = (top[:, None] <= rows) & (rows <= bottom[:, None])  # (source row, target row)
+        hi = np.max(right, axis=0, where=covers, initial=-1) + 1
+        lo = np.minimum(np.min(left, axis=0, where=covers, initial=nj), hi)
+        region[0, n + 1], region[1, n + 1] = lo, hi
+        if np.array_equal(region[:, n + 1], region[:, n]):
+            region[:, n + 2 :] = region[:, n + 1, None]
+            break
+    return region
+
+
+def _backward_pass(s, grids, models, table, backend, region):
+    """Assemble the step costs and run the kernel over region (None: every
+    cell); records region, table and backend on the grids."""
     eps_buy, eps_sell = tariff.interval_prices(s.profile, s.grid)
     je = table.buy_energy[None, :] * eps_buy[:, None] + table.sell_energy[None, :] * eps_sell[:, None]
     if s.include_aging_in_objective:
@@ -89,12 +148,18 @@ def backward_induction(
         table.p_d,
         s.penalty,
         backend,
+        region,
     )
-    return grids
+    grids.region, grids.table, grids.backend = region, table, backend
+
+
+class _LeftRegion(Exception):
+    """Forward integration reached a cell outside the computed region."""
 
 
 def _simulate(s: Scenario, models: BatteryModels, powers, grids: DdpGrids | None, clamp_power: bool):
-    """Shared forward loop for policy rollout and replay."""
+    """Shared forward loop for policy rollout and replay. A rollout raises
+    _LeftRegion when it reads a cell of a slice n < N outside grids.region."""
     n_steps = s.grid.n_intervals
     eps_buy, eps_sell = tariff.interval_prices(s.profile, s.grid)
     dt_h = s.grid.dt_h
@@ -112,6 +177,8 @@ def _simulate(s: Scenario, models: BatteryModels, powers, grids: DdpGrids | None
         if grids is not None:
             i = nearest_index(grids.e_d, e)
             j = nearest_index(grids.theta_d, th)
+            if grids.region is not None and not grids.region[0, n, i] <= j < grids.region[1, n, i]:
+                raise _LeftRegion
             if grids.cost[n, i, j] >= s.penalty:
                 feasible = False
             p = float(grids.action[n, i, j])
@@ -178,8 +245,21 @@ def forward_integration(s: Scenario, grids: DdpGrids, models: BatteryModels) -> 
     Starts at the initial-state cell (the only cell whose slice-0 cost is
     meaningful), applies continuous transitions, and takes each next action
     from the action grid at the nearest cell of the continuous state.
+
+    Each cell read at a slice n < N must lie in the region backward
+    induction computed. The continuous state can leave it, for instance
+    after an invalid action out of a penalized cell; the pass is then rerun
+    over every cell, with the same table and backend, which sets
+    grids.region to None, and the trajectory is simulated again. Slice N is
+    the boundary condition and is always whole. The check sits where the
+    grid is read, in _simulate: a change to what forward integration reads
+    must extend it to every cell the new read uses.
     """
-    return _simulate(s, models, None, grids, clamp_power=False)
+    try:
+        return _simulate(s, models, None, grids, clamp_power=False)
+    except _LeftRegion:
+        _backward_pass(s, grids, models, grids.table, grids.backend, None)
+        return _simulate(s, models, None, grids, clamp_power=False)
 
 
 def replay(powers, s: Scenario, models: BatteryModels) -> DdpSolution:

@@ -36,6 +36,13 @@ class TransitionTable:
     every battery price. All arrays are read-only: one table is shared by
     every solve that asks for it (see build_transition_table).
 
+    succ_i_lo, succ_i_hi, succ_j_lo and succ_j_hi bound, per cell, the grid
+    rows i and columns j (inclusive) of the successor corners its costs read:
+    the corners of its valid transitions that carry a nonzero weight, that
+    is, the lower corner where frac < 1 and the upper one where frac > 0. A
+    cell without a valid transition has an empty box (lo = n_axis, hi = -1).
+    backward_induction grows the region a solve computes from these boxes.
+
     fingerprint is table_fingerprint() of the inputs the table was built
     from; power_bounds is the hook it was built with, kept so that check()
     can compare it by identity.
@@ -54,6 +61,10 @@ class TransitionTable:
     sell_energy: np.ndarray  # (K,) kWh fed back when p < 0
     theta_cells: np.ndarray  # (M,) degC of each cell
     e_cells: np.ndarray  # (M,) kWh of each cell
+    succ_i_lo: np.ndarray  # (M,) int64
+    succ_i_hi: np.ndarray  # (M,) int64
+    succ_j_lo: np.ndarray  # (M,) int64
+    succ_j_hi: np.ndarray  # (M,) int64
     fingerprint: str
     power_bounds: Callable | None
 
@@ -189,7 +200,12 @@ def _build(s: Scenario, models: BatteryModels, grids: DdpGrids, fingerprint: str
         & (th_next <= s.theta_hi)
     )
     valid = (valid_power & deliverable & valid_state).astype(np.uint8)
-    corner00, frac_e, frac_theta = _interp_corners(e_d, theta_d, e_next, th_next)
+    ie, frac_e = _interp_axis(e_d, e_next)
+    jt, frac_theta = _interp_axis(theta_d, th_next)
+    succ_i_lo, succ_i_hi = _corner_span(ie, frac_e, valid, len(e_d))
+    succ_j_lo, succ_j_hi = _corner_span(jt, frac_theta, valid, len(theta_d))
+    corner00 = ie * len(theta_d) + jt
+    del ie, jt
 
     if np.any(~np.isfinite(delta_e[valid.astype(bool)])):
         raise InvalidParameterError("transition table produced non-finite energy steps")
@@ -209,6 +225,10 @@ def _build(s: Scenario, models: BatteryModels, grids: DdpGrids, fingerprint: str
         sell_energy=np.minimum(p_d, 0.0) * dt_h,
         theta_cells=th_cells,
         e_cells=e_cells,
+        succ_i_lo=succ_i_lo,
+        succ_i_hi=succ_i_hi,
+        succ_j_lo=succ_j_lo,
+        succ_j_hi=succ_j_hi,
         fingerprint=fingerprint,
         power_bounds=s.power_bounds,
     )
@@ -218,22 +238,32 @@ def _build(s: Scenario, models: BatteryModels, grids: DdpGrids, fingerprint: str
     return table
 
 
-def _interp_corners(e_d, theta_d, e_next, th_next):
-    """Lower corner indices and fractional weights for bilinear reads.
+def _interp_axis(grid, x):
+    """Lower node index (int64) and fractional weight of x on one grid axis,
+    for bilinear reads.
 
-    Successor states are clamped to the grid hull; weights for degenerate
-    single-node axes are zero.
+    x is clamped to the grid hull; the weight on a single-node axis is zero.
     """
-    nj = len(theta_d)
+    x = np.clip(x, grid[0], grid[-1])
+    lo = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, max(len(grid) - 2, 0)).astype(np.int64, copy=False)
+    if len(grid) < 2:
+        return lo, np.zeros_like(x)
+    return lo, (x - grid[lo]) / (grid[lo + 1] - grid[lo])
 
-    def axis(grid, x):
-        x = np.clip(x, grid[0], grid[-1])
-        lo = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, max(len(grid) - 2, 0))
-        if len(grid) < 2:
-            return lo, np.zeros_like(x)
-        frac = (x - grid[lo]) / (grid[lo + 1] - grid[lo])
-        return lo, frac
 
-    ie, fe = axis(e_d, e_next)
-    jt, ft = axis(theta_d, th_next)
-    return (ie * nj + jt).astype(np.int64), fe, ft
+def _corner_span(lo, frac, valid, n_axis):
+    """Per cell, the smallest and largest node index along one axis of the
+    corners its valid transitions read with a nonzero weight: lo where
+    frac < 1, lo + 1 where frac > 0. (n_axis, -1) when no transition is valid."""
+    valid = valid.astype(bool)
+    reads_lo = valid & (frac < 1.0)
+    reads_hi = valid & (frac > 0.0)
+    first = np.minimum(
+        np.min(lo, axis=1, where=reads_lo, initial=n_axis),
+        np.min(lo, axis=1, where=reads_hi, initial=n_axis - 1) + 1,
+    )
+    last = np.maximum(
+        np.max(lo, axis=1, where=reads_lo, initial=-1),
+        np.max(lo, axis=1, where=reads_hi, initial=-2) + 1,
+    )
+    return first, last

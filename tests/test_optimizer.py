@@ -35,6 +35,7 @@ from chargeopt.optimizer import (
 )
 from chargeopt.optimizer import _kernel_py
 from chargeopt.optimizer import backend as backend_mod
+from chargeopt.optimizer import solver as solver_mod
 from chargeopt.tariff import PriceProfile
 from oracles import brute_force_optimum, chain_transitions, random_tiny_instance
 
@@ -152,6 +153,12 @@ def test_oracle_equivalence_beyond_eight_actions(backend, n_k):
         s, models = random_tiny_instance(rng, n_k=n_k)
         s = replace(s, grid=replace(s.grid, n_intervals=2 + trial % 2))
         _check_against_oracle(s, models, backend, trial)
+
+
+@pytest.mark.parametrize("penalty", [0.0, -1.0, np.inf, np.nan])
+def test_penalty_must_be_positive_and_finite(penalty):
+    with pytest.raises(InvalidParameterError, match="penalty must be positive and finite"):
+        default_scenario(penalty=penalty)
 
 
 def test_stay_put_costs_only_calendar_aging():
@@ -488,7 +495,7 @@ def test_table_arrays_are_read_only():
     s, models, grids = _cache_instance()
     table = build_transition_table(s, models, grids)
     arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 12
+    assert len(arrays) == 16
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
@@ -528,6 +535,8 @@ def _kernel_args():
         je=rng.normal(size=(n_steps, k)),
         p_d=np.linspace(-1.0, 1.0, k),
         penalty=1e6,
+        j_lo=np.zeros((n_steps, ni), np.int64),
+        j_hi=np.full((n_steps, ni), nj, np.int64),
     )
 
 
@@ -547,20 +556,21 @@ def test_compiled_kernel_matches_numpy_kernel(int64_format):
     ref = _kernel_args()
     _kernel_py.backward_pass(**ref)
     args = _kernel_args()
-    args["corner00"] = args["corner00"].astype(int64_format)
+    for name in ("corner00", "j_lo", "j_hi"):
+        args[name] = args[name].astype(int64_format)
     backend_mod._ddp_kernel.backward_pass(*args.values())
     assert args["cost"].tobytes() == ref["cost"].tobytes()
     assert args["action_kw"].tobytes() == ref["action_kw"].tobytes()
 
 
 def _lane_case(k, ni, nj, ties):
-    """backward_pass arguments with K = k actions on an ni x nj grid. With
-    ties, costs, weights and prices take a few exact values, so that equal
-    candidates sit at different k, some candidates equal the penalty and -0.0
-    meets 0.0; without, they are random, so that rounding shows. Every third
-    cell has all transitions valid, the next one none; invalid transitions
-    carry NaN weights and corners far outside the cost slice. Returns the
-    arguments and the invalid entries' mask."""
+    """backward_pass arguments with K = k actions on an ni x nj grid, every
+    cell in the region. With ties, costs, weights and prices take a few
+    exact values, so that equal candidates sit at different k, some
+    candidates equal the penalty and -0.0 meets 0.0; without, they are
+    random, so that rounding shows. Every third cell has all transitions
+    valid, the next one none; invalid transitions carry NaN weights and
+    corners far outside the cost slice."""
     rng = np.random.default_rng(1000 * k + 10 * ni + nj)
 
     def draw(shape, exact_values):
@@ -580,7 +590,7 @@ def _lane_case(k, ni, nj, ties):
     jd = draw((m, k), [0.0, -0.0, -0.0, 0.5])
     for a in (frac_e, frac_theta, jd):
         a[invalid] = np.nan
-    args = dict(
+    return dict(
         cost=cost,
         action_kw=np.zeros((n_steps, m)),
         valid=valid,
@@ -593,8 +603,20 @@ def _lane_case(k, ni, nj, ties):
         je=draw((n_steps, k), [0.0, -0.0, -0.0, 0.5]),
         p_d=np.arange(k) - k / 2,
         penalty=penalty,
+        j_lo=np.zeros((n_steps, ni), np.int64),
+        j_hi=np.full((n_steps, ni), nj, np.int64),
     )
-    return args, invalid
+
+
+def _run_both_kernels(args):
+    """Run both kernels on copies of args; assert byte-equal grids and return them."""
+    ref = copy.deepcopy(args)
+    _kernel_py.backward_pass(**ref)
+    out = copy.deepcopy(args)
+    backend_mod._ddp_kernel.backward_pass(*out.values())
+    assert out["cost"].tobytes() == ref["cost"].tobytes()
+    assert out["action_kw"].tobytes() == ref["action_kw"].tobytes()
+    return ref
 
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
@@ -602,13 +624,61 @@ def _lane_case(k, ni, nj, ties):
 @pytest.mark.parametrize("ni, nj", [(3, 4), (1, 5), (4, 1), (1, 1)])
 @pytest.mark.parametrize("ties", [True, False], ids=["ties", "random"])
 def test_compiled_lanes_match_numpy_kernel(k, ni, nj, ties):
-    args, invalid = _lane_case(k, ni, nj, ties)
-    ref = copy.deepcopy(args)
-    ref["corner00"][invalid] = 0  # the NumPy kernel gathers every corner before masking
-    _kernel_py.backward_pass(**ref)
-    backend_mod._ddp_kernel.backward_pass(*args.values())
-    assert args["cost"].tobytes() == ref["cost"].tobytes()
-    assert args["action_kw"].tobytes() == ref["action_kw"].tobytes()
+    _run_both_kernels(_lane_case(k, ni, nj, ties))
+
+
+def _random_rows(rng, n_steps, ni, nj):
+    j_lo = rng.integers(0, nj + 1, size=(n_steps, ni))
+    return j_lo, j_lo + rng.integers(0, nj + 1 - j_lo)
+
+
+def _empty_rows(rng, n_steps, ni, nj):
+    j_lo, j_hi = _random_rows(rng, n_steps, ni, nj)
+    empty = rng.uniform(size=(n_steps, ni)) < 0.5
+    j_hi[empty] = j_lo[empty]  # [j, j) for any j in [0, Nj]
+    return j_lo, j_hi
+
+
+def _empty_steps(rng, n_steps, ni, nj):
+    j_lo, j_hi = _random_rows(rng, n_steps, ni, nj)
+    j_hi[1] = j_lo[1]
+    return j_lo, j_hi
+
+
+def _full_rows(rng, n_steps, ni, nj):
+    return np.zeros((n_steps, ni), np.int64), np.full((n_steps, ni), nj, np.int64)
+
+
+REGION_KINDS = {
+    "random": _random_rows,
+    "empty-rows": _empty_rows,
+    "empty-step": _empty_steps,
+    "full": _full_rows,
+}
+
+
+@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+@pytest.mark.parametrize("kind", REGION_KINDS)
+@pytest.mark.parametrize("k", [1, 9, 101])
+@pytest.mark.parametrize("ni, nj", [(3, 4), (1, 5), (4, 1), (1, 1)])
+@pytest.mark.parametrize("ties", [True, False], ids=["ties", "random"])
+def test_compiled_kernel_matches_numpy_kernel_on_regions(kind, k, ni, nj, ties):
+    args = _lane_case(k, ni, nj, ties)
+    rng = np.random.default_rng(7 * k + ni + 100 * nj)
+    args["j_lo"], args["j_hi"] = REGION_KINDS[kind](rng, len(args["je"]), ni, nj)
+    full = _run_both_kernels(_lane_case(k, ni, nj, ties))
+    ref = _run_both_kernels(args)
+    # cells outside the region get the penalty and p_d[0]; the last slice is the input
+    columns = np.arange(nj)
+    inside = (columns >= args["j_lo"][:, :, None]) & (columns < args["j_hi"][:, :, None])
+    inside = inside.reshape(len(args["je"]), ni * nj)
+    assert np.all(ref["cost"][:-1][~inside] == args["penalty"])
+    assert np.all(ref["action_kw"][~inside] == args["p_d"][0])
+    assert ref["cost"][-1].tobytes() == args["cost"][-1].tobytes()
+    # the last step reads the whole boundary slice, so its region cells equal a full pass
+    last = inside[-1]
+    assert ref["cost"][-2][last].tobytes() == full["cost"][-2][last].tobytes()
+    assert ref["action_kw"][-1][last].tobytes() == full["action_kw"][-1][last].tobytes()
 
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
@@ -624,7 +694,7 @@ def test_compiled_kernel_uses_lanes_where_the_cpu_has_avx512f():
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 @pytest.mark.parametrize(
-    "name", ["cost", "action_kw", "valid", "corner00", "frac_e", "frac_theta", "jd", "je", "p_d"]
+    "name", ["cost", "action_kw", "valid", "corner00", "frac_e", "frac_theta", "jd", "je", "p_d", "j_lo", "j_hi"]
 )
 @pytest.mark.parametrize(
     "misuse, error, match",
@@ -632,7 +702,8 @@ def test_compiled_kernel_uses_lanes_where_the_cpu_has_avx512f():
         (lambda a: a.astype(np.int8 if a.dtype == np.uint8 else np.float32), TypeError, "{name} has item"),
         (lambda a: a.astype(np.int32 if a.dtype == np.int64 else np.int64), TypeError, "{name} has item"),
         (_non_contiguous, ValueError, "{name} is not C-contiguous"),
-        # N and K are read from je, so a short je is reported on the first array it disagrees with
+        # N and K are read from je and Ni from j_lo, so a short je or j_lo is reported on
+        # the first array it disagrees with
         (_short, ValueError, "entries along axis"),
         (lambda a: a[None], ValueError, "{name} has [23] dimensions"),
     ],
@@ -663,6 +734,48 @@ def test_compiled_kernel_rejects_bad_corners_and_outputs():
         kernel(*args.values())
 
 
+def _set_row(name, n, i, value):
+    def change(args):
+        args[name][n, i] = value
+
+    return change
+
+
+def _reshape_rows(ni):
+    def change(args):
+        for name in ("j_lo", "j_hi"):
+            args[name] = np.zeros((len(args["je"]), ni), np.int64)
+
+    return change
+
+
+def _drop_step(args):
+    for name in ("j_lo", "j_hi"):
+        args[name] = np.ascontiguousarray(args[name][1:])
+
+
+@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        (_set_row("j_lo", 1, 0, 3), r"\[3, 2\) at \[1, 0\] is not within \[0, Nj=3\]"),
+        (_set_row("j_hi", 0, 1, 4), r"\[0, 4\) at \[0, 1\] is not within \[0, Nj=3\]"),
+        (_set_row("j_lo", 0, 0, -1), r"\[-1, 3\) at \[0, 0\]"),
+        (_set_row("j_hi", 2, 0, -1), r"\[0, -1\) at \[2, 0\]"),
+        (_reshape_rows(4), "j_lo has 4 rows, which do not divide M=6 cells"),
+        (_reshape_rows(0), "j_lo has 0 rows, which do not divide M=6 cells"),
+        (_drop_step, "j_lo has 2 entries along axis 0, expected 3"),
+    ],
+    ids=["lo-above-hi", "hi-above-nj", "negative-lo", "negative-hi", "rows-4", "rows-0", "short"],
+)
+def test_compiled_kernel_rejects_bad_region_rows(change, match):
+    args = _kernel_args()
+    args["j_hi"][1, 0] = 2  # a well-formed row [0, 2), which j_lo = 3 turns around
+    change(args)
+    with pytest.raises(ValueError, match=match):
+        backend_mod._ddp_kernel.backward_pass(*args.values())
+
+
 def test_backend_names(monkeypatch):
     rng = np.random.default_rng(7)
     s, models = random_tiny_instance(rng)
@@ -675,31 +788,131 @@ def test_backend_names(monkeypatch):
     assert solve(s, models).cost.total == solve(s, models, backend="python").cost.total
 
 
+def _region_mask(grids):
+    """(N, Ni, Nj) bool: the cells backward induction computed."""
+    columns = np.arange(len(grids.theta_d))
+    return (columns >= grids.region[0][..., None]) & (columns < grids.region[1][..., None])
+
+
 def test_bellman_consistency_post_hoc():
-    rng = np.random.default_rng(55)
-    s, models = random_tiny_instance(rng)
-    grids = build_grids(s)
-    backward_induction(s, grids, models)
-    trans = chain_transitions(s, grids, models)
+    # computed cells satisfy the Bellman equation on the snapped chain, the
+    # others hold the penalty and p_d[0], and the computed cells include
+    # every cell the chain reaches from the initial cell
     from chargeopt.tariff import interval_prices
 
-    eps_buy, eps_sell = interval_prices(s.profile, s.grid)
-    dt_h = s.grid.dt_min / 60.0
-    n_steps = s.grid.n_intervals
-    for n in range(n_steps):
-        for i in range(len(grids.e_d)):
-            for j in range(len(grids.theta_d)):
-                best = np.inf
-                for k, p in enumerate(grids.p_d):
-                    tr = trans[i, j, k]
-                    if tr is None:
-                        cand = s.penalty
-                    else:
-                        si, sj, jd = tr
-                        je = max(p, 0.0) * dt_h * eps_buy[n] + min(p, 0.0) * dt_h * eps_sell[n]
-                        cand = (je + jd) + grids.cost[n + 1, si, sj]
-                    best = min(best, cand)
-                assert grids.cost[n, i, j] == pytest.approx(best, abs=1e-9)
+    rng = np.random.default_rng(55)
+    left_out = 0
+    for _ in range(4):
+        s, models = random_tiny_instance(rng)
+        grids = build_grids(s)
+        backward_induction(s, grids, models)
+        computed = _region_mask(grids)
+        left_out += int(np.sum(~computed))
+        trans = chain_transitions(s, grids, models)
+        eps_buy, eps_sell = interval_prices(s.profile, s.grid)
+        dt_h = s.grid.dt_min / 60.0
+        n_steps = s.grid.n_intervals
+        reached = {(nearest_index(grids.e_d, s.e0), nearest_index(grids.theta_d, s.theta0))}
+        for n in range(n_steps):
+            assert all(computed[n, i, j] for i, j in reached)
+            reached = {
+                trans[i, j, k][:2] for i, j in reached for k in range(len(grids.p_d)) if trans[i, j, k] is not None
+            }
+            for i in range(len(grids.e_d)):
+                for j in range(len(grids.theta_d)):
+                    if not computed[n, i, j]:
+                        assert grids.cost[n, i, j] == s.penalty
+                        assert grids.action[n, i, j] == grids.p_d[0]
+                        continue
+                    best = np.inf
+                    for k, p in enumerate(grids.p_d):
+                        tr = trans[i, j, k]
+                        if tr is None:
+                            cand = s.penalty
+                        else:
+                            si, sj, jd = tr
+                            je = max(p, 0.0) * dt_h * eps_buy[n] + min(p, 0.0) * dt_h * eps_sell[n]
+                            cand = (je + jd) + grids.cost[n + 1, si, sj]
+                        best = min(best, cand)
+                    assert grids.cost[n, i, j] == pytest.approx(best, abs=1e-9)
+    assert left_out > 0
+
+
+def _reference_models(model):
+    th = thermal.constant_model() if model == "constant" else thermal.plant_linear_model(thermal.ThermalPlant())
+    return BatteryModels(tables=electrical.default_tables(), thermal=th, aging=default_params())
+
+
+@pytest.mark.parametrize("model, largest_share", [("constant", 0.02), ("plant-linear", 0.5)])
+def test_region_holds_every_corner_its_cells_read(model, largest_share):
+    # closure: a valid transition of a computed cell reads each corner with a
+    # nonzero weight, and that corner is computed one step later
+    s = default_scenario()
+    models = _reference_models(model)
+    grids = build_grids(s)
+    table = build_transition_table(s, models, grids)
+    backward_induction(s, grids, models, table=table)
+    nj = len(grids.theta_d)
+    computed = _region_mask(grids).reshape(s.grid.n_intervals, -1)
+    assert 0 < computed.mean() < largest_share
+    src, dst = [], []
+    for di in (0, 1):
+        for dj in (0, 1):
+            weight_e = table.frac_e > 0 if di else table.frac_e < 1
+            weight_t = table.frac_theta > 0 if dj else table.frac_theta < 1
+            cell, k = np.nonzero(table.valid.astype(bool) & weight_e & weight_t)
+            src.append(cell)
+            dst.append(table.corner00[cell, k] + di * nj + dj)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    for n in range(s.grid.n_intervals - 1):
+        assert not np.any(computed[n, src] & ~computed[n + 1, dst]), f"step {n}"
+    forward_integration(s, grids, models)
+    assert grids.region is not None  # no fallback
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_region_cells_equal_a_full_pass_at_full_scale(backend):
+    s = default_scenario()
+    models = _reference_models("plant-linear")
+    grids = build_grids(s)
+    table = build_transition_table(s, models, grids)
+    backward_induction(s, grids, models, table=table, backend=backend)
+    full = build_grids(s)
+    solver_mod._backward_pass(s, full, models, table, backend, None)
+    assert full.region is None
+    computed = _region_mask(grids)
+    assert grids.cost[:-1][computed].tobytes() == full.cost[:-1][computed].tobytes()
+    assert grids.action[computed].tobytes() == full.action[computed].tobytes()
+    assert np.all(grids.cost[:-1][~computed] == s.penalty)
+    assert np.all(grids.action[~computed] == grids.p_d[0])
+    assert grids.cost[-1].tobytes() == full.cost[-1].tobytes()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_forward_integration_outside_the_region_reruns_the_full_pass(backend):
+    # trials 2, 15 and 18 of the oracle test (seed 1234) are infeasible, and
+    # forward integration follows an invalid action out of a penalized cell
+    # into cells the region left out
+    rng = np.random.default_rng(1234)
+    instances = [random_tiny_instance(rng) for _ in range(20)]
+    for trial, (s, models) in enumerate(instances):
+        grids = build_grids(s)
+        backward_induction(s, grids, models, backend=backend)
+        assert grids.region is not None
+        sol = forward_integration(s, grids, models)
+        if trial not in (2, 15, 18):
+            assert grids.region is not None, f"trial {trial}"
+            continue
+        assert grids.region is None, f"trial {trial}"
+        full = build_grids(s)
+        solver_mod._backward_pass(s, full, models, build_transition_table(s, models, full), backend, None)
+        ref = forward_integration(s, full, models)
+        assert grids.cost.tobytes() == full.cost.tobytes()
+        assert grids.action.tobytes() == full.action.tobytes()
+        for name in ("p_star", "e_traj", "theta_traj", "j_e_steps", "j_d_steps"):
+            assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), f"trial {trial}: {name}"
+        assert (sol.cost, sol.feasible, sol.notes) == (ref.cost, ref.feasible, ref.notes)
+        assert not sol.feasible
 
 
 def test_mode_ii_iii_objective_ordering():
