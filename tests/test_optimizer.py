@@ -681,6 +681,40 @@ def test_compiled_kernel_matches_numpy_kernel_on_regions(kind, k, ni, nj, ties):
     assert ref["action_kw"][-1][last].tobytes() == full["action_kw"][-1][last].tobytes()
 
 
+@pytest.mark.parametrize("kind", REGION_KINDS)
+@pytest.mark.parametrize("block_cells", [1, 4, 9, 13])  # 1, 1, 2 and 3 rows of 4 cells
+@pytest.mark.parametrize("ties", [True, False], ids=["ties", "random"])
+def test_numpy_kernel_block_size_keeps_every_bit(monkeypatch, kind, block_cells, ties):
+    args = _lane_case(9, 7, 4, ties)
+    rng = np.random.default_rng(block_cells)
+    args["j_lo"], args["j_hi"] = REGION_KINDS[kind](rng, len(args["je"]), 7, 4)
+    whole = copy.deepcopy(args)  # one block holds the whole grid
+    _kernel_py.backward_pass(**whole)
+    monkeypatch.setattr(_kernel_py, "BLOCK_CELLS", block_cells)
+    _kernel_py.backward_pass(**args)
+    assert args["cost"].tobytes() == whole["cost"].tobytes()
+    assert args["action_kw"].tobytes() == whole["action_kw"].tobytes()
+
+
+def test_numpy_kernel_memory_does_not_grow_with_the_region(monkeypatch):
+    """A step's temporaries are one row block by K, so a pass over every
+    cell peaks no higher than a pass over one row of cells."""
+    import tracemalloc
+
+    ni, nj = 40, 30
+    monkeypatch.setattr(_kernel_py, "BLOCK_CELLS", nj)
+    peaks = {}
+    for name, rows in (("one row", slice(ni // 2, ni // 2 + 1)), ("every row", slice(None))):
+        args = _lane_case(9, ni, nj, ties=False)
+        args["j_hi"][:] = 0
+        args["j_hi"][:, rows] = nj
+        tracemalloc.start()
+        _kernel_py.backward_pass(**args)
+        peaks[name] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks["every row"] <= 1.05 * peaks["one row"]
+
+
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 def test_compiled_kernel_uses_lanes_where_the_cpu_has_avx512f():
     lanes = backend_mod._ddp_kernel.LANES
