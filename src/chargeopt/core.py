@@ -228,6 +228,12 @@ def load_samples_csv(path) -> RawSamples:
     if not rows:
         raise InvalidParameterError(f"event CSV {path} has no data rows")
     arr = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        row, col = bad[0]
+        raise InvalidParameterError(
+            f"event CSV {path} has a non-finite {EVENT_CSV_HEADER[col]} in data row {row + 1}"
+        )
     return RawSamples(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4])
 
 

@@ -20,17 +20,17 @@
  * and CPUs, and when K < 8, which leaves no whole block. The module constant
  * LANES is 8 where the lanes run and 1 elsewhere.
  *
- * Each step computes only the cells of its region: row i of step n holds the
- * cells j in [j_lo[n, i], j_hi[n, i]) of energy row i, with Nj = M / Ni
- * cells per row. Every other cell gets the penalty and the action p_d[0],
- * what a cell without a valid transition gets. The caller chooses regions
- * closed under the corners the computed cells read, so that no computed cell
- * reads a cell left out one step later (solver.backward_induction); with
- * full rows, [0, Nj) everywhere, this is the plain pass over all M cells.
+ * Step n computes only the cells of its box, the energy rows [boxes[n, 0],
+ * boxes[n, 1]) and temperature columns [boxes[n, 2], boxes[n, 3]) of the
+ * n_rows x (M / n_rows) grid. Every other cell gets the penalty and the action
+ * p_d[0], what a cell without a valid transition gets. The caller chooses
+ * boxes closed under the corners the computed cells read, so that no computed
+ * cell reads a cell left out (solver.reachable_region); with the whole grid in
+ * every box, this is the plain pass over all M cells.
  *
  * The loop does no bounds checks. The binding checks every buffer's item
  * type, dimensions, contiguity and shape, every valid successor corner and
- * every region row before it runs the loop with the GIL released.
+ * every box before it runs the loop with the GIL released.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -155,7 +155,7 @@ static int lanes = 1;
 static void
 backward_loop(Py_ssize_t n_steps, Py_ssize_t m, Py_ssize_t n_actions, Py_ssize_t n_rows,
               double *cost, double *action_kw, const Transitions *t, const double *je,
-              const double *p_d, const int64_t *j_lo, const int64_t *j_hi)
+              const double *p_d, const int64_t *boxes)
 {
     const Py_ssize_t n_cols = m / n_rows;
     for (Py_ssize_t n = n_steps - 1; n >= 0; n--) {
@@ -167,10 +167,9 @@ backward_loop(Py_ssize_t n_steps, Py_ssize_t m, Py_ssize_t n_actions, Py_ssize_t
             cost_n[cell] = t->penalty;
             action_n[cell] = p_d[0];
         }
-        for (Py_ssize_t i = 0; i < n_rows; i++) {
-            const Py_ssize_t first = i * n_cols + j_lo[n * n_rows + i];
-            const Py_ssize_t end = i * n_cols + j_hi[n * n_rows + i];
-            for (Py_ssize_t cell = first; cell < end; cell++) {
+        const int64_t *box = boxes + 4 * n;
+        for (Py_ssize_t i = box[0]; i < box[1]; i++) {
+            for (Py_ssize_t cell = i * n_cols + box[2]; cell < i * n_cols + box[3]; cell++) {
                 const Py_ssize_t row = cell * n_actions;
                 double best = INFINITY;
                 Py_ssize_t best_k = 0;
@@ -203,18 +202,21 @@ first_bad_corner(Py_ssize_t size, Py_ssize_t m, const unsigned char *valid,
     return -1;
 }
 
-/* Index of the first region row outside 0 <= j_lo <= j_hi <= n_cols, or -1. */
+/* First step whose box [lo, hi) of rows or columns is not within
+ * 0 <= lo <= hi <= n_rows or n_cols, or -1. */
 static Py_ssize_t
-first_bad_row(Py_ssize_t size, Py_ssize_t n_cols, const int64_t *j_lo, const int64_t *j_hi)
+first_bad_box(Py_ssize_t n_steps, Py_ssize_t n_rows, Py_ssize_t n_cols, const int64_t *boxes)
 {
-    for (Py_ssize_t r = 0; r < size; r++) {
-        if (j_lo[r] < 0 || j_lo[r] > j_hi[r] || j_hi[r] > n_cols)
-            return r;
+    for (Py_ssize_t n = 0; n < n_steps; n++) {
+        const int64_t *box = boxes + 4 * n;
+        if (box[0] < 0 || box[0] > box[1] || box[1] > n_rows
+            || box[2] < 0 || box[2] > box[3] || box[3] > n_cols)
+            return n;
     }
     return -1;
 }
 
-enum { COST, ACTION, VALID, CORNER00, FRAC_E, FRAC_THETA, JD, JE, P_D, J_LO, J_HI, N_ARRAYS };
+enum { COST, ACTION, VALID, CORNER00, FRAC_E, FRAC_THETA, JD, JE, P_D, BOXES, N_ARRAYS };
 
 static const struct {
     const char *name;
@@ -233,8 +235,7 @@ static const struct {
     [JD] = {"jd", "d", 8, 2, 0},
     [JE] = {"je", "d", 8, 2, 0},
     [P_D] = {"p_d", "d", 8, 1, 0},
-    [J_LO] = {"j_lo", "lq", 8, 2, 0},
-    [J_HI] = {"j_hi", "lq", 8, 2, 0},
+    [BOXES] = {"boxes", "lq", 8, 2, 0},
 };
 
 static int
@@ -273,15 +274,16 @@ get_array(PyObject *obj, int which, Py_buffer *view)
 
 PyDoc_STRVAR(backward_pass_doc,
 "backward_pass(cost, action_kw, valid, corner00, frac_e, frac_theta,\n"
-"              stride_e, stride_t, jd, je, p_d, penalty, j_lo, j_hi)\n"
+"              stride_e, stride_t, jd, je, p_d, penalty, n_rows, boxes)\n"
 "\n"
 "Backward induction over flattened state cells; fills cost[N-1..0] and\n"
-"action_kw in place from cost[N], computing at step n only the cells\n"
-"[j_lo[n, i], j_hi[n, i]) of each of the Ni rows of M / Ni cells; the\n"
-"others get penalty and p_d[0]. Arguments as in _kernel_py.backward_pass:\n"
-"C-contiguous float64 cost (N+1, M) and action_kw (N, M); uint8 valid,\n"
-"int64 corner00 and float64 frac_e, frac_theta and jd, each (M, K);\n"
-"float64 je (N, K) and p_d (K,); int64 j_lo and j_hi (N, Ni).");
+"action_kw in place from cost[N], computing at step n only the rows\n"
+"[boxes[n, 0], boxes[n, 1]) and columns [boxes[n, 2], boxes[n, 3]) of the\n"
+"n_rows x (M / n_rows) grid; the others get penalty and p_d[0]. Arguments\n"
+"as in _kernel_py.backward_pass: C-contiguous float64 cost (N+1, M) and\n"
+"action_kw (N, M); uint8 valid, int64 corner00 and float64 frac_e,\n"
+"frac_theta and jd, each (M, K); float64 je (N, K) and p_d (K,); int64\n"
+"boxes (N, 4).");
 
 static PyObject *
 py_backward_pass(PyObject *self, PyObject *args)
@@ -289,11 +291,12 @@ py_backward_pass(PyObject *self, PyObject *args)
     PyObject *objs[N_ARRAYS];
     long long stride_e, stride_t;
     double penalty;
-    if (!PyArg_ParseTuple(args, "OOOOOOLLOOOdOO:backward_pass", &objs[COST],
+    Py_ssize_t n_rows;
+    if (!PyArg_ParseTuple(args, "OOOOOOLLOOOdnO:backward_pass", &objs[COST],
                           &objs[ACTION], &objs[VALID], &objs[CORNER00],
                           &objs[FRAC_E], &objs[FRAC_THETA], &stride_e, &stride_t,
-                          &objs[JD], &objs[JE], &objs[P_D], &penalty, &objs[J_LO],
-                          &objs[J_HI]))
+                          &objs[JD], &objs[JE], &objs[P_D], &penalty, &n_rows,
+                          &objs[BOXES]))
         return NULL;
 
     Py_buffer views[N_ARRAYS];
@@ -307,11 +310,9 @@ py_backward_pass(PyObject *self, PyObject *args)
     const Py_ssize_t n_steps = views[JE].shape[0];
     const Py_ssize_t m = views[VALID].shape[0];
     const Py_ssize_t n_actions = views[JE].shape[1];
-    const Py_ssize_t n_rows = views[J_LO].shape[1];
     if (n_rows < 1 || m % n_rows != 0) {
         PyErr_Format(PyExc_ValueError,
-                     "backward_pass: j_lo has %zd rows, which do not divide M=%zd cells",
-                     n_rows, m);
+                     "backward_pass: %zd rows, which do not divide M=%zd cells", n_rows, m);
         goto done;
     }
     const Py_ssize_t want[N_ARRAYS][2] = {
@@ -324,8 +325,7 @@ py_backward_pass(PyObject *self, PyObject *args)
         [JD] = {m, n_actions},
         [JE] = {n_steps, n_actions},
         [P_D] = {n_actions, 0},
-        [J_LO] = {n_steps, n_rows},
-        [J_HI] = {n_steps, n_rows},
+        [BOXES] = {n_steps, 4},
     };
     for (int i = 0; i < N_ARRAYS; i++) {
         for (int d = 0; d < views[i].ndim; d++) {
@@ -352,17 +352,16 @@ py_backward_pass(PyObject *self, PyObject *args)
 
     const unsigned char *valid = views[VALID].buf;
     const int64_t *corner00 = views[CORNER00].buf;
-    const int64_t *j_lo = views[J_LO].buf;
-    const int64_t *j_hi = views[J_HI].buf;
-    Py_ssize_t bad_corner, bad_row;
+    const int64_t *boxes = views[BOXES].buf;
+    Py_ssize_t bad_corner, bad_box;
     Py_BEGIN_ALLOW_THREADS
     bad_corner = first_bad_corner(m * n_actions, m, valid, corner00, stride_e, stride_t);
-    bad_row = first_bad_row(n_steps * n_rows, m / n_rows, j_lo, j_hi);
-    if (bad_corner < 0 && bad_row < 0) {
+    bad_box = first_bad_box(n_steps, n_rows, m / n_rows, boxes);
+    if (bad_corner < 0 && bad_box < 0) {
         const Transitions t = {valid, corner00, views[FRAC_E].buf, views[FRAC_THETA].buf,
                                views[JD].buf, stride_e, stride_t, penalty};
         backward_loop(n_steps, m, n_actions, n_rows, views[COST].buf, views[ACTION].buf, &t,
-                      views[JE].buf, views[P_D].buf, j_lo, j_hi);
+                      views[JE].buf, views[P_D].buf, boxes);
     }
     Py_END_ALLOW_THREADS
     if (bad_corner >= 0) {
@@ -373,12 +372,13 @@ py_backward_pass(PyObject *self, PyObject *args)
                      (long long)corner00[bad_corner], m);
         goto done;
     }
-    if (bad_row >= 0) {
+    if (bad_box >= 0) {
+        const int64_t *box = boxes + 4 * bad_box;
         PyErr_Format(PyExc_ValueError,
-                     "backward_pass: region row [j_lo, j_hi) = [%lld, %lld) at [%zd, %zd] "
-                     "is not within [0, Nj=%zd]",
-                     (long long)j_lo[bad_row], (long long)j_hi[bad_row], bad_row / n_rows,
-                     bad_row % n_rows, m / n_rows);
+                     "backward_pass: box [%lld, %lld) x [%lld, %lld) of step %zd "
+                     "is not within [0, Ni=%zd] x [0, Nj=%zd]",
+                     (long long)box[0], (long long)box[1], (long long)box[2],
+                     (long long)box[3], bad_box, n_rows, m / n_rows);
         goto done;
     }
     result = Py_NewRef(Py_None);

@@ -11,17 +11,18 @@ the lanes' minima are combined with ties going to the lowest action index,
 the index np.argmin returns. So the lanes change nothing here; this module
 stays the reference the tests compare both kernels against.
 
-Both kernels compute at step n only the cells of its region, the cells j
-in [j_lo[n, i], j_hi[n, i]) of each energy row i; every other cell gets the
+Both kernels compute at step n only the cells of its box, the energy rows
+[boxes[n, 0], boxes[n, 1]) and temperature columns [boxes[n, 2],
+boxes[n, 3]) of the n_rows x (M / n_rows) grid; every other cell gets the
 penalty and the action p_d[0], what a cell without a valid transition gets.
-Here a step walks its region's rows in blocks of BLOCK_CELLS // Nj rows
-(at least one). Each block evaluates the box of columns around its region
-cells, as slice views of the (M, K) arrays, and keeps the region cells'
-results: the ufuncs work element by element, so a cell gets the same bits
-in any box. The temporaries are then at most one block by K, whatever the
-size of the region, so the kernel's memory does not depend on the scenario.
-Invalid transitions read corner 0 instead of their own corners, as the
-compiled kernel reads none of them, so both accept the same inputs.
+Here a step walks its box in blocks of BLOCK_CELLS // Nj rows (at least
+one), each block a box of slice views of the (M, K) arrays: the ufuncs work
+element by element, so a cell gets the same bits in any block. The
+temporaries are then at most one block by K, whatever the size of the box,
+so the kernel's memory does not depend on the scenario. Invalid transitions
+read corner 0 instead of their own corners, as the compiled kernel reads
+none of them, so both accept the same inputs, and both raise ValueError for
+a box outside the grid or a row count that does not divide M.
 """
 
 from __future__ import annotations
@@ -44,32 +45,36 @@ def backward_pass(
     je: np.ndarray,  # (N, K) energy cost per action and interval, EUR
     p_d: np.ndarray,  # (K,)
     penalty: float,
-    j_lo: np.ndarray,  # (N, Ni) first region cell of each row
-    j_hi: np.ndarray,  # (N, Ni) one past the last region cell of each row
+    n_rows: int,  # Ni, energy rows of Nj = M / Ni cells
+    boxes: np.ndarray,  # (N, 4) int64 row range and column range [lo, hi) per step
 ) -> None:
     n_steps = je.shape[0]
-    n_rows = j_lo.shape[1]
+    if n_rows < 1 or valid.shape[0] % n_rows:
+        raise ValueError(f"backward_pass: {n_rows} rows, which do not divide M={valid.shape[0]} cells")
     shape = (n_rows, valid.shape[0] // n_rows, len(p_d))  # (Ni, Nj, K) views of the (M, K) arrays
+    if boxes.shape != (n_steps, 4):
+        raise ValueError(f"backward_pass: boxes has shape {boxes.shape}, expected ({n_steps}, 4)")
+    outside = (boxes[:, ::2] < 0) | (boxes[:, ::2] > boxes[:, 1::2]) | (boxes[:, 1::2] > shape[:2])
+    if outside.any():
+        n = np.flatnonzero(outside.any(axis=1))[0]
+        top, bottom, left, right = boxes[n]
+        raise ValueError(
+            f"backward_pass: box [{top}, {bottom}) x [{left}, {right}) of step {n} "
+            f"is not within [0, Ni={shape[0]}] x [0, Nj={shape[1]}]"
+        )
     mask = valid.astype(bool).reshape(shape)
     c00 = np.where(mask, corner00.reshape(shape), 0)
     frac_e, frac_theta, jd = (a.reshape(shape) for a in (frac_e, frac_theta, jd))
-    columns = np.arange(shape[1])
     block = max(1, BLOCK_CELLS // shape[1])
     for n in range(n_steps - 1, -1, -1):
         cost[n] = penalty
         action_kw[n] = p_d[0]
         nxt = cost[n + 1]
-        rows = np.flatnonzero(j_lo[n] < j_hi[n])
-        if len(rows) == 0:
-            continue
-        for r0 in range(rows[0], rows[-1] + 1, block):
-            lo_n, hi_n = j_lo[n, r0 : r0 + block], j_hi[n, r0 : r0 + block]
-            filled = lo_n < hi_n
-            if not filled.any():
-                continue
-            # the box of columns around the block's region cells: slices, so views, not copies
-            c0 = lo_n[filled].min()
-            box = np.s_[r0 : r0 + block, c0 : hi_n[filled].max()]
+        top, bottom, left, right = boxes[n]
+        # views of step n's slices; reshape raises rather than write to a copy
+        cost_n, action_n = (a[n].reshape(shape[:2], copy=False) for a in (cost, action_kw))
+        for r0 in range(top, bottom, block):
+            box = np.s_[r0 : min(r0 + block, bottom), left:right]
             fe, ft, c = frac_e[box], frac_theta[box], c00[box]
             lo = (1.0 - ft) * nxt[c] + ft * nxt[c + stride_t]
             hi = (1.0 - ft) * nxt[c + stride_e] + ft * nxt[c + stride_e + stride_t]
@@ -77,8 +82,5 @@ def backward_pass(
             cand = (je[n] + jd[box]) + succ_cost
             cand = np.where(mask[box], cand, penalty)
             k_best = np.argmin(cand, axis=2)
-            cols = columns[c0 : c0 + cand.shape[1]]
-            i, j = np.nonzero((cols >= lo_n[:, None]) & (cols < hi_n[:, None]))
-            cells = (r0 + i) * shape[1] + (c0 + j)
-            cost[n, cells] = cand[i, j, k_best[i, j]]
-            action_kw[n, cells] = p_d[k_best[i, j]]
+            cost_n[box] = np.take_along_axis(cand, k_best[..., None], axis=2)[..., 0]
+            action_n[box] = p_d[k_best]

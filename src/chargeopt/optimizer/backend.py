@@ -53,17 +53,15 @@ def backward_pass(
     cost3 is the (N+1, Ni, Nj) cost grid, action3 the (N, Ni, Nj) action
     grid; both are filled in place. Successor costs are read by bilinear
     interpolation from corner00 with weights (frac_e, frac_theta). region,
-    a (2, N, Ni) int array, limits step n to the cells
-    [region[0, n, i], region[1, n, i]) of each row i, and the other cells
-    get penalty and p_d[0]; None computes every cell.
+    an (N, 4) int array of half-open boxes, limits step n to the cells
+    [region[n, 0], region[n, 1]) x [region[n, 2], region[n, 3]), and the
+    other cells get penalty and p_d[0]; None computes every cell.
     """
     n_plus_1, ni, nj = cost3.shape
     cost2 = cost3.reshape(n_plus_1, ni * nj)
     action2 = action3.reshape(action3.shape[0], ni * nj)
-    if region is None:  # every cell: [0, Nj) in each row and step
-        region = np.zeros((2, n_plus_1 - 1, ni), dtype=np.int64)
-        region[1] = nj
-    region = np.ascontiguousarray(region, dtype=np.int64)
+    if region is None:  # every cell: the whole grid at every step
+        region = np.tile(np.array([0, ni, 0, nj], dtype=np.int64), (n_plus_1 - 1, 1))
     args = (
         np.ascontiguousarray(valid, dtype=np.uint8),
         np.ascontiguousarray(corner00, dtype=np.int64),
@@ -75,11 +73,10 @@ def backward_pass(
         np.ascontiguousarray(je, dtype=np.float64),
         np.ascontiguousarray(p_d, dtype=np.float64),
         float(penalty),
-        region[0],
-        region[1],
+        ni,
+        np.ascontiguousarray(region, dtype=np.int64),
     )
     if normalize_backend(backend) == "compiled":
         _ddp_kernel.backward_pass(cost2, action2, *args)
     else:
         _kernel_py.backward_pass(cost2, action2, *args)
-

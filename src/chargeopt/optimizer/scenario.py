@@ -107,10 +107,10 @@ class DdpGrids:
     optimal power in kW for each time interval and state cell.
 
     backward_induction computes only the cells the initial cell can reach
-    and records them in region, a (2, N, Ni) int64 array: at slice n < N,
-    row i holds the computed cells j with region[0, n, i] <= j <
-    region[1, n, i]. The other cells of slices 0 to N-1 hold the penalty
-    and the action p_d[0]. region is None before backward induction and
+    and records them in region, an (N, 4) int64 array of half-open boxes:
+    at slice n < N it computed the cells (i, j) with region[n, 0] <= i <
+    region[n, 1] and region[n, 2] <= j < region[n, 3]. The other cells of
+    slices 0 to N-1 hold the penalty and the action p_d[0]. region is None before backward induction and
     after a pass over every cell. table and backend are the transition
     table and kernel of the last pass, which forward_integration reuses
     when it has to rerun the pass over every cell.
@@ -190,12 +190,12 @@ def scenario_from_dict(d: dict) -> Scenario:
             d["profile"].get("label", "custom"),
         )
         kwargs = {k: float(d[k]) for k in _SCENARIO_SCALARS if k in d}
-        return Scenario(
-            grid=grid,
-            profile=profile,
-            include_aging_in_objective=bool(d.get("include_aging_in_objective", True)),
-            **kwargs,
-        )
+        include_aging = d.get("include_aging_in_objective", True)
+        if not isinstance(include_aging, bool):
+            raise InvalidParameterError(
+                f"include_aging_in_objective must be true or false, got {include_aging!r}"
+            )
+        return Scenario(grid=grid, profile=profile, include_aging_in_objective=include_aging, **kwargs)
     except (KeyError, TypeError) as exc:
         raise InvalidParameterError(f"malformed scenario: {exc}") from exc
 

@@ -13,7 +13,7 @@ from the models at the continuous states, never from grid snapshots.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,14 +66,14 @@ def backward_induction(
     the dynamics). A table passed in must be the one build_transition_table
     gives for these inputs, else InvalidParameterError is raised.
 
-    Only the cells the initial cell can reach are computed: the region
-    (reachable_region) that grows forward from the initial cell through the
-    corners that computed cells read with a nonzero weight. A region cell
-    therefore reads only region cells of the next slice, or slice N, and
-    gets the same bits as in a pass over every cell: a corner left out
-    carries a zero weight and adds 0 * c = 0, every cost being finite. Cells
-    outside the region hold the penalty and the action p_d[0], the values
-    of a cell without a valid action. grids.region records the region, and
+    Only the cells the initial cell can reach are computed: the region, one
+    box of cells per slice (reachable_region), grown forward from the
+    initial cell through the corners that computed cells read with a
+    nonzero weight. A region cell therefore reads only region cells of the
+    next slice, or slice N, and gets the same bits as in a pass over every
+    cell: a corner left out carries a zero weight and adds 0 * c = 0, every
+    cost being finite. Cells outside the region hold the penalty and the
+    action p_d[0], the values of a cell without a valid action. grids.region records the region, and
     grids.table and grids.backend what forward_integration needs to rerun
     the pass over every cell.
     """
@@ -89,38 +89,31 @@ def backward_induction(
 
 
 def reachable_region(table: TransitionTable, ni: int, nj: int, i0: int, j0: int, n_steps: int) -> np.ndarray:
-    """The cells backward induction computes, as per-row column ranges.
+    """The cells backward induction computes, as one box per slice.
 
-    Returns a (2, N, Ni) int64 array: slice n computes the cells
-    (i, j) with region[0, n, i] <= j < region[1, n, i]. Slice 0 is the
-    initial cell (i0, j0). Slice n + 1 covers, row by row, the hull of the
-    successor boxes (TransitionTable.succ_*) of slice n's cells, taken per
-    source row: each row's cells contribute the box around their boxes. That
-    may take in more cells than the reachable set, never fewer, so every
-    corner a region cell reads with a nonzero weight lies in the next
-    slice's region. An empty row is [0, 0). Once a slice equals the one
-    before, every later slice equals it too.
+    Returns an (N, 4) int64 array of half-open boxes: slice n computes the
+    cells (i, j) with region[n, 0] <= i < region[n, 1] and region[n, 2] <=
+    j < region[n, 3]. Slice 0 is the initial cell (i0, j0). Slice n + 1 is
+    the hull of the successor boxes (TransitionTable.succ_*) of slice n's
+    cells. That may take in more cells than the reachable set, never fewer,
+    so every corner a region cell reads with a nonzero weight lies in the
+    next slice's box. A slice whose cells have no valid transition leaves
+    the next one empty, (0, 0, 0, 0). Once a box equals the one before,
+    every later box equals it too.
     """
-    region = np.zeros((2, n_steps, ni), dtype=np.int64)
-    region[:, 0, i0] = (j0, j0 + 1)
-    i_lo, i_hi, j_lo, j_hi = (
+    region = np.zeros((n_steps, 4), dtype=np.int64)
+    region[0] = (i0, i0 + 1, j0, j0 + 1)
+    rows_lo, rows_hi, cols_lo, cols_hi = (
         a.reshape(ni, nj) for a in (table.succ_i_lo, table.succ_i_hi, table.succ_j_lo, table.succ_j_hi)
     )
-    columns = np.arange(nj)
-    rows = np.arange(ni)
     for n in range(n_steps - 1):
-        inside = (columns >= region[0, n, :, None]) & (columns < region[1, n, :, None])
-        # per source row, the box around its region cells' successor boxes
-        top = np.min(i_lo, axis=1, where=inside, initial=ni)
-        bottom = np.max(i_hi, axis=1, where=inside, initial=-1)
-        left = np.broadcast_to(np.min(j_lo, axis=1, where=inside, initial=nj)[:, None], (ni, ni))
-        right = np.broadcast_to(np.max(j_hi, axis=1, where=inside, initial=-1)[:, None], (ni, ni))
-        covers = (top[:, None] <= rows) & (rows <= bottom[:, None])  # (source row, target row)
-        hi = np.max(right, axis=0, where=covers, initial=-1) + 1
-        lo = np.minimum(np.min(left, axis=0, where=covers, initial=nj), hi)
-        region[0, n + 1], region[1, n + 1] = lo, hi
-        if np.array_equal(region[:, n + 1], region[:, n]):
-            region[:, n + 2 :] = region[:, n + 1, None]
+        box = np.s_[region[n, 0] : region[n, 1], region[n, 2] : region[n, 3]]
+        # cells without a valid transition have empty successor boxes, which the hull ignores
+        top, bottom = rows_lo[box].min(initial=ni), rows_hi[box].max(initial=-1) + 1
+        if top < bottom:
+            region[n + 1] = (top, bottom, cols_lo[box].min(initial=nj), cols_hi[box].max(initial=-1) + 1)
+        if np.array_equal(region[n + 1], region[n]):
+            region[n + 2 :] = region[n + 1]
             break
     return region
 
@@ -177,8 +170,10 @@ def _simulate(s: Scenario, models: BatteryModels, powers, grids: DdpGrids | None
         if grids is not None:
             i = nearest_index(grids.e_d, e)
             j = nearest_index(grids.theta_d, th)
-            if grids.region is not None and not grids.region[0, n, i] <= j < grids.region[1, n, i]:
-                raise _LeftRegion
+            if grids.region is not None:
+                top, bottom, left, right = grids.region[n]
+                if not (top <= i < bottom and left <= j < right):
+                    raise _LeftRegion
             if grids.cost[n, i, j] >= s.penalty:
                 feasible = False
             p = float(grids.action[n, i, j])
@@ -279,16 +274,7 @@ def replay(powers, s: Scenario, models: BatteryModels) -> DdpSolution:
         notes.append("energy trajectory leaves [e_lo, e_hi]")
     if np.any(sol.theta_traj < s.theta_lo - 1e-9) or np.any(sol.theta_traj > s.theta_hi + 1e-9):
         notes.append("temperature trajectory leaves [theta_lo, theta_hi]")
-    return DdpSolution(
-        p_star=sol.p_star,
-        e_traj=sol.e_traj,
-        theta_traj=sol.theta_traj,
-        cost=sol.cost,
-        feasible=sol.feasible,
-        j_e_steps=sol.j_e_steps,
-        j_d_steps=sol.j_d_steps,
-        notes=tuple(notes),
-    )
+    return replace(sol, notes=tuple(notes))
 
 
 def solve(

@@ -153,8 +153,10 @@ def save_profile_csv(profile: PriceProfile, path) -> None:
 
 
 def load_profile_csv(path, label: str = "custom") -> PriceProfile:
+    """Read a profile with one row per hour 0-23, each hour exactly once."""
     buy = np.full(24, np.nan)
     sell = np.full(24, np.nan)
+    seen = set()
     with open(path, newline="") as fh:
         r = csv.DictReader(fh)
         missing = set(PROFILE_CSV_HEADER) - set(r.fieldnames or [])
@@ -162,6 +164,11 @@ def load_profile_csv(path, label: str = "custom") -> PriceProfile:
             raise InvalidParameterError(f"profile CSV {path} missing columns {sorted(missing)}")
         for row in r:
             h = int(row["hour"])
+            if not 0 <= h < 24:
+                raise InvalidParameterError(f"profile CSV {path} has hour {h}, outside 0-23")
+            if h in seen:
+                raise InvalidParameterError(f"profile CSV {path} has hour {h} twice")
+            seen.add(h)
             buy[h] = float(row["eps_buy"])
             sell[h] = float(row["eps_sell"])
     if np.any(np.isnan(buy)) or np.any(np.isnan(sell)):

@@ -7,7 +7,7 @@ import pytest
 from chargeopt.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from chargeopt.optimizer import Scenario, save_scenario_json
 from chargeopt.core import TimeGrid
-from chargeopt.tariff import default_profiles
+from chargeopt.tariff import default_profiles, save_profile_csv
 
 
 def _write(path, data):
@@ -178,3 +178,41 @@ def test_sweep_gamma_single_point_matches_optimize(tmp_path):
     cost = json.loads((out_opt / "cost.json").read_text())
     row = (out_sweep / "sweep_gamma.csv").read_text().strip().splitlines()[1].split(",")
     assert float(row[5]) == pytest.approx(cost["total"], abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "extra_row, message",
+    [
+        ("-1,0.3,0.1", "hour -1, outside 0-23"),
+        ("24,0.3,0.1", "hour 24, outside 0-23"),
+        ("5,0.3,0.1", "hour 5 twice"),
+    ],
+    ids=["negative", "past-23", "duplicate"],
+)
+def test_profile_csv_with_a_bad_hour_is_an_input_error(tmp_path, capsys, extra_row, message):
+    events = _gen_events(tmp_path, n=4, seed=13)
+    good = tmp_path / "good.csv"
+    save_profile_csv(default_profiles()[0], good)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(good.read_text() + extra_row + "\n")
+    cfg = _write(
+        tmp_path / "modes.json",
+        {"events_dir": str(events), "out": str(tmp_path / "modes"), "workday_profile_csv": str(bad),
+         "weekend_profile_csv": str(good)},
+    )
+    assert main(["compare-modes", "--config", cfg]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+def test_validate_rejects_a_non_finite_sample(tmp_path, capsys):
+    events = _gen_events(tmp_path, n=2, seed=11)
+    path = sorted(events.glob("*.csv"))[0]
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[2] = "nan"  # e_kwh of the second sample
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    cfg = _write(tmp_path / "val.json", {"events_dir": str(events), "out": str(tmp_path / "val")})
+    assert main(["validate", "--config", cfg]) == EXIT_INPUT
+    assert "non-finite e_kwh in data row 2" in capsys.readouterr().err
+    assert not (tmp_path / "val" / "validation.csv").exists()

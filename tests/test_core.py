@@ -140,6 +140,14 @@ def test_event_csv_round_trip(tmp_path):
     assert back.soh0 == 0.97
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_samples_csv_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t_s,p_kw,e_kwh,theta_c,u_bat_v\n0,1,20,20,360\n300,1,{value},20,360\n")
+    with pytest.raises(InvalidParameterError, match="non-finite e_kwh in data row 2"):
+        load_samples_csv(path)
+
+
 def test_samples_csv_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t_s,p_kw\n0,1\n")

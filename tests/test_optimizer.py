@@ -1,6 +1,7 @@
 """DDP solver: grids, nearest-index rules, oracle equivalence, backends."""
 
 import copy
+import json
 import platform
 import re
 import sys
@@ -515,6 +516,17 @@ def test_backends_bitwise_identical():
         assert np.array_equal(ga.action, gb.action)
 
 
+def _whole_grid(n_steps, ni, nj):
+    """(N, 4) boxes that hold every cell of an ni x nj grid at every step."""
+    return np.tile(np.array([0, ni, 0, nj], np.int64), (n_steps, 1))
+
+
+def _box_mask(boxes, ni, nj):
+    """(N, Ni, Nj) bool: the cells inside each step's box."""
+    rows, cols = np.arange(ni)[:, None], np.arange(nj)
+    return np.stack([(b[0] <= rows) & (rows < b[1]) & (b[2] <= cols) & (cols < b[3]) for b in boxes])
+
+
 def _kernel_args():
     """Keyword arguments of a well-formed backward_pass call on random data."""
     rng = np.random.default_rng(0)
@@ -535,8 +547,8 @@ def _kernel_args():
         je=rng.normal(size=(n_steps, k)),
         p_d=np.linspace(-1.0, 1.0, k),
         penalty=1e6,
-        j_lo=np.zeros((n_steps, ni), np.int64),
-        j_hi=np.full((n_steps, ni), nj, np.int64),
+        n_rows=ni,
+        boxes=_whole_grid(n_steps, ni, nj),
     )
 
 
@@ -556,7 +568,7 @@ def test_compiled_kernel_matches_numpy_kernel(int64_format):
     ref = _kernel_args()
     _kernel_py.backward_pass(**ref)
     args = _kernel_args()
-    for name in ("corner00", "j_lo", "j_hi"):
+    for name in ("corner00", "boxes"):
         args[name] = args[name].astype(int64_format)
     backend_mod._ddp_kernel.backward_pass(*args.values())
     assert args["cost"].tobytes() == ref["cost"].tobytes()
@@ -565,8 +577,8 @@ def test_compiled_kernel_matches_numpy_kernel(int64_format):
 
 def _lane_case(k, ni, nj, ties):
     """backward_pass arguments with K = k actions on an ni x nj grid, every
-    cell in the region. With ties, costs, weights and prices take a few
-    exact values, so that equal candidates sit at different k, some
+    cell in every step's box. With ties, costs, weights and prices take a
+    few exact values, so that equal candidates sit at different k, some
     candidates equal the penalty and -0.0 meets 0.0; without, they are
     random, so that rounding shows. Every third cell has all transitions
     valid, the next one none; invalid transitions carry NaN weights and
@@ -603,8 +615,8 @@ def _lane_case(k, ni, nj, ties):
         je=draw((n_steps, k), [0.0, -0.0, -0.0, 0.5]),
         p_d=np.arange(k) - k / 2,
         penalty=penalty,
-        j_lo=np.zeros((n_steps, ni), np.int64),
-        j_hi=np.full((n_steps, ni), nj, np.int64),
+        n_rows=ni,
+        boxes=_whole_grid(n_steps, ni, nj),
     )
 
 
@@ -627,33 +639,44 @@ def test_compiled_lanes_match_numpy_kernel(k, ni, nj, ties):
     _run_both_kernels(_lane_case(k, ni, nj, ties))
 
 
-def _random_rows(rng, n_steps, ni, nj):
-    j_lo = rng.integers(0, nj + 1, size=(n_steps, ni))
-    return j_lo, j_lo + rng.integers(0, nj + 1 - j_lo)
+def _random_span(rng, n_steps, n):
+    """(N, 2) random half-open spans [lo, hi) within [0, n], empty ones included."""
+    lo = rng.integers(0, n + 1, size=n_steps)
+    return np.stack([lo, lo + rng.integers(0, n + 1 - lo)], axis=1)
+
+
+def _random_boxes(rng, n_steps, ni, nj):
+    return np.concatenate([_random_span(rng, n_steps, ni), _random_span(rng, n_steps, nj)], axis=1)
 
 
 def _empty_rows(rng, n_steps, ni, nj):
-    j_lo, j_hi = _random_rows(rng, n_steps, ni, nj)
-    empty = rng.uniform(size=(n_steps, ni)) < 0.5
-    j_hi[empty] = j_lo[empty]  # [j, j) for any j in [0, Nj]
-    return j_lo, j_hi
+    boxes = _random_boxes(rng, n_steps, ni, nj)
+    empty = rng.uniform(size=n_steps) < 0.5
+    boxes[empty, 1] = boxes[empty, 0]  # no rows: [i, i) for any i in [0, Ni]
+    return boxes
 
 
 def _empty_steps(rng, n_steps, ni, nj):
-    j_lo, j_hi = _random_rows(rng, n_steps, ni, nj)
-    j_hi[1] = j_lo[1]
-    return j_lo, j_hi
+    boxes = _random_boxes(rng, n_steps, ni, nj)
+    boxes[1, 3] = boxes[1, 2]  # no columns: [j, j) for any j in [0, Nj]
+    return boxes
 
 
-def _full_rows(rng, n_steps, ni, nj):
-    return np.zeros((n_steps, ni), np.int64), np.full((n_steps, ni), nj, np.int64)
+def _full_boxes(rng, n_steps, ni, nj):
+    return _whole_grid(n_steps, ni, nj)
+
+
+def _single_cells(rng, n_steps, ni, nj):
+    i, j = rng.integers(0, ni, size=n_steps), rng.integers(0, nj, size=n_steps)
+    return np.stack([i, i + 1, j, j + 1], axis=1)
 
 
 REGION_KINDS = {
-    "random": _random_rows,
+    "random": _random_boxes,
     "empty-rows": _empty_rows,
     "empty-step": _empty_steps,
-    "full": _full_rows,
+    "full": _full_boxes,
+    "single-cell": _single_cells,
 }
 
 
@@ -665,17 +688,15 @@ REGION_KINDS = {
 def test_compiled_kernel_matches_numpy_kernel_on_regions(kind, k, ni, nj, ties):
     args = _lane_case(k, ni, nj, ties)
     rng = np.random.default_rng(7 * k + ni + 100 * nj)
-    args["j_lo"], args["j_hi"] = REGION_KINDS[kind](rng, len(args["je"]), ni, nj)
+    args["boxes"] = REGION_KINDS[kind](rng, len(args["je"]), ni, nj)
     full = _run_both_kernels(_lane_case(k, ni, nj, ties))
     ref = _run_both_kernels(args)
-    # cells outside the region get the penalty and p_d[0]; the last slice is the input
-    columns = np.arange(nj)
-    inside = (columns >= args["j_lo"][:, :, None]) & (columns < args["j_hi"][:, :, None])
-    inside = inside.reshape(len(args["je"]), ni * nj)
+    # cells outside the boxes get the penalty and p_d[0]; the last slice is the input
+    inside = _box_mask(args["boxes"], ni, nj).reshape(len(args["je"]), ni * nj)
     assert np.all(ref["cost"][:-1][~inside] == args["penalty"])
     assert np.all(ref["action_kw"][~inside] == args["p_d"][0])
     assert ref["cost"][-1].tobytes() == args["cost"][-1].tobytes()
-    # the last step reads the whole boundary slice, so its region cells equal a full pass
+    # the last step reads the whole boundary slice, so its box's cells equal a full pass
     last = inside[-1]
     assert ref["cost"][-2][last].tobytes() == full["cost"][-2][last].tobytes()
     assert ref["action_kw"][-1][last].tobytes() == full["action_kw"][-1][last].tobytes()
@@ -687,7 +708,7 @@ def test_compiled_kernel_matches_numpy_kernel_on_regions(kind, k, ni, nj, ties):
 def test_numpy_kernel_block_size_keeps_every_bit(monkeypatch, kind, block_cells, ties):
     args = _lane_case(9, 7, 4, ties)
     rng = np.random.default_rng(block_cells)
-    args["j_lo"], args["j_hi"] = REGION_KINDS[kind](rng, len(args["je"]), 7, 4)
+    args["boxes"] = REGION_KINDS[kind](rng, len(args["je"]), 7, 4)
     whole = copy.deepcopy(args)  # one block holds the whole grid
     _kernel_py.backward_pass(**whole)
     monkeypatch.setattr(_kernel_py, "BLOCK_CELLS", block_cells)
@@ -704,10 +725,9 @@ def test_numpy_kernel_memory_does_not_grow_with_the_region(monkeypatch):
     ni, nj = 40, 30
     monkeypatch.setattr(_kernel_py, "BLOCK_CELLS", nj)
     peaks = {}
-    for name, rows in (("one row", slice(ni // 2, ni // 2 + 1)), ("every row", slice(None))):
+    for name, rows in (("one row", (ni // 2, ni // 2 + 1)), ("every row", (0, ni))):
         args = _lane_case(9, ni, nj, ties=False)
-        args["j_hi"][:] = 0
-        args["j_hi"][:, rows] = nj
+        args["boxes"][:, :2] = rows
         tracemalloc.start()
         _kernel_py.backward_pass(**args)
         peaks[name] = tracemalloc.get_traced_memory()[1]
@@ -728,7 +748,7 @@ def test_compiled_kernel_uses_lanes_where_the_cpu_has_avx512f():
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 @pytest.mark.parametrize(
-    "name", ["cost", "action_kw", "valid", "corner00", "frac_e", "frac_theta", "jd", "je", "p_d", "j_lo", "j_hi"]
+    "name", ["cost", "action_kw", "valid", "corner00", "frac_e", "frac_theta", "jd", "je", "p_d", "boxes"]
 )
 @pytest.mark.parametrize(
     "misuse, error, match",
@@ -736,8 +756,8 @@ def test_compiled_kernel_uses_lanes_where_the_cpu_has_avx512f():
         (lambda a: a.astype(np.int8 if a.dtype == np.uint8 else np.float32), TypeError, "{name} has item"),
         (lambda a: a.astype(np.int32 if a.dtype == np.int64 else np.int64), TypeError, "{name} has item"),
         (_non_contiguous, ValueError, "{name} is not C-contiguous"),
-        # N and K are read from je and Ni from j_lo, so a short je or j_lo is reported on
-        # the first array it disagrees with
+        # N and K are read from je, so a short je is reported on the first array it
+        # disagrees with
         (_short, ValueError, "entries along axis"),
         (lambda a: a[None], ValueError, "{name} has [23] dimensions"),
     ],
@@ -768,46 +788,85 @@ def test_compiled_kernel_rejects_bad_corners_and_outputs():
         kernel(*args.values())
 
 
-def _set_row(name, n, i, value):
+def _set_box(n, side, value):
     def change(args):
-        args[name][n, i] = value
+        args["boxes"][n, side] = value
 
     return change
 
 
-def _reshape_rows(ni):
+def _set_rows(n_rows):
     def change(args):
-        for name in ("j_lo", "j_hi"):
-            args[name] = np.zeros((len(args["je"]), ni), np.int64)
+        args["n_rows"] = n_rows
 
     return change
 
 
 def _drop_step(args):
-    for name in ("j_lo", "j_hi"):
-        args[name] = np.ascontiguousarray(args[name][1:])
+    args["boxes"] = np.ascontiguousarray(args["boxes"][1:])
+
+
+# on the 2 x 3 grid of _kernel_args, where step 1's box [0, 2) x [0, 2) is well formed
+BAD_BOXES = pytest.mark.parametrize(
+    "change, match",
+    [
+        (_set_box(1, 2, 3), r"box \[0, 2\) x \[3, 2\) of step 1 is not within \[0, Ni=2\] x \[0, Nj=3\]"),
+        (_set_box(0, 3, 4), r"box \[0, 2\) x \[0, 4\) of step 0 is not within \[0, Ni=2\] x \[0, Nj=3\]"),
+        (_set_box(0, 2, -1), r"box \[0, 2\) x \[-1, 3\) of step 0"),
+        (_set_box(2, 3, -1), r"box \[0, 2\) x \[0, -1\) of step 2"),
+        (_set_box(1, 0, 3), r"box \[3, 2\) x \[0, 2\) of step 1"),
+        (_set_box(0, 1, 3), r"box \[0, 3\) x \[0, 3\) of step 0"),
+        (_set_box(2, 0, -1), r"box \[-1, 2\) x \[0, 3\) of step 2"),
+        (_set_box(2, 1, -1), r"box \[0, -1\) x \[0, 3\) of step 2"),
+        (_set_rows(4), "4 rows, which do not divide M=6 cells"),
+        (_set_rows(0), "0 rows, which do not divide M=6 cells"),
+        (_set_rows(-2), "-2 rows, which do not divide M=6 cells"),
+        (_drop_step, r"boxes has (2 entries along axis 0, expected 3|shape \(2, 4\), expected \(3, 4\))"),
+    ],
+    ids=[
+        "lo-above-hi",
+        "hi-above-nj",
+        "negative-lo",
+        "negative-hi",
+        "row-lo-above-hi",
+        "hi-above-ni",
+        "negative-row-lo",
+        "negative-row-hi",
+        "rows-4",
+        "rows-0",
+        "rows-negative",
+        "short",
+    ],
+)
+
+
+def _bad_box_args(change):
+    args = _kernel_args()
+    args["boxes"][1] = (0, 2, 0, 2)
+    change(args)
+    return args
 
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-@pytest.mark.parametrize(
-    "change, match",
-    [
-        (_set_row("j_lo", 1, 0, 3), r"\[3, 2\) at \[1, 0\] is not within \[0, Nj=3\]"),
-        (_set_row("j_hi", 0, 1, 4), r"\[0, 4\) at \[0, 1\] is not within \[0, Nj=3\]"),
-        (_set_row("j_lo", 0, 0, -1), r"\[-1, 3\) at \[0, 0\]"),
-        (_set_row("j_hi", 2, 0, -1), r"\[0, -1\) at \[2, 0\]"),
-        (_reshape_rows(4), "j_lo has 4 rows, which do not divide M=6 cells"),
-        (_reshape_rows(0), "j_lo has 0 rows, which do not divide M=6 cells"),
-        (_drop_step, "j_lo has 2 entries along axis 0, expected 3"),
-    ],
-    ids=["lo-above-hi", "hi-above-nj", "negative-lo", "negative-hi", "rows-4", "rows-0", "short"],
-)
+@BAD_BOXES
 def test_compiled_kernel_rejects_bad_region_rows(change, match):
-    args = _kernel_args()
-    args["j_hi"][1, 0] = 2  # a well-formed row [0, 2), which j_lo = 3 turns around
-    change(args)
     with pytest.raises(ValueError, match=match):
-        backend_mod._ddp_kernel.backward_pass(*args.values())
+        backend_mod._ddp_kernel.backward_pass(*_bad_box_args(change).values())
+
+
+@BAD_BOXES
+def test_numpy_kernel_rejects_bad_boxes(change, match):
+    with pytest.raises(ValueError, match=match):
+        _kernel_py.backward_pass(**_bad_box_args(change))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 5), (3, 4, 1), (4,)])
+def test_numpy_kernel_rejects_boxes_of_a_wrong_shape(shape):
+    # the compiled kernel's buffer checks: test_compiled_kernel_rejects_malformed_buffers
+    args = _kernel_args()
+    args["boxes"] = np.zeros(shape, np.int64)
+    with pytest.raises(ValueError, match=r"boxes has shape \("):
+        _kernel_py.backward_pass(**args)
 
 
 def test_backend_names(monkeypatch):
@@ -824,8 +883,7 @@ def test_backend_names(monkeypatch):
 
 def _region_mask(grids):
     """(N, Ni, Nj) bool: the cells backward induction computed."""
-    columns = np.arange(len(grids.theta_d))
-    return (columns >= grids.region[0][..., None]) & (columns < grids.region[1][..., None])
+    return _box_mask(grids.region, len(grids.e_d), len(grids.theta_d))
 
 
 def test_bellman_consistency_post_hoc():
@@ -949,6 +1007,26 @@ def test_forward_integration_outside_the_region_reruns_the_full_pass(backend):
         assert not sol.feasible
 
 
+@pytest.mark.parametrize("axis", ["rows", "columns"])
+def test_forward_integration_leaves_a_box_along_either_axis(axis):
+    # a box that leaves out the row, or the column, of the cell the trajectory
+    # reads at slice 1 makes forward integration rerun the full pass
+    s = default_scenario(e_step=1.6, theta_step=2.0, p_step=2.0)
+    models = _reference_models("plant-linear")
+    grids = build_grids(s)
+    backward_induction(s, grids, models)
+    ref = forward_integration(s, grids, models)
+    i, j = nearest_index(grids.e_d, ref.e_traj[1]), nearest_index(grids.theta_d, ref.theta_traj[1])
+    top, bottom, left, right = grids.region[1]
+    assert top <= i < bottom and left <= j < right
+    grids.region[1] = (i + 1, bottom, left, right) if axis == "rows" else (top, bottom, j + 1, right)
+    sol = forward_integration(s, grids, models)
+    assert grids.region is None
+    for name in ("p_star", "e_traj", "theta_traj", "j_e_steps", "j_d_steps"):
+        assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert (sol.cost, sol.feasible, sol.notes) == (ref.cost, ref.feasible, ref.notes)
+
+
 def test_mode_ii_iii_objective_ordering():
     rng = np.random.default_rng(21)
     checked = 0
@@ -1052,3 +1130,17 @@ def test_scenario_json_round_trip(tmp_path):
     assert back.include_aging_in_objective is False
     assert back.grid == s.grid
     assert np.allclose(back.profile.eps_buy, s.profile.eps_buy)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0.5, 0, 1, None])
+def test_include_aging_flag_must_be_a_json_boolean(tmp_path, value):
+    path = tmp_path / "scenario.json"
+    save_scenario_json(default_scenario(), path)
+    d = json.loads(path.read_text())
+    d["include_aging_in_objective"] = value
+    path.write_text(json.dumps(d))
+    with pytest.raises(InvalidParameterError, match="include_aging_in_objective must be true or false"):
+        load_scenario_json(path)
+    d["include_aging_in_objective"] = False
+    path.write_text(json.dumps(d))
+    assert load_scenario_json(path).include_aging_in_objective is False

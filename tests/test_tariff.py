@@ -128,6 +128,22 @@ def test_profile_csv_round_trip(tmp_path):
     assert np.allclose(back.eps_sell, workday.eps_sell)
 
 
+@pytest.mark.parametrize(
+    "hours, match",
+    [
+        ([*range(23), -1], "hour -1, outside 0-23"),
+        ([*range(24), 24], "hour 24, outside 0-23"),
+        ([*range(24), 5], "hour 5 twice"),
+    ],
+    ids=["negative", "past-23", "duplicate"],
+)
+def test_profile_csv_rejects_bad_hours(tmp_path, hours, match):
+    path = tmp_path / "profile.csv"
+    path.write_text("hour,eps_buy,eps_sell\n" + "".join(f"{h},0.3,0.1\n" for h in hours))
+    with pytest.raises(InvalidParameterError, match=match):
+        load_profile_csv(path)
+
+
 def test_market_csv(tmp_path):
     path = tmp_path / "market.csv"
     path.write_text(
