@@ -71,8 +71,8 @@ def backward_pass(
         action_kw[n] = p_d[0]
         nxt = cost[n + 1]
         top, bottom, left, right = boxes[n]
-        # views of step n's slices; reshape raises rather than write to a copy
-        cost_n, action_n = (a[n].reshape(shape[:2], copy=False) for a in (cost, action_kw))
+        # views of step n's slices: a 1-D row reshapes without a copy, whatever its stride
+        cost_n, action_n = (a[n].reshape(shape[:2]) for a in (cost, action_kw))
         for r0 in range(top, bottom, block):
             box = np.s_[r0 : min(r0 + block, bottom), left:right]
             fe, ft, c = frac_e[box], frac_theta[box], c00[box]

@@ -110,10 +110,11 @@ class DdpGrids:
     and records them in region, an (N, 4) int64 array of half-open boxes:
     at slice n < N it computed the cells (i, j) with region[n, 0] <= i <
     region[n, 1] and region[n, 2] <= j < region[n, 3]. The other cells of
-    slices 0 to N-1 hold the penalty and the action p_d[0]. region is None before backward induction and
-    after a pass over every cell. table and backend are the transition
-    table and kernel of the last pass, which forward_integration reuses
-    when it has to rerun the pass over every cell.
+    slices 0 to N-1 hold the penalty and the action p_d[0]. region is
+    None before backward induction and after a pass over every cell.
+    table and backend are the transition table and kernel of the last
+    pass, which forward_integration reuses when it has to rerun the pass
+    over every cell.
     """
 
     e_d: np.ndarray

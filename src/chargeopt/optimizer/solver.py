@@ -73,9 +73,9 @@ def backward_induction(
     next slice, or slice N, and gets the same bits as in a pass over every
     cell: a corner left out carries a zero weight and adds 0 * c = 0, every
     cost being finite. Cells outside the region hold the penalty and the
-    action p_d[0], the values of a cell without a valid action. grids.region records the region, and
-    grids.table and grids.backend what forward_integration needs to rerun
-    the pass over every cell.
+    action p_d[0], the values of a cell without a valid action.
+    grids.region records the region, and grids.table and grids.backend
+    what forward_integration needs to rerun the pass over every cell.
     """
     if table is None:
         table = build_transition_table(s, models, grids)

@@ -717,6 +717,18 @@ def test_numpy_kernel_block_size_keeps_every_bit(monkeypatch, kind, block_cells,
     assert args["action_kw"].tobytes() == whole["action_kw"].tobytes()
 
 
+def test_numpy_kernel_writes_through_non_contiguous_grids():
+    """Each step's (Ni, Nj) views must alias the output grids, whatever
+    their strides, or the kernel would fill copies and leave the grids."""
+    ref = _kernel_args()
+    _kernel_py.backward_pass(**ref)
+    args = _kernel_args()
+    args["cost"], args["action_kw"] = (_non_contiguous(args[name]) for name in ("cost", "action_kw"))
+    _kernel_py.backward_pass(**args)
+    assert np.ascontiguousarray(args["cost"]).tobytes() == ref["cost"].tobytes()
+    assert np.ascontiguousarray(args["action_kw"]).tobytes() == ref["action_kw"].tobytes()
+
+
 def test_numpy_kernel_memory_does_not_grow_with_the_region(monkeypatch):
     """A step's temporaries are one row block by K, so a pass over every
     cell peaks no higher than a pass over one row of cells."""
@@ -724,6 +736,9 @@ def test_numpy_kernel_memory_does_not_grow_with_the_region(monkeypatch):
 
     ni, nj = 40, 30
     monkeypatch.setattr(_kernel_py, "BLOCK_CELLS", nj)
+    # an untraced pass first: the first pass through many blocks leaves a few
+    # KB in NumPy's and Python's caches, which are not temporaries
+    _kernel_py.backward_pass(**_lane_case(9, ni, nj, ties=False))
     peaks = {}
     for name, rows in (("one row", (ni // 2, ni // 2 + 1)), ("every row", (0, ni))):
         args = _lane_case(9, ni, nj, ties=False)
