@@ -31,6 +31,8 @@ class TimeGrid:
     dt_min: float = 5.0
 
     def __post_init__(self):
+        if isinstance(self.n_intervals, bool) or not isinstance(self.n_intervals, (int, np.integer)):
+            raise InvalidParameterError(f"n_intervals must be an integer, got {self.n_intervals!r}")
         if self.n_intervals < 1:
             raise InvalidParameterError(f"need at least one interval, got {self.n_intervals}")
         if self.dt_min <= 0:

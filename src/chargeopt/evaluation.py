@@ -12,6 +12,7 @@ independent; aggregation is ordered and deterministic.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,49 +71,77 @@ def validate_models(
 
     The electrical rollout uses the measured temperature series (isolating
     circuit-model error); each thermal rollout propagates energy and
-    temperature jointly through the coupled models.
+    temperature jointly through the coupled models. Every event is stepped
+    at once, with its own dt; an event that has ended keeps its last state
+    while longer ones go on. The predictor is batch-invariant, so each
+    event gets the bits of a rollout of that event alone.
     """
     if not events:
         raise InvalidParameterError("empty event corpus")
-    err_de = []
-    err_dtheta = {name: [] for name in thermal_models}
-    for ev in events:
-        measured = (ev.e[:-1], ev.theta[:-1], ev.p, ev.grid.dt_min)
-        de_hat, _ = electrical.energy_step(tables, *measured)
-        err_de.append((de_hat - np.diff(ev.e)) / e_nom * 100.0)
-        for name, model in thermal_models.items():
-            _, _, dth_hat = thermal.step(tables, model, *measured)
-            err_dtheta[name].append(dth_hat - np.diff(ev.theta))
-    local_soc = float(np.sqrt(np.mean(np.concatenate(err_de) ** 2)))
+    # local errors: one step per model over every event's intervals
+    measured = (
+        np.concatenate([ev.e[:-1] for ev in events]),
+        np.concatenate([ev.theta[:-1] for ev in events]),
+        np.concatenate([ev.p for ev in events]),
+        np.concatenate([np.full(ev.grid.n_intervals, ev.grid.dt_min, float) for ev in events]),
+    )
+    de_true = np.concatenate([np.diff(ev.e) for ev in events])
+    dth_true = np.concatenate([np.diff(ev.theta) for ev in events])
+    de_hat, _ = electrical.energy_step(tables, *measured)
+    local_soc = _rms((de_hat - de_true) / e_nom * 100.0)
     local_theta = {
-        name: float(np.sqrt(np.mean(np.concatenate(errs) ** 2))) for name, errs in err_dtheta.items()
+        name: _rms(thermal.step(tables, model, *measured)[2] - dth_true) for name, model in thermal_models.items()
     }
 
-    # one 0-d step per event-step: predict_batch results depend on the batch size
-    gl_soc = []
-    gl_theta = {name: [] for name in thermal_models}
-    for ev in events:
-        dt = ev.grid.dt_min
-        # electrical rollout with measured temperatures
-        e_hat = ev.e[0]
-        for n in range(ev.grid.n_intervals):
-            e_hat = e_hat + electrical.energy_step(tables, e_hat, ev.theta[n], ev.p[n], dt)[0]
-        gl_soc.append(abs(e_hat - ev.e[-1]) / e_nom * 100.0)
-        # joint rollouts per thermal model
-        for name, model in thermal_models.items():
-            e_hat, th_hat = ev.e[0], ev.theta[0]
-            for n in range(ev.grid.n_intervals):
-                de, _, dth = thermal.step(tables, model, e_hat, th_hat, ev.p[n], dt)
-                e_hat, th_hat = e_hat + de, th_hat + dth
-            gl_theta[name].append(abs(th_hat - ev.theta[-1]))
+    # global errors: rollouts of all events in lockstep
+    lengths = np.array([ev.grid.n_intervals for ev in events])
+    dt_event = np.array([ev.grid.dt_min for ev in events], float)
+    p = _stack_rows([ev.p for ev in events])
+    theta_measured = _stack_rows([ev.theta[:-1] for ev in events])
+    e_first = np.array([ev.e[0] for ev in events])
+    theta_first = np.array([ev.theta[0] for ev in events])
+    # electrical rollout with measured temperatures
+    e_hat = e_first
+    for n in range(p.shape[1]):
+        de, _ = electrical.energy_step(tables, e_hat, theta_measured[:, n], p[:, n], dt_event)
+        e_hat = np.where(n < lengths, e_hat + de, e_hat)
+    gl_soc = np.abs(e_hat - [ev.e[-1] for ev in events]) / e_nom * 100.0
+    # joint rollouts per thermal model
+    gl_theta = {}
+    for name, model in thermal_models.items():
+        e_hat, th_hat = e_first, theta_first
+        for n in range(p.shape[1]):
+            de, _, dth = thermal.step(tables, model, e_hat, th_hat, p[:, n], dt_event)
+            live = n < lengths
+            e_hat, th_hat = np.where(live, e_hat + de, e_hat), np.where(live, th_hat + dth, th_hat)
+        gl_theta[name] = np.abs(th_hat - [ev.theta[-1] for ev in events])
     report_thermal = {
-        name: ModelErrors(local_rmse=local_theta[name], global_mae=float(np.mean(gl_theta[name])))
+        name: ModelErrors(local_rmse=local_theta[name], global_mae=_mean(gl_theta[name]))
         for name in thermal_models
     }
     return ValidationReport(
-        electrical=ModelErrors(local_rmse=local_soc, global_mae=float(np.mean(gl_soc))),
+        electrical=ModelErrors(local_rmse=local_soc, global_mae=_mean(gl_soc)),
         thermal=report_thermal,
     )
+
+
+def _mean(values) -> float:
+    """Mean with a correctly rounded sum, so the event order changes no bit."""
+    values = np.asarray(values, float)
+    return math.fsum(values) / values.size
+
+
+def _rms(err: np.ndarray) -> float:
+    return math.sqrt(_mean(err**2))
+
+
+def _stack_rows(rows: list) -> np.ndarray:
+    """Rows of unequal length as one (len(rows), longest) array, zero-padded;
+    a zero power keeps an ended event's padded steps feasible."""
+    out = np.zeros((len(rows), max(len(r) for r in rows)))
+    for k, r in enumerate(rows):
+        out[k, : len(r)] = r
+    return out
 
 
 # ---------------------------------------------------------------------------

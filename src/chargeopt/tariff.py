@@ -33,8 +33,8 @@ class PriceProfile:
             a = np.asarray(arr, float)
             if a.shape != (24,):
                 raise InvalidParameterError(f"{name} must have 24 hourly values, got shape {a.shape}")
-            if np.any(a < 0):
-                raise InvalidParameterError(f"{name} must be non-negative")
+            if not np.all(np.isfinite(a)) or np.any(a < 0):
+                raise InvalidParameterError(f"{name} must be finite and non-negative")
 
 
 def supplement(
@@ -141,6 +141,8 @@ def load_market_csv(path) -> tuple[np.ndarray, np.ndarray]:
             pr.append(float(row["price_eur_per_kwh"]))
     if not ts:
         raise InvalidParameterError(f"market CSV {path} has no data rows")
+    if not np.all(np.isfinite(pr)):
+        raise InvalidParameterError(f"market CSV {path} has a non-finite price")
     return np.asarray(ts), np.asarray(pr)
 
 
@@ -171,6 +173,8 @@ def load_profile_csv(path, label: str = "custom") -> PriceProfile:
             seen.add(h)
             buy[h] = float(row["eps_buy"])
             sell[h] = float(row["eps_sell"])
+            if not (np.isfinite(buy[h]) and np.isfinite(sell[h])):
+                raise InvalidParameterError(f"profile CSV {path} has a non-finite price at hour {h}")
     if np.any(np.isnan(buy)) or np.any(np.isnan(sell)):
         raise InvalidParameterError(f"profile CSV {path} does not cover all 24 hours")
     return PriceProfile(buy, sell, label)

@@ -80,44 +80,68 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-# predict_batch evaluates 2 * PREDICT_PIECE_ROWS rows or more in pieces of
-# this many rows, the last piece taking the remainder, so that a transition
-# table's ~10^6 rows never hold the MLP's (rows, neurons) temporaries all at
-# once. The pieces give the bits of one call because BLAS's matrix-vector
-# kernel (the output layer) sums the rows of each block of 4, counted from
-# the start of a call, in one order and the last rows % 4 rows in another:
-# keep this a multiple of 4. No piece has one row, which takes another path.
-PREDICT_PIECE_ROWS = 2**16
+# predict_batch evaluates a batch in pieces of this many rows, so that a
+# transition table's ~10^6 rows never hold the MLP's (neurons, rows)
+# temporaries all at once. Of 2**11 to 2**16 rows, 2**13 ran a 790k-row
+# 2x10 MLP batch fastest on a 2-CPU Xeon. Every row is computed alone (see
+# predict_batch), so the piece size changes no bits.
+PREDICT_PIECE_ROWS = 2**13
+
+# Below this many rows an affine layer is one broadcast product and one
+# add.accumulate over the inputs, whose (inputs, outputs, rows) temporary
+# stays small; from here on a loop over the inputs is faster. Both add the
+# same products in the same order, so they give the same bits.
+FOLD_LOOP_ROWS = 64
 
 
 def predict_batch(model: ThermalModel, x_full: np.ndarray) -> np.ndarray:
     """Temperature changes in K for a (M, 4) feature matrix in canonical order.
 
-    A row's result depends on the batch it sits in: BLAS sums the MLP's
-    matrix products (gemv for the output layer, gemm for the hidden ones)
-    in an order set by the call's row count and the row's position, so a
-    one-row call and the same row inside a larger batch can differ in the
-    last bits. Rollouts and replay therefore call the model with one row
-    per event-step, as they always have; batching those rows across events
-    would change MLP results.
+    Batch-invariant: a row's result has the same bits whatever batch it
+    sits in, at whatever position, and whatever the BLAS thread count,
+    because prediction uses elementwise ufuncs only. Each affine layer is
+    the left fold ((x0*w0 + x1*w1) + ...) + b over its inputs in a fixed
+    order; a matrix product (BLAS) sums in an order set by the call's row
+    count and the row's position instead. Callers may therefore stack the
+    rows of many states, events or steps into one call.
     """
     x_full = np.atleast_2d(np.asarray(x_full, float))
-    if model.variant == VARIANT_CONSTANT:
-        return np.zeros(x_full.shape[0])
-    bounds = range(PREDICT_PIECE_ROWS, x_full.shape[0] - PREDICT_PIECE_ROWS + 1, PREDICT_PIECE_ROWS)
-    return np.concatenate([_predict_rows(model, x) for x in np.split(x_full, bounds)])
+    out = np.zeros(x_full.shape[0])
+    if model.variant != VARIANT_CONSTANT:
+        for start in range(0, len(out), PREDICT_PIECE_ROWS):
+            piece = slice(start, start + PREDICT_PIECE_ROWS)
+            out[piece] = _predict_rows(model, x_full[piece])
+    return out
 
 
 def _predict_rows(model: ThermalModel, x_full: np.ndarray) -> np.ndarray:
     cols = [FEATURE_NAMES.index(name) for name in model.feature_names]
-    out, _ = mlp_forward(model.layers, (x_full[:, cols] - model.means) / model.stds)
-    return out
+    # activations are (features, rows): each input of a layer is one contiguous row
+    a = np.ascontiguousarray(((x_full[:, cols] - model.means) / model.stds).T)
+    for w, b in model.layers[:-1]:
+        a = _sigmoid(_affine_fold(w, b, a))
+    w, b = model.layers[-1]
+    return _affine_fold(w, b, a)[0]
+
+
+def _affine_fold(w: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """w.T @ a + b for activations a of shape (inputs, rows), summed as a
+    left fold over the inputs and then the bias; returns (outputs, rows)."""
+    if a.shape[1] < FOLD_LOOP_ROWS:
+        acc = np.add.accumulate(w[:, :, None] * a[:, None, :], axis=0)[-1]
+    else:
+        acc = w[0][:, None] * a[0]
+        for wj, aj in zip(w[1:], a[1:]):
+            acc += wj[:, None] * aj
+    return acc + b[:, None]
 
 
 def mlp_forward(layers, x: np.ndarray):
     """Forward pass through (weights, bias) layers: sigmoid hidden units and
     a linear output unit. Returns predictions (n,) and the per-layer
-    activations, input first, that backpropagation needs."""
+    activations, input first, that backpropagation needs. Training uses
+    this matrix-product (BLAS) pass, whose last bits may depend on the
+    batch; predict_batch does not."""
     acts = [np.atleast_2d(x)]
     for w, b in layers[:-1]:
         acts.append(_sigmoid(acts[-1] @ w + b))

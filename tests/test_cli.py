@@ -137,6 +137,16 @@ def test_input_error_exit_code(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "nonexistent.json")]) == EXIT_INPUT
 
 
+def test_optimize_rejects_a_non_integer_interval_count(tmp_path, capsys):
+    spath = _scenario_file(tmp_path)
+    data = json.loads(spath.read_text())
+    data["grid"]["n_intervals"] = 24.5
+    spath.write_text(json.dumps(data))
+    cfg = _write(tmp_path / "opt.json", {"scenario_json": str(spath), "out": str(tmp_path / "opt")})
+    assert main(["optimize", "--config", cfg]) == EXIT_INPUT
+    assert "n_intervals must be an integer, got 24.5" in capsys.readouterr().err
+
+
 def test_compare_modes_command(tmp_path):
     events = _gen_events(tmp_path, n=4, seed=13)
     out = tmp_path / "modes"

@@ -25,6 +25,10 @@ def test_time_grid_counts():
         TimeGrid(t0=0.0, n_intervals=0)
     with pytest.raises(InvalidParameterError):
         TimeGrid(t0=0.0, n_intervals=3, dt_min=0.0)
+    for n in (24.5, 24.0, "24", True):
+        with pytest.raises(InvalidParameterError, match="n_intervals must be an integer"):
+            TimeGrid(t0=0.0, n_intervals=n)
+    assert TimeGrid(t0=0.0, n_intervals=np.int64(4)).n_intervals == 4
 
 
 def test_battery_state_bounds():

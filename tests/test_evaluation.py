@@ -1,5 +1,6 @@
 """Validation protocol, mode comparison, sweeps, gamma-star."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from chargeopt.aging import default_params
 from chargeopt.core import TimeGrid
 from chargeopt.errors import InvalidParameterError
 from chargeopt.evaluation import (
+    ModelErrors,
     compare_modes,
     default_scenario,
     eligible_events,
@@ -27,7 +29,14 @@ from chargeopt.evaluation import (
 )
 from chargeopt.optimizer import BatteryModels, Scenario, replay, solve
 from chargeopt.tariff import PriceProfile, default_profiles
-from chargeopt.thermal import ThermalPlant, constant_model, generate_synthetic_events, plant_linear_model
+from chargeopt.thermal import (
+    ThermalModel,
+    ThermalPlant,
+    constant_model,
+    generate_synthetic_events,
+    plant_linear_model,
+    step,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,17 +84,62 @@ def test_validate_empty_corpus(tables):
         validate_models([], tables, {"constant": constant_model()})
 
 
+def _validation_models():
+    rng = np.random.default_rng(4)
+    widths = [4, 10, 10, 1]
+    mlp = ThermalModel(
+        variant="mlp",
+        means=np.array([20.0, 0.5, 1.0, 20.0]),
+        stds=np.array([10.0, 0.5, 1.0, 10.0]),
+        layers=tuple((0.3 * rng.normal(size=(a, b)), 0.1 * rng.normal(size=b)) for a, b in zip(widths, widths[1:])),
+    )
+    return {
+        "constant": constant_model(),
+        "linear": plant_linear_model(ThermalPlant(fan_gain=0.0), dt_min=5.0),
+        "mlp": mlp,
+    }
+
+
 def test_validate_invariant_under_event_order(tables, default_corpus):
-    models = {"constant": constant_model()}
-    fwd = validate_models(default_corpus[:4], tables, models)
-    rev = validate_models(default_corpus[:4][::-1], tables, models)
-    assert fwd.local_rmse_soc == pytest.approx(rev.local_rmse_soc, abs=1e-12)
-    assert fwd.thermal["constant"].local_rmse == pytest.approx(
-        rev.thermal["constant"].local_rmse, abs=1e-12
+    models = _validation_models()
+    fwd = validate_models(default_corpus, tables, models)
+    rev = validate_models(default_corpus[::-1], tables, models)
+    assert rev == fwd
+
+
+def test_validate_lockstep_equals_per_event_rollouts(tables):
+    # unequal lengths and two dt values, stepped together
+    events = generate_synthetic_events(ThermalPlant(), tables, 4, seed=63) + generate_synthetic_events(
+        ThermalPlant(), tables, 3, seed=64, dt_min=15.0
     )
-    assert fwd.thermal["constant"].global_mae == pytest.approx(
-        rev.thermal["constant"].global_mae, abs=1e-12
-    )
+    assert len({ev.grid.n_intervals for ev in events}) > 1
+    models = _validation_models()
+    report = validate_models(events, tables, models)
+
+    def mean(values):
+        return math.fsum(values) / len(values)
+
+    err_soc, gl_soc = [], []
+    for ev in events:
+        dt = ev.grid.dt_min
+        de_hat, _ = electrical.energy_step(tables, ev.e[:-1], ev.theta[:-1], ev.p, dt)
+        err_soc.extend((de_hat - np.diff(ev.e)) / 80.0 * 100.0)
+        e_hat = ev.e[0]
+        for n in range(ev.grid.n_intervals):
+            e_hat = e_hat + electrical.energy_step(tables, e_hat, ev.theta[n], ev.p[n], dt)[0]
+        gl_soc.append(abs(e_hat - ev.e[-1]) / 80.0 * 100.0)
+    assert report.electrical == ModelErrors(math.sqrt(mean(np.square(err_soc))), mean(gl_soc))
+    for name, model in models.items():
+        err, gl = [], []
+        for ev in events:
+            dt = ev.grid.dt_min
+            err.extend(step(tables, model, ev.e[:-1], ev.theta[:-1], ev.p, dt)[2] - np.diff(ev.theta))
+            e_hat, th_hat = ev.e[0], ev.theta[0]
+            for n in range(ev.grid.n_intervals):
+                de, _, dth = step(tables, model, e_hat, th_hat, ev.p[n], dt)
+                e_hat, th_hat = e_hat + de, th_hat + dth
+            gl.append(abs(th_hat - ev.theta[-1]))
+        assert report.thermal[name] == ModelErrors(math.sqrt(mean(np.square(err))), mean(gl)), name
 
 
 def _models(tables, thermal_model=None):

@@ -144,6 +144,30 @@ def test_profile_csv_rejects_bad_hours(tmp_path, hours, match):
         load_profile_csv(path)
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_profile_csv_rejects_a_non_finite_price(tmp_path, value):
+    path = tmp_path / "profile.csv"
+    rows = [f"{h},0.3,0.1\n" for h in range(24)]
+    rows[7] = f"7,{value},0.1\n"
+    path.write_text("hour,eps_buy,eps_sell\n" + "".join(rows))
+    with pytest.raises(InvalidParameterError, match="non-finite price at hour 7"):
+        load_profile_csv(path)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        PriceProfile(np.where(np.arange(24) == 7, float(value), 0.3), np.full(24, 0.1))
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_market_csv_rejects_a_non_finite_price(tmp_path, value):
+    path = tmp_path / "market.csv"
+    path.write_text(
+        "timestamp_iso8601,price_eur_per_kwh\n"
+        "2018-01-01T00:00:00+00:00,0.031\n"
+        f"2018-01-01T01:00:00+00:00,{value}\n"
+    )
+    with pytest.raises(InvalidParameterError, match="non-finite price"):
+        load_market_csv(path)
+
+
 def test_market_csv(tmp_path):
     path = tmp_path / "market.csv"
     path.write_text(

@@ -1,5 +1,11 @@
 """Thermal predictors, synthetic plant, and event generation."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -164,23 +170,73 @@ def test_model_json_round_trip(tmp_path):
     assert np.all(np.abs(predict_batch(back, x) - predict_batch(m, x)) <= 1e-12)
 
 
-@pytest.mark.parametrize("variant", ["linear", "mlp"])
-@pytest.mark.parametrize("rows", [24, 41, 701])
-def test_predict_batch_in_pieces_is_bit_identical(monkeypatch, variant, rows):
-    rng = np.random.default_rng(11)
+def _random_model(variant, seed):
+    rng = np.random.default_rng(seed)
     widths = [4, 1] if variant == "linear" else [4, 10, 10, 1]
-    m = ThermalModel(
+    return ThermalModel(
         variant=variant,
         means=rng.normal(size=4),
         stds=np.abs(rng.normal(size=4)) + 0.5,
         layers=tuple((rng.normal(size=(a, b)), rng.normal(size=b)) for a, b in zip(widths, widths[1:])),
     )
-    x = np.abs(rng.normal(size=(rows, 4)))
+
+
+@pytest.mark.parametrize("variant", ["linear", "mlp"])
+@pytest.mark.parametrize("rows", [24, 41, 701])
+def test_predict_batch_in_pieces_is_bit_identical(monkeypatch, variant, rows):
+    m = _random_model(variant, seed=11)
+    x = np.abs(np.random.default_rng(11).normal(size=(rows, 4)))
     whole = predict_batch(m, x)
-    monkeypatch.setattr(thermal, "PREDICT_PIECE_ROWS", 12)  # 2 pieces; 3 with a remainder; 58 with a remainder
-    pieces = predict_batch(m, x)
-    assert pieces.shape == (rows,)
-    assert pieces.tobytes() == whole.tobytes()
+    # 7-row pieces cut the batch off multiples of 4 rows, where a BLAS product changes its summation order
+    monkeypatch.setattr(thermal, "PREDICT_PIECE_ROWS", 7)
+    # the pieces all take one form of the layer fold; both forms must give the same bits
+    for fold_loop_rows in (0, 10**9):
+        monkeypatch.setattr(thermal, "FOLD_LOOP_ROWS", fold_loop_rows)
+        pieces = predict_batch(m, x)
+        assert pieces.shape == (rows,)
+        assert pieces.tobytes() == whole.tobytes(), f"FOLD_LOOP_ROWS = {fold_loop_rows}"
+
+
+@pytest.mark.parametrize("variant", ["linear", "mlp"])
+@pytest.mark.parametrize(
+    "rows",
+    [1, 2, 3, 4, 5, 7, 12, 13, thermal.PREDICT_PIECE_ROWS - 1, thermal.PREDICT_PIECE_ROWS + 1, 2**17 + 3],
+)
+def test_a_row_of_any_batch_equals_its_one_row_call(variant, rows):
+    m = _random_model(variant, seed=rows)
+    rng = np.random.default_rng(rows)
+    x = feature_matrix(*(rng.uniform(lo, hi, rows) for lo, hi in ((-50, 50), (0, 3), (-4, 4), (-25, 60))))
+    batch = predict_batch(m, x)
+    piece = thermal.PREDICT_PIECE_ROWS
+    checked = (
+        set(range(min(rows, 16)))
+        | set(range(max(rows - 16, 0), rows))
+        | {i for k in range(1, rows // piece + 1) for i in (k * piece - 1, k * piece) if i < rows}
+        | set(rng.choice(rows, size=min(rows, 64), replace=False).tolist())
+    )
+    for i in sorted(checked):
+        assert predict_batch(m, x[i : i + 1]).tobytes() == batch[i : i + 1].tobytes(), f"row {i}"
+
+
+def test_predict_batch_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    save_model(_random_model("mlp", 3), tmp_path / "model.json")
+    np.save(tmp_path / "x.npy", np.abs(np.random.default_rng(3).normal(size=(2**17 + 3, 4))))
+    code = (
+        "import hashlib, sys, numpy as np; from chargeopt import thermal; "
+        "m = thermal.load_model(sys.argv[1]); x = np.load(sys.argv[2]); "
+        "print(hashlib.sha256(thermal.predict_batch(m, x).tobytes()).hexdigest())"
+    )
+    src = str(Path(thermal.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "model.json"), str(tmp_path / "x.npy")],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        digests.add(run.stdout.strip())
+    here = predict_batch(load_model(tmp_path / "model.json"), np.load(tmp_path / "x.npy"))
+    assert digests == {hashlib.sha256(here.tobytes()).hexdigest()}
 
 
 def test_plant_linear_model_matches_newtonian_plant():
@@ -199,16 +255,14 @@ def test_plant_linear_model_matches_newtonian_plant():
 
 def test_step_broadcast_matches_one_state_at_a_time():
     tables = electrical.default_tables()
-    model = plant_linear_model(ThermalPlant(fan_gain=0.0))
     e = np.array([[10.0], [40.0], [70.0]])
     theta = np.array([[0.0], [20.0], [35.0]])
     p = np.array([-20.0, 0.0, 11.0, 36.0])
-    de, q, dth = step(tables, model, e, theta, p, 5.0)
-    assert de.shape == q.shape == dth.shape == (3, 4)
-    for i in range(3):
-        for k in range(4):
-            one = step(tables, model, e[i, 0], theta[i, 0], p[k], 5.0)
-            assert all(isinstance(v, float) for v in one)
-            assert one[:2] == (de[i, k], q[i, k])
-            # a one-row predict_batch call may round differently from a batched one
-            assert one[2] == pytest.approx(dth[i, k], abs=1e-12)
+    for model in (plant_linear_model(ThermalPlant(fan_gain=0.0)), _random_model("mlp", 5)):
+        de, q, dth = step(tables, model, e, theta, p, 5.0)
+        assert de.shape == q.shape == dth.shape == (3, 4)
+        for i in range(3):
+            for k in range(4):
+                one = step(tables, model, e[i, 0], theta[i, 0], p[k], 5.0)
+                assert all(isinstance(v, float) for v in one)
+                assert one == (de[i, k], q[i, k], dth[i, k])
