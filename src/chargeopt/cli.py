@@ -203,7 +203,7 @@ def cmd_optimize(cfg) -> int:
     out = _out_dir(cfg)
     s = load_scenario_json(cfg["scenario_json"])
     models = _load_models(cfg)
-    sol = solve(s, models, backend=cfg.get("backend"))
+    sol = solve(s, models)
     save_solution_csv(sol, s, out / "solution.csv")
     cost = {
         "j_e_buy": sol.cost.j_e_buy,
@@ -240,7 +240,7 @@ def cmd_compare_modes(cfg) -> int:
     for ev in events:
         profile = tariff.profile_for_time(ev.grid.t0, wd, we)
         s = evaluation.scenario_for_event(ev, profile)
-        cmp_ = evaluation.compare_modes(ev, s, models, backend=cfg.get("backend"))
+        cmp_ = evaluation.compare_modes(ev, s, models)
         for mode, sol in (("I", cmp_.mode_i), ("II", cmp_.mode_ii), ("III", cmp_.mode_iii)):
             if not sol.feasible:
                 print(f"event {ev.name} mode {mode}: infeasible", file=sys.stderr)
@@ -255,7 +255,7 @@ def cmd_sweep_gamma(cfg) -> int:
     s = load_scenario_json(cfg["scenario_json"])
     models = _load_models(cfg)
     gammas = [float(g) for g in cfg.get("gammas", [1.0, 1.7, 1.75, 1.8])]
-    result = evaluation.sweep_gamma(s, models, gammas, backend=cfg.get("backend"))
+    result = evaluation.sweep_gamma(s, models, gammas)
     for pt in result.points:
         if not pt.feasible:
             print(f"gamma {pt.axis_value}: infeasible", file=sys.stderr)
@@ -269,7 +269,7 @@ def cmd_sweep_vev(cfg) -> int:
     s = load_scenario_json(cfg["scenario_json"])
     models = _load_models(cfg)
     values = [float(v) for v in cfg.get("v_ev_values", [6080.0, 4470.0, 2770.0])]
-    result = evaluation.sweep_battery_price(s, models, values, backend=cfg.get("backend"))
+    result = evaluation.sweep_battery_price(s, models, values)
     for pt in result.points:
         if not pt.feasible:
             print(f"v_ev {pt.axis_value}: infeasible", file=sys.stderr)

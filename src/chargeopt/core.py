@@ -35,8 +35,10 @@ class TimeGrid:
             raise InvalidParameterError(f"n_intervals must be an integer, got {self.n_intervals!r}")
         if self.n_intervals < 1:
             raise InvalidParameterError(f"need at least one interval, got {self.n_intervals}")
-        if self.dt_min <= 0:
-            raise InvalidParameterError(f"dt must be positive, got {self.dt_min}")
+        if not np.isfinite(self.t0):
+            raise InvalidParameterError(f"t0 must be finite, got {self.t0}")
+        if not 0 < self.dt_min < np.inf:
+            raise InvalidParameterError(f"dt must be positive and finite, got {self.dt_min}")
 
     @property
     def dt_h(self) -> float:

@@ -204,7 +204,6 @@ def compare_modes(
     s: Scenario,
     models: BatteryModels,
     table: TransitionTable | None = None,
-    backend: str | None = None,
 ) -> ModeComparison:
     """Replay the event (Mode I) and solve Modes II and III on its scenario."""
     if event.duration_h < MIN_EVENT_DURATION_H:
@@ -214,8 +213,8 @@ def compare_modes(
     mode_i = replay(event.p, s, models)
     s_ii = replace(s, include_aging_in_objective=False)
     s_iii = replace(s, include_aging_in_objective=True)
-    mode_ii = solve(s_ii, models, table=table, backend=backend)
-    mode_iii = solve(s_iii, models, table=table, backend=backend)
+    mode_ii = solve(s_ii, models, table=table)
+    mode_iii = solve(s_iii, models, table=table)
     return ModeComparison(mode_i=mode_i, mode_ii=mode_ii, mode_iii=mode_iii)
 
 
@@ -248,14 +247,10 @@ class ThermalEffectReport:
     n_low: int
 
 
-def thermal_effect(
-    s: Scenario,
-    models: BatteryModels,
-    backend: str | None = None,
-) -> ThermalEffectReport:
+def thermal_effect(s: Scenario, models: BatteryModels) -> ThermalEffectReport:
     models_const = replace(models, thermal=constant_model())
-    sol_learned = solve(s, models, backend=backend)
-    sol_const = solve(s, models_const, backend=backend)
+    sol_learned = solve(s, models)
+    sol_const = solve(s, models_const)
     repriced = replay(sol_const.p_star, s, models)
     dev = np.abs(sol_const.p_star - sol_learned.p_star)
     high = np.maximum(np.abs(sol_const.p_star), np.abs(sol_learned.p_star)) > HIGH_POWER_SPLIT_KW
@@ -307,43 +302,12 @@ def _check_axis(values, name: str):
     return values
 
 
-def sweep_gamma(
-    s: Scenario,
-    models: BatteryModels,
-    gammas,
-    backend: str | None = None,
-) -> SweepResult:
-    """Mode III solved per gamma, with sell prices scaled to gamma times buy."""
-    gammas = _check_axis(gammas, "gamma")
-    points = []
-    for g in gammas:
-        sg = s.with_profile(tariff.scale_gamma(s.profile, float(g)))
-        sol = solve(sg, models, backend=backend)
-        points.append(
-            SweepPoint(
-                axis_value=float(g),
-                cost=sol.cost,
-                feasible=sol.feasible,
-                n_discharge_intervals=int(np.sum(sol.p_star < 0)),
-                p_star=sol.p_star,
-            )
-        )
-    return SweepResult(axis_name="gamma", points=points)
-
-
-def sweep_battery_price(
-    s: Scenario,
-    models: BatteryModels,
-    v_ev_values,
-    backend: str | None = None,
-) -> SweepResult:
-    """Mode III re-solved per battery value loss V_EV; the axis is sorted
-    ascending (the conventional listing runs from today's price downward)."""
-    values = _check_axis(np.sort(np.asarray(v_ev_values, float)), "v_ev")
+def _sweep(axis_name: str, values, instance) -> SweepResult:
+    """Mode III solved at each checked axis value on the (scenario, models)
+    pair that instance(value) builds."""
     points = []
     for v in values:
-        models_v = replace(models, aging=models.aging.with_value(float(v)))
-        sol = solve(s, models_v, backend=backend)
+        sol = solve(*instance(float(v)))
         points.append(
             SweepPoint(
                 axis_value=float(v),
@@ -353,7 +317,26 @@ def sweep_battery_price(
                 p_star=sol.p_star,
             )
         )
-    return SweepResult(axis_name="v_ev", points=points)
+    return SweepResult(axis_name=axis_name, points=points)
+
+
+def sweep_gamma(s: Scenario, models: BatteryModels, gammas) -> SweepResult:
+    """Mode III solved per gamma, with sell prices scaled to gamma times buy."""
+    return _sweep(
+        "gamma",
+        _check_axis(gammas, "gamma"),
+        lambda g: (s.with_profile(tariff.scale_gamma(s.profile, g)), models),
+    )
+
+
+def sweep_battery_price(s: Scenario, models: BatteryModels, v_ev_values) -> SweepResult:
+    """Mode III re-solved per battery value loss V_EV; the axis is sorted
+    ascending (the conventional listing runs from today's price downward)."""
+    return _sweep(
+        "v_ev",
+        _check_axis(np.sort(np.asarray(v_ev_values, float)), "v_ev"),
+        lambda v: (s, replace(models, aging=models.aging.with_value(v))),
+    )
 
 
 def fixed_trajectory_aging(cost: CostBreakdown, v_base: float, v_new: float) -> float:

@@ -28,6 +28,9 @@
  * cell reads a cell left out (solver.reachable_region); with the whole grid in
  * every box, this is the plain pass over all M cells.
  *
+ * A successor's corners lie stride_t = 1 and stride_e = Nj cells apart, or 0
+ * along an axis of a single node; the binding works both out from the shape.
+ *
  * The loop does no bounds checks. The binding checks every buffer's item
  * type, dimensions, contiguity and shape, every valid successor corner and
  * every box before it runs the loop with the GIL released.
@@ -274,7 +277,7 @@ get_array(PyObject *obj, int which, Py_buffer *view)
 
 PyDoc_STRVAR(backward_pass_doc,
 "backward_pass(cost, action_kw, valid, corner00, frac_e, frac_theta,\n"
-"              stride_e, stride_t, jd, je, p_d, penalty, n_rows, boxes)\n"
+"              jd, je, p_d, penalty, n_rows, boxes)\n"
 "\n"
 "Backward induction over flattened state cells; fills cost[N-1..0] and\n"
 "action_kw in place from cost[N], computing at step n only the rows\n"
@@ -289,14 +292,12 @@ static PyObject *
 py_backward_pass(PyObject *self, PyObject *args)
 {
     PyObject *objs[N_ARRAYS];
-    long long stride_e, stride_t;
     double penalty;
     Py_ssize_t n_rows;
-    if (!PyArg_ParseTuple(args, "OOOOOOLLOOOdnO:backward_pass", &objs[COST],
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOdnO:backward_pass", &objs[COST],
                           &objs[ACTION], &objs[VALID], &objs[CORNER00],
-                          &objs[FRAC_E], &objs[FRAC_THETA], &stride_e, &stride_t,
-                          &objs[JD], &objs[JE], &objs[P_D], &penalty, &n_rows,
-                          &objs[BOXES]))
+                          &objs[FRAC_E], &objs[FRAC_THETA], &objs[JD], &objs[JE],
+                          &objs[P_D], &penalty, &n_rows, &objs[BOXES]))
         return NULL;
 
     Py_buffer views[N_ARRAYS];
@@ -343,12 +344,9 @@ py_backward_pass(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "backward_pass: no actions (K=0)");
         goto done;
     }
-    if (stride_e < 0 || stride_t < 0 || stride_e > m || stride_t > m) {
-        PyErr_Format(PyExc_ValueError,
-                     "backward_pass: strides (%lld, %lld) outside [0, M=%zd]",
-                     stride_e, stride_t, m);
-        goto done;
-    }
+    const Py_ssize_t n_cols = m / n_rows;
+    const int64_t stride_e = n_rows > 1 ? n_cols : 0;
+    const int64_t stride_t = n_cols > 1 ? 1 : 0;
 
     const unsigned char *valid = views[VALID].buf;
     const int64_t *corner00 = views[CORNER00].buf;
@@ -356,7 +354,7 @@ py_backward_pass(PyObject *self, PyObject *args)
     Py_ssize_t bad_corner, bad_box;
     Py_BEGIN_ALLOW_THREADS
     bad_corner = first_bad_corner(m * n_actions, m, valid, corner00, stride_e, stride_t);
-    bad_box = first_bad_box(n_steps, n_rows, m / n_rows, boxes);
+    bad_box = first_bad_box(n_steps, n_rows, n_cols, boxes);
     if (bad_corner < 0 && bad_box < 0) {
         const Transitions t = {valid, corner00, views[FRAC_E].buf, views[FRAC_THETA].buf,
                                views[JD].buf, stride_e, stride_t, penalty};
@@ -378,7 +376,7 @@ py_backward_pass(PyObject *self, PyObject *args)
                      "backward_pass: box [%lld, %lld) x [%lld, %lld) of step %zd "
                      "is not within [0, Ni=%zd] x [0, Nj=%zd]",
                      (long long)box[0], (long long)box[1], (long long)box[2],
-                     (long long)box[3], bad_box, n_rows, m / n_rows);
+                     (long long)box[3], bad_box, n_rows, n_cols);
         goto done;
     }
     result = Py_NewRef(Py_None);

@@ -15,6 +15,9 @@ Both kernels compute at step n only the cells of its box, the energy rows
 [boxes[n, 0], boxes[n, 1]) and temperature columns [boxes[n, 2],
 boxes[n, 3]) of the n_rows x (M / n_rows) grid; every other cell gets the
 penalty and the action p_d[0], what a cell without a valid transition gets.
+Both work out the strides to a successor's other corners from that shape:
+Nj cells to the next energy row and 1 to the next temperature column, or 0
+along an axis of a single node.
 Here a step walks its box in blocks of BLOCK_CELLS // Nj rows (at least
 one), each block a box of slice views of the (M, K) arrays: the ufuncs work
 element by element, so a cell gets the same bits in any block. The
@@ -39,8 +42,6 @@ def backward_pass(
     corner00: np.ndarray,  # (M, K) flat lower-corner cell of the successor
     frac_e: np.ndarray,  # (M, K)
     frac_theta: np.ndarray,  # (M, K)
-    stride_e: int,  # Nj, or 0 for a single-node energy axis
-    stride_t: int,  # 1, or 0 for a single-node temperature axis
     jd: np.ndarray,  # (M, K) aging cost per transition, EUR
     je: np.ndarray,  # (N, K) energy cost per action and interval, EUR
     p_d: np.ndarray,  # (K,)
@@ -52,6 +53,8 @@ def backward_pass(
     if n_rows < 1 or valid.shape[0] % n_rows:
         raise ValueError(f"backward_pass: {n_rows} rows, which do not divide M={valid.shape[0]} cells")
     shape = (n_rows, valid.shape[0] // n_rows, len(p_d))  # (Ni, Nj, K) views of the (M, K) arrays
+    stride_e = shape[1] if shape[0] > 1 else 0
+    stride_t = 1 if shape[1] > 1 else 0
     if boxes.shape != (n_steps, 4):
         raise ValueError(f"backward_pass: boxes has shape {boxes.shape}, expected ({n_steps}, 4)")
     outside = (boxes[:, ::2] < 0) | (boxes[:, ::2] > boxes[:, 1::2]) | (boxes[:, 1::2] > shape[:2])

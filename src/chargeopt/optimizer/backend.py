@@ -1,6 +1,7 @@
 """Selects the backward-induction kernel: compiled if available, NumPy otherwise.
 
-Override per call with the backend argument, "compiled" or "python".
+solver.backward_induction's backend argument, "compiled" or "python",
+picks one per call.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def backward_pass(
     je,
     p_d,
     penalty,
+    region,
     backend: str | None = None,
-    region=None,
 ):
     """Run the backward induction over flattened state cells.
 
@@ -55,20 +56,17 @@ def backward_pass(
     interpolation from corner00 with weights (frac_e, frac_theta). region,
     an (N, 4) int array of half-open boxes, limits step n to the cells
     [region[n, 0], region[n, 1]) x [region[n, 2], region[n, 3]), and the
-    other cells get penalty and p_d[0]; None computes every cell.
+    other cells get penalty and p_d[0]. backend names the kernel; None
+    takes active_backend().
     """
     n_plus_1, ni, nj = cost3.shape
     cost2 = cost3.reshape(n_plus_1, ni * nj)
     action2 = action3.reshape(action3.shape[0], ni * nj)
-    if region is None:  # every cell: the whole grid at every step
-        region = np.tile(np.array([0, ni, 0, nj], dtype=np.int64), (n_plus_1 - 1, 1))
     args = (
         np.ascontiguousarray(valid, dtype=np.uint8),
         np.ascontiguousarray(corner00, dtype=np.int64),
         np.ascontiguousarray(frac_e, dtype=np.float64),
         np.ascontiguousarray(frac_theta, dtype=np.float64),
-        nj if ni > 1 else 0,
-        1 if nj > 1 else 0,
         np.ascontiguousarray(jd, dtype=np.float64),
         np.ascontiguousarray(je, dtype=np.float64),
         np.ascontiguousarray(p_d, dtype=np.float64),

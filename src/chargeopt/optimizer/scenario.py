@@ -61,6 +61,11 @@ class Scenario:
     power_bounds: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if not 0 < self.penalty < np.inf:  # finite: a zero weight times a cost must be zero
+            raise InvalidParameterError("penalty must be positive and finite")
+        bad = [name for name in _SCENARIO_SCALARS if not np.isfinite(getattr(self, name))]
+        if bad:
+            raise InvalidParameterError(f"scenario values must be finite: {', '.join(bad)}")
         if not (self.e_lo <= self.e0 <= self.e_hi and self.e_lo <= self.e_target <= self.e_hi):
             raise InvalidParameterError("e0 and e_target must lie within [e_lo, e_hi]")
         if not self.theta_lo <= self.theta0 <= self.theta_hi:
@@ -69,8 +74,6 @@ class Scenario:
             raise InvalidParameterError("p_lo must not exceed p_hi")
         if min(self.e_step, self.theta_step, self.p_step) <= 0:
             raise InvalidParameterError("grid steps must be positive")
-        if not 0 < self.penalty < np.inf:  # finite: a zero weight times a cost must be zero
-            raise InvalidParameterError("penalty must be positive and finite")
         if not 0.0 < self.soh0 <= 1.0:
             raise InvalidParameterError("soh0 must be in (0, 1]")
 
@@ -110,11 +113,11 @@ class DdpGrids:
     and records them in region, an (N, 4) int64 array of half-open boxes:
     at slice n < N it computed the cells (i, j) with region[n, 0] <= i <
     region[n, 1] and region[n, 2] <= j < region[n, 3]. The other cells of
-    slices 0 to N-1 hold the penalty and the action p_d[0]. region is
-    None before backward induction and after a pass over every cell.
-    table and backend are the transition table and kernel of the last
-    pass, which forward_integration reuses when it has to rerun the pass
-    over every cell.
+    slices 0 to N-1 hold the penalty and the action p_d[0]. After a pass
+    over every cell, each box is the whole grid; region is None only
+    before backward induction. table and backend are the transition table
+    and kernel of the last pass, which forward_integration reuses when it
+    has to rerun the pass over every cell.
     """
 
     e_d: np.ndarray

@@ -84,7 +84,8 @@ def backward_induction(
     i0 = nearest_index(grids.e_d, s.e0)
     j0 = nearest_index(grids.theta_d, s.theta0)
     region = reachable_region(table, len(grids.e_d), len(grids.theta_d), i0, j0, s.grid.n_intervals)
-    _backward_pass(s, grids, models, table, backend, region)
+    grids.table, grids.backend = table, backend
+    _backward_pass(s, grids, models, region)
     return grids
 
 
@@ -118,9 +119,10 @@ def reachable_region(table: TransitionTable, ni: int, nj: int, i0: int, j0: int,
     return region
 
 
-def _backward_pass(s, grids, models, table, backend, region):
-    """Assemble the step costs and run the kernel over region (None: every
-    cell); records region, table and backend on the grids."""
+def _backward_pass(s, grids, models, region):
+    """Assemble the step costs and run the kernel grids.backend names over
+    grids.table and the boxes of region; records region on the grids."""
+    table = grids.table
     eps_buy, eps_sell = tariff.interval_prices(s.profile, s.grid)
     je = table.buy_energy[None, :] * eps_buy[:, None] + table.sell_energy[None, :] * eps_sell[:, None]
     if s.include_aging_in_objective:
@@ -140,10 +142,10 @@ def _backward_pass(s, grids, models, table, backend, region):
         je,
         table.p_d,
         s.penalty,
-        backend,
         region,
+        grids.backend,
     )
-    grids.region, grids.table, grids.backend = region, table, backend
+    grids.region = region
 
 
 class _LeftRegion(Exception):
@@ -170,10 +172,9 @@ def _simulate(s: Scenario, models: BatteryModels, powers, grids: DdpGrids | None
         if grids is not None:
             i = nearest_index(grids.e_d, e)
             j = nearest_index(grids.theta_d, th)
-            if grids.region is not None:
-                top, bottom, left, right = grids.region[n]
-                if not (top <= i < bottom and left <= j < right):
-                    raise _LeftRegion
+            top, bottom, left, right = grids.region[n]
+            if not (top <= i < bottom and left <= j < right):
+                raise _LeftRegion
             if grids.cost[n, i, j] >= s.penalty:
                 feasible = False
             p = float(grids.action[n, i, j])
@@ -245,15 +246,20 @@ def forward_integration(s: Scenario, grids: DdpGrids, models: BatteryModels) -> 
     induction computed. The continuous state can leave it, for instance
     after an invalid action out of a penalized cell; the pass is then rerun
     over every cell, with the same table and backend, which sets
-    grids.region to None, and the trajectory is simulated again. Slice N is
-    the boundary condition and is always whole. The check sits where the
-    grid is read, in _simulate: a change to what forward integration reads
-    must extend it to every cell the new read uses.
+    grids.region to whole-grid boxes, and the trajectory is simulated
+    again. Slice N is the boundary condition and is always whole. The check
+    sits where the grid is read, in _simulate: a change to what forward
+    integration reads must extend it to every cell the new read uses.
+    Grids that backward_induction has not filled raise
+    InvalidParameterError.
     """
+    if grids.region is None:
+        raise InvalidParameterError("forward_integration needs grids filled by backward_induction")
     try:
         return _simulate(s, models, None, grids, clamp_power=False)
     except _LeftRegion:
-        _backward_pass(s, grids, models, grids.table, grids.backend, None)
+        ni, nj = len(grids.e_d), len(grids.theta_d)
+        _backward_pass(s, grids, models, np.tile(np.array([0, ni, 0, nj], np.int64), (s.grid.n_intervals, 1)))
         return _simulate(s, models, None, grids, clamp_power=False)
 
 
@@ -281,11 +287,10 @@ def solve(
     s: Scenario,
     models: BatteryModels,
     table: TransitionTable | None = None,
-    backend: str | None = None,
 ) -> DdpSolution:
     """Build grids, run backward induction, and integrate forward."""
     grids = build_grids(s)
-    backward_induction(s, grids, models, table=table, backend=backend)
+    backward_induction(s, grids, models, table=table)
     return forward_integration(s, grids, models)
 
 

@@ -147,6 +147,25 @@ def test_optimize_rejects_a_non_integer_interval_count(tmp_path, capsys):
     assert "n_intervals must be an integer, got 24.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("grid", "t0"), float("inf")),
+        (("grid", "dt_min"), float("nan")),
+        (("p_hi",), float("inf")),
+        (("e_hi",), float("inf")),
+    ],
+)
+def test_optimize_rejects_a_non_finite_scenario_value(tmp_path, capsys, path, value):
+    spath = _scenario_file(tmp_path)
+    data = json.loads(spath.read_text())
+    (data["grid"] if len(path) == 2 else data)[path[-1]] = value
+    spath.write_text(json.dumps(data))
+    cfg = _write(tmp_path / "opt.json", {"scenario_json": str(spath), "out": str(tmp_path / "opt")})
+    assert main(["optimize", "--config", cfg]) == EXIT_INPUT
+    assert "finite" in capsys.readouterr().err
+
+
 def test_compare_modes_command(tmp_path):
     events = _gen_events(tmp_path, n=4, seed=13)
     out = tmp_path / "modes"

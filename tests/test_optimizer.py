@@ -32,11 +32,14 @@ from chargeopt.optimizer import (
     nearest_indices,
     replay,
     save_scenario_json,
+    scenario_from_dict,
+    scenario_to_dict,
     solve,
 )
 from chargeopt.optimizer import _kernel_py
 from chargeopt.optimizer import backend as backend_mod
 from chargeopt.optimizer import solver as solver_mod
+from chargeopt.optimizer.scenario import _SCENARIO_SCALARS
 from chargeopt.tariff import PriceProfile
 from oracles import brute_force_optimum, chain_transitions, random_tiny_instance
 
@@ -160,6 +163,16 @@ def test_oracle_equivalence_beyond_eight_actions(backend, n_k):
 def test_penalty_must_be_positive_and_finite(penalty):
     with pytest.raises(InvalidParameterError, match="penalty must be positive and finite"):
         default_scenario(penalty=penalty)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["t0", "dt_min", *_SCENARIO_SCALARS])
+def test_non_finite_scenario_values_are_input_errors(name, value):
+    # through the dict a scenario JSON file loads into
+    d = scenario_to_dict(default_scenario())
+    (d["grid"] if name in d["grid"] else d)[name] = value
+    with pytest.raises(InvalidParameterError, match="finite"):
+        scenario_from_dict(d)
 
 
 def test_stay_put_costs_only_calendar_aging():
@@ -521,6 +534,14 @@ def _whole_grid(n_steps, ni, nj):
     return np.tile(np.array([0, ni, 0, nj], np.int64), (n_steps, 1))
 
 
+def _full_pass(s, models, table, backend):
+    """Grids of a backward pass over every cell on the given table and kernel."""
+    grids = build_grids(s)
+    grids.table, grids.backend = table, backend
+    solver_mod._backward_pass(s, grids, models, _whole_grid(s.grid.n_intervals, *grids.shape[:2]))
+    return grids
+
+
 def _box_mask(boxes, ni, nj):
     """(N, Ni, Nj) bool: the cells inside each step's box."""
     rows, cols = np.arange(ni)[:, None], np.arange(nj)
@@ -541,8 +562,6 @@ def _kernel_args():
         corner00=rng.integers(0, (ni - 1) * nj - 1, size=(m, k)).astype(np.int64),
         frac_e=rng.uniform(size=(m, k)),
         frac_theta=rng.uniform(size=(m, k)),
-        stride_e=nj,
-        stride_t=1,
         jd=rng.uniform(size=(m, k)),
         je=rng.normal(size=(n_steps, k)),
         p_d=np.linspace(-1.0, 1.0, k),
@@ -589,7 +608,7 @@ def _lane_case(k, ni, nj, ties):
         return rng.choice(exact_values, shape) if ties else rng.uniform(size=shape)
 
     n_steps, m, penalty = 3, ni * nj, 8.0
-    stride_e, stride_t = (nj if ni > 1 else 0), (1 if nj > 1 else 0)
+    stride_e, stride_t = (nj if ni > 1 else 0), (1 if nj > 1 else 0)  # what both kernels derive
     cost = np.zeros((n_steps + 1, m))
     cost[-1] = draw(m, [0.0, -0.0, -0.0, 1.0, penalty])
     valid = (rng.uniform(size=(m, k)) < 0.6).astype(np.uint8)
@@ -609,8 +628,6 @@ def _lane_case(k, ni, nj, ties):
         corner00=corner00,
         frac_e=frac_e,
         frac_theta=frac_theta,
-        stride_e=stride_e,
-        stride_t=stride_t,
         jd=jd,
         je=draw((n_steps, k), [0.0, -0.0, -0.0, 0.5]),
         p_d=np.arange(k) - k / 2,
@@ -797,10 +814,6 @@ def test_compiled_kernel_rejects_bad_corners_and_outputs():
     args["cost"].flags.writeable = False
     with pytest.raises(ValueError, match="read-only"):
         kernel(*args.values())
-    args = _kernel_args()
-    args["stride_e"] = -1
-    with pytest.raises(ValueError, match="strides"):
-        kernel(*args.values())
 
 
 def _set_box(n, side, value):
@@ -887,13 +900,24 @@ def test_numpy_kernel_rejects_boxes_of_a_wrong_shape(shape):
 def test_backend_names(monkeypatch):
     rng = np.random.default_rng(7)
     s, models = random_tiny_instance(rng)
+
+    def total(backend=None):
+        grids = backward_induction(s, build_grids(s), models, backend=backend)
+        return forward_integration(s, grids, models).cost.total
+
     with pytest.raises(InvalidParameterError, match="unknown backend"):
-        solve(s, models, backend="cython")
+        total("cython")
     monkeypatch.setattr(backend_mod, "HAVE_COMPILED", False)
     with pytest.raises(InvalidParameterError, match="not available"):
-        solve(s, models, backend="compiled")
+        total("compiled")
     assert active_backend() == "python"
-    assert solve(s, models).cost.total == solve(s, models, backend="python").cost.total
+    assert total() == total("python")
+
+
+def test_forward_integration_needs_induced_grids():
+    s, models = random_tiny_instance(np.random.default_rng(7))
+    with pytest.raises(InvalidParameterError, match="backward_induction"):
+        forward_integration(s, build_grids(s), models)
 
 
 def _region_mask(grids):
@@ -973,8 +997,9 @@ def test_region_holds_every_corner_its_cells_read(model, largest_share):
     src, dst = np.concatenate(src), np.concatenate(dst)
     for n in range(s.grid.n_intervals - 1):
         assert not np.any(computed[n, src] & ~computed[n + 1, dst]), f"step {n}"
+    region = grids.region.copy()
     forward_integration(s, grids, models)
-    assert grids.region is not None  # no fallback
+    assert np.array_equal(grids.region, region)  # no fallback
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -984,9 +1009,7 @@ def test_region_cells_equal_a_full_pass_at_full_scale(backend):
     grids = build_grids(s)
     table = build_transition_table(s, models, grids)
     backward_induction(s, grids, models, table=table, backend=backend)
-    full = build_grids(s)
-    solver_mod._backward_pass(s, full, models, table, backend, None)
-    assert full.region is None
+    full = _full_pass(s, models, table, backend)
     computed = _region_mask(grids)
     assert grids.cost[:-1][computed].tobytes() == full.cost[:-1][computed].tobytes()
     assert grids.action[computed].tobytes() == full.action[computed].tobytes()
@@ -1005,14 +1028,14 @@ def test_forward_integration_outside_the_region_reruns_the_full_pass(backend):
     for trial, (s, models) in enumerate(instances):
         grids = build_grids(s)
         backward_induction(s, grids, models, backend=backend)
-        assert grids.region is not None
+        region = grids.region.copy()
         sol = forward_integration(s, grids, models)
         if trial not in (2, 15, 18):
-            assert grids.region is not None, f"trial {trial}"
+            assert np.array_equal(grids.region, region), f"trial {trial}"
             continue
-        assert grids.region is None, f"trial {trial}"
-        full = build_grids(s)
-        solver_mod._backward_pass(s, full, models, build_transition_table(s, models, full), backend, None)
+        whole = _whole_grid(s.grid.n_intervals, *grids.shape[:2])
+        assert not np.array_equal(region, whole) and np.array_equal(grids.region, whole), f"trial {trial}"
+        full = _full_pass(s, models, build_transition_table(s, models, grids), backend)
         ref = forward_integration(s, full, models)
         assert grids.cost.tobytes() == full.cost.tobytes()
         assert grids.action.tobytes() == full.action.tobytes()
@@ -1036,7 +1059,7 @@ def test_forward_integration_leaves_a_box_along_either_axis(axis):
     assert top <= i < bottom and left <= j < right
     grids.region[1] = (i + 1, bottom, left, right) if axis == "rows" else (top, bottom, j + 1, right)
     sol = forward_integration(s, grids, models)
-    assert grids.region is None
+    assert np.array_equal(grids.region, _whole_grid(s.grid.n_intervals, *grids.shape[:2]))
     for name in ("p_star", "e_traj", "theta_traj", "j_e_steps", "j_d_steps"):
         assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
     assert (sol.cost, sol.feasible, sol.notes) == (ref.cost, ref.feasible, ref.notes)
@@ -1122,7 +1145,8 @@ def test_single_temperature_node_axis(backend):
         p_lo=0.0,
         p_hi=2.0,
     )
-    sol = solve(s, models, backend=backend)
+    grids = backward_induction(s, build_grids(s), models, backend=backend)
+    sol = forward_integration(s, grids, models)
     assert sol.feasible
     assert sol.e_traj[-1] == pytest.approx(4.0, abs=1e-6)
 
