@@ -8,6 +8,7 @@ local files only, and is deterministic given (config, seed). Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -56,8 +57,8 @@ def _load_aging(cfg) -> aging.AgingParams:
     return aging.load_params_json(path) if path else aging.default_params()
 
 
-def _load_thermal(cfg, key="thermal_model_json") -> thermal.ThermalModel:
-    path = cfg.get(key)
+def _load_thermal(cfg) -> thermal.ThermalModel:
+    path = cfg.get("thermal_model_json")
     return thermal.load_model(path) if path else thermal.constant_model()
 
 
@@ -87,11 +88,7 @@ def _load_events(cfg) -> list[core.ChargingEvent]:
         ev = core.load_event_csv(
             p, dt_min=dt, t0=float(m.get("t0", 0.0)), soh0=float(m.get("soh0", 1.0))
         )
-        events.append(
-            core.ChargingEvent(
-                grid=ev.grid, p=ev.p, e=ev.e, theta=ev.theta, u_bat=ev.u_bat, soh0=ev.soh0, name=p.stem
-            )
-        )
+        events.append(dataclasses.replace(ev, name=p.stem))
     return events
 
 
@@ -133,14 +130,7 @@ def cmd_gen_synthetic(cfg) -> int:
         "n_events": n_events,
         "dt_min": dt,
         "e_nom": e_nom,
-        "plant": {
-            "c_th": plant.c_th,
-            "k_amb": plant.k_amb,
-            "theta_amb": plant.theta_amb,
-            "noise_sigma": plant.noise_sigma,
-            "fan_gain": plant.fan_gain,
-            "fan_theta_on": plant.fan_theta_on,
-        },
+        "plant": dataclasses.asdict(plant),
         "events": meta,
     }
     with open(out / "manifest.json", "w") as fh:
@@ -250,32 +240,27 @@ def cmd_compare_modes(cfg) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_gamma(cfg) -> int:
+def _sweep_command(cfg, sweep, values, csv_name) -> int:
     out = _out_dir(cfg)
     s = load_scenario_json(cfg["scenario_json"])
     models = _load_models(cfg)
-    gammas = [float(g) for g in cfg.get("gammas", [1.0, 1.7, 1.75, 1.8])]
-    result = evaluation.sweep_gamma(s, models, gammas)
+    result = sweep(s, models, [float(v) for v in values])
     for pt in result.points:
         if not pt.feasible:
-            print(f"gamma {pt.axis_value}: infeasible", file=sys.stderr)
-    evaluation.save_sweep_csv(result, out / "sweep_gamma.csv")
-    print(f"wrote sweep_gamma.csv ({len(result.points)} points) to {out}")
+            print(f"{result.axis_name} {pt.axis_value}: infeasible", file=sys.stderr)
+    evaluation.save_sweep_csv(result, out / csv_name)
+    print(f"wrote {csv_name} ({len(result.points)} points) to {out}")
     return EXIT_OK
+
+
+def cmd_sweep_gamma(cfg) -> int:
+    gammas = cfg.get("gammas", [1.0, 1.7, 1.75, 1.8])
+    return _sweep_command(cfg, evaluation.sweep_gamma, gammas, "sweep_gamma.csv")
 
 
 def cmd_sweep_vev(cfg) -> int:
-    out = _out_dir(cfg)
-    s = load_scenario_json(cfg["scenario_json"])
-    models = _load_models(cfg)
-    values = [float(v) for v in cfg.get("v_ev_values", [6080.0, 4470.0, 2770.0])]
-    result = evaluation.sweep_battery_price(s, models, values)
-    for pt in result.points:
-        if not pt.feasible:
-            print(f"v_ev {pt.axis_value}: infeasible", file=sys.stderr)
-    evaluation.save_sweep_csv(result, out / "sweep_vev.csv")
-    print(f"wrote sweep_vev.csv ({len(result.points)} points) to {out}")
-    return EXIT_OK
+    values = cfg.get("v_ev_values", [6080.0, 4470.0, 2770.0])
+    return _sweep_command(cfg, evaluation.sweep_battery_price, values, "sweep_vev.csv")
 
 
 def cmd_validate(cfg) -> int:

@@ -52,14 +52,6 @@ class ValidationReport:
     electrical: ModelErrors
     thermal: dict
 
-    @property
-    def local_rmse_soc(self) -> float:
-        return self.electrical.local_rmse
-
-    @property
-    def global_mae_soc(self) -> float:
-        return self.electrical.global_mae
-
 
 def validate_models(
     events: list[ChargingEvent],
@@ -162,19 +154,17 @@ class ModeComparison:
         return (1.0, self.mode_ii.cost.total / base, self.mode_iii.cost.total / base)
 
 
-def default_scenario(profile: tariff.PriceProfile | None = None, **overrides) -> Scenario:
+def default_scenario(**overrides) -> Scenario:
     """Reference instance: an 8 h workday-afternoon event moving 24 to 64 kWh
     at the standard bounds and grid steps."""
     from .core import TimeGrid
 
-    if profile is None:
-        profile = tariff.default_profiles()[0]
     kwargs = dict(
         grid=TimeGrid(t0=14 * 3600.0, n_intervals=96, dt_min=5.0),
         e0=24.0,
         e_target=64.0,
         theta0=20.0,
-        profile=profile,
+        profile=tariff.default_profiles()[0],
         soh0=0.98,
     )
     kwargs.update(overrides)
@@ -325,7 +315,7 @@ def sweep_gamma(s: Scenario, models: BatteryModels, gammas) -> SweepResult:
     return _sweep(
         "gamma",
         _check_axis(gammas, "gamma"),
-        lambda g: (s.with_profile(tariff.scale_gamma(s.profile, g)), models),
+        lambda g: (replace(s, profile=tariff.scale_gamma(s.profile, g)), models),
     )
 
 
@@ -403,11 +393,11 @@ def save_modes_csv(rows: list[tuple[str, ModeComparison]], path) -> None:
                 )
 
 
-def save_sweep_csv(result: SweepResult, path, norm_base: float | None = None) -> None:
+def save_sweep_csv(result: SweepResult, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(SWEEP_CSV_HEADER)
-        base = norm_base if norm_base is not None else result.points[0].cost.total
+        base = result.points[0].cost.total
         for pt in result.points:
             c = pt.cost
             norm = c.total / base if base != 0 else float("nan")

@@ -43,19 +43,20 @@ class Dataset:
         return self.x.shape[0]
 
 
+# Mini-batch SGD step size and batch rows of every MLP fit.
+LEARNING_RATE = 0.001
+BATCH_SIZE = 32
+
+
 @dataclass(frozen=True)
 class MlpArchitecture:
     hidden_layers: int = 2
     neurons_per_layer: int = 10
-    learning_rate: float = 0.001
     epochs: int = 500
-    batch_size: int = 32
 
     def __post_init__(self):
         if self.hidden_layers < 1 or self.neurons_per_layer < 1:
             raise InvalidParameterError("need at least one hidden layer and one neuron")
-        if self.learning_rate <= 0:
-            raise InvalidParameterError("learning rate must be positive")
 
     def n_parameters(self, n_features: int) -> int:
         sizes = [n_features] + [self.neurons_per_layer] * self.hidden_layers + [1]
@@ -230,14 +231,14 @@ def fit_mlp(
     for epoch in range(arch.epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, arch.batch_size):
-            idx = perm[start : start + arch.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = perm[start : start + BATCH_SIZE]
             xb, yb = ds.x[idx], ds.y[idx]
             grads, pred = mlp_gradients(layers, xb, yb)
             epoch_loss += float(np.sum((pred - yb) ** 2))
             for (w, b), (gw, gb) in zip(layers, grads):
-                w -= arch.learning_rate * gw
-                b -= arch.learning_rate * gb
+                w -= LEARNING_RATE * gw
+                b -= LEARNING_RATE * gb
         if not np.isfinite(epoch_loss):
             raise TrainingFailureError(f"training diverged at epoch {epoch}", epoch=epoch)
     m = ds.x.shape[1]

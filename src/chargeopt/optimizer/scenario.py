@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,8 +37,6 @@ class Scenario:
     violate a constraint receive the penalty cost. With
     include_aging_in_objective False the solver minimizes energy cost only
     (aging is still accounted along the returned trajectory).
-    power_bounds optionally derates the constant power bounds per state:
-    a callable (e, theta) -> (lo, hi), broadcasting over arrays.
     """
 
     grid: TimeGrid
@@ -58,7 +56,6 @@ class Scenario:
     penalty: float = 1000.0
     soh0: float = 1.0
     include_aging_in_objective: bool = True
-    power_bounds: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 0 < self.penalty < np.inf:  # finite: a zero weight times a cost must be zero
@@ -76,9 +73,6 @@ class Scenario:
             raise InvalidParameterError("grid steps must be positive")
         if not 0.0 < self.soh0 <= 1.0:
             raise InvalidParameterError("soh0 must be in (0, 1]")
-
-    def with_profile(self, profile: PriceProfile) -> "Scenario":
-        return replace(self, profile=profile)
 
 
 def make_range(start: float, stop: float, step: float) -> np.ndarray:

@@ -98,9 +98,11 @@ def reachable_region(table: TransitionTable, ni: int, nj: int, i0: int, j0: int,
     the hull of the successor boxes (TransitionTable.succ_*) of slice n's
     cells. That may take in more cells than the reachable set, never fewer,
     so every corner a region cell reads with a nonzero weight lies in the
-    next slice's box. A slice whose cells have no valid transition leaves
-    the next one empty, (0, 0, 0, 0). Once a box equals the one before,
-    every later box equals it too.
+    next slice's box. When no cell of a box has a valid transition, the
+    next box would be empty and forward integration would leave the region
+    there, so every box is then the whole grid: one pass over every cell
+    instead of two. Once a box equals the one before, every later box
+    equals it too.
     """
     region = np.zeros((n_steps, 4), dtype=np.int64)
     region[0] = (i0, i0 + 1, j0, j0 + 1)
@@ -111,8 +113,10 @@ def reachable_region(table: TransitionTable, ni: int, nj: int, i0: int, j0: int,
         box = np.s_[region[n, 0] : region[n, 1], region[n, 2] : region[n, 3]]
         # cells without a valid transition have empty successor boxes, which the hull ignores
         top, bottom = rows_lo[box].min(initial=ni), rows_hi[box].max(initial=-1) + 1
-        if top < bottom:
-            region[n + 1] = (top, bottom, cols_lo[box].min(initial=nj), cols_hi[box].max(initial=-1) + 1)
+        if top >= bottom:
+            region[:] = (0, ni, 0, nj)
+            break
+        region[n + 1] = (top, bottom, cols_lo[box].min(initial=nj), cols_hi[box].max(initial=-1) + 1)
         if np.array_equal(region[n + 1], region[n]):
             region[n + 2 :] = region[n + 1]
             break
@@ -152,9 +156,10 @@ class _LeftRegion(Exception):
     """Forward integration reached a cell outside the computed region."""
 
 
-def _simulate(s: Scenario, models: BatteryModels, powers, grids: DdpGrids | None, clamp_power: bool):
-    """Shared forward loop for policy rollout and replay. A rollout raises
-    _LeftRegion when it reads a cell of a slice n < N outside grids.region."""
+def _simulate(s: Scenario, models: BatteryModels, powers, grids: DdpGrids | None):
+    """Shared forward loop: a policy rollout on grids, or a replay of powers
+    when grids is None. A rollout raises _LeftRegion when it reads a cell
+    of a slice n < N outside grids.region."""
     n_steps = s.grid.n_intervals
     eps_buy, eps_sell = tariff.interval_prices(s.profile, s.grid)
     dt_h = s.grid.dt_h
@@ -184,8 +189,8 @@ def _simulate(s: Scenario, models: BatteryModels, powers, grids: DdpGrids | None
                 notes.append(f"interval {n}: power {p:.3f} kW outside [{s.p_lo}, {s.p_hi}]")
         try:
             BatteryState(e, th)  # e >= 0 and theta in the physical range, else InvalidParameterError
-            # the deliverable floor is negative, so only a discharge can be clamped
-            if clamp_power and p < 0:
+            # a replay clamps to the deliverable floor, which is negative: only a discharge can be clamped
+            if grids is None and p < 0:
                 p_floor = electrical.max_discharge_power(*electrical.lookup_arrays(models.tables, e, th))
                 if p < p_floor:
                     notes.append(f"interval {n}: power {p:.3f} kW clamped to deliverable {p_floor:.3f}")
@@ -256,11 +261,11 @@ def forward_integration(s: Scenario, grids: DdpGrids, models: BatteryModels) -> 
     if grids.region is None:
         raise InvalidParameterError("forward_integration needs grids filled by backward_induction")
     try:
-        return _simulate(s, models, None, grids, clamp_power=False)
+        return _simulate(s, models, None, grids)
     except _LeftRegion:
         ni, nj = len(grids.e_d), len(grids.theta_d)
         _backward_pass(s, grids, models, np.tile(np.array([0, ni, 0, nj], np.int64), (s.grid.n_intervals, 1)))
-        return _simulate(s, models, None, grids, clamp_power=False)
+        return _simulate(s, models, None, grids)
 
 
 def replay(powers, s: Scenario, models: BatteryModels) -> DdpSolution:
@@ -274,7 +279,7 @@ def replay(powers, s: Scenario, models: BatteryModels) -> DdpSolution:
         raise InvalidParameterError(
             f"power trajectory has length {len(powers)}, scenario has N={s.grid.n_intervals}"
         )
-    sol = _simulate(s, models, powers, None, clamp_power=True)
+    sol = _simulate(s, models, powers, None)
     notes = list(sol.notes)
     if np.any(sol.e_traj < s.e_lo - 1e-9) or np.any(sol.e_traj > s.e_hi + 1e-9):
         notes.append("energy trajectory leaves [e_lo, e_hi]")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,8 +43,7 @@ class TransitionTable:
     backward_induction grows the region a solve computes from these boxes.
 
     fingerprint is table_fingerprint() of the inputs the table was built
-    from; power_bounds is the hook it was built with, kept so that check()
-    can compare it by identity.
+    from.
     """
 
     e_d: np.ndarray
@@ -66,7 +64,6 @@ class TransitionTable:
     succ_j_lo: np.ndarray  # (M,) int64
     succ_j_hi: np.ndarray  # (M,) int64
     fingerprint: str
-    power_bounds: Callable | None
 
     def check(self, s: Scenario, models: BatteryModels, grids: DdpGrids) -> None:
         """Raise InvalidParameterError unless this table is the one
@@ -81,8 +78,6 @@ class TransitionTable:
             raise InvalidParameterError(
                 f"transition table was built for dt = {self.dt_min} min, scenario has dt = {s.grid.dt_min} min"
             )
-        if self.power_bounds is not s.power_bounds:
-            raise InvalidParameterError("transition table was built with another power_bounds hook")
         if self.fingerprint != table_fingerprint(s, models, grids):
             raise InvalidParameterError(
                 "transition table was built for other battery models or state and power bounds"
@@ -94,8 +89,7 @@ def table_fingerprint(s: Scenario, models: BatteryModels, grids: DdpGrids) -> st
 
     Covers the ECM tables, the thermal model, the cyclic aging coefficients
     (not v_ev_eur, so every battery price shares a table), the grid axes,
-    the state and power bounds, and dt. The power_bounds hook is not
-    hashable by content; tables and the cache compare it by identity.
+    the state and power bounds, and dt.
     """
     thermal_model = models.thermal
     arrays = [
@@ -148,18 +142,17 @@ def clear_table_cache() -> None:
 def build_transition_table(s: Scenario, models: BatteryModels, grids: DdpGrids) -> TransitionTable:
     """Evaluate the coupled models on every (cell, action) pair.
 
-    Depends on the models, bounds, grid steps, dt, and the optional power
-    derating hook; it does not depend on e0/e_target/theta0, prices, soh0,
-    battery price, or the horizon length, so it can be shared across solves.
-    The last table built is cached under its fingerprint: a call with the
-    same inputs, and the same power_bounds object, returns that table
-    instead of building it again. A model changed in place hashes to
-    another fingerprint and is rebuilt.
+    Depends on the models, bounds, grid steps and dt; it does not depend on
+    e0/e_target/theta0, prices, soh0, battery price, or the horizon length,
+    so it can be shared across solves. The last table built is cached under
+    its fingerprint: a call with the same inputs returns that table instead
+    of building it again. A model changed in place hashes to another
+    fingerprint and is rebuilt.
     """
     global _last_table
     fingerprint = table_fingerprint(s, models, grids)
     cached = _last_table  # read once: a racing thread costs a second build, never a wrong table
-    if cached is not None and cached.fingerprint == fingerprint and cached.power_bounds is s.power_bounds:
+    if cached is not None and cached.fingerprint == fingerprint:
         return cached
     _last_table = None  # drop the old table before building, so two are never alive here
     table = _build(s, models, grids, fingerprint)
@@ -177,14 +170,7 @@ def _build(s: Scenario, models: BatteryModels, grids: DdpGrids, fingerprint: str
 
     u, r = electrical.lookup_arrays(models.tables, e_cells, th_cells)
     p_row = p_d[None, :]
-    if s.power_bounds is not None:
-        lo, hi = s.power_bounds(e_cells, th_cells)
-        lo = np.broadcast_to(np.asarray(lo, float), (m,))
-        hi = np.broadcast_to(np.asarray(hi, float), (m,))
-        valid_power = (p_row >= lo[:, None]) & (p_row <= hi[:, None])
-    else:
-        valid_power = np.broadcast_to((p_d >= s.p_lo) & (p_d <= s.p_hi), (m, k))
-
+    valid_power = np.broadcast_to((p_d >= s.p_lo) & (p_d <= s.p_hi), (m, k))
     deliverable = p_row >= electrical.max_discharge_power(u, r)[:, None]
     p_eff = np.where(deliverable, p_row, 0.0)  # placeholder where the root is complex
     delta_e, _, d_theta = thermal.step(
@@ -230,7 +216,6 @@ def _build(s: Scenario, models: BatteryModels, grids: DdpGrids, fingerprint: str
         succ_j_lo=succ_j_lo,
         succ_j_hi=succ_j_hi,
         fingerprint=fingerprint,
-        power_bounds=s.power_bounds,
     )
     for value in vars(table).values():
         if isinstance(value, np.ndarray):

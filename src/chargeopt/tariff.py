@@ -102,16 +102,14 @@ DEFAULT_MARKET_SHAPE = np.array(
 )
 
 
-def default_profiles(gamma: float = 1.0) -> tuple[PriceProfile, PriceProfile]:
+def default_profiles() -> tuple[PriceProfile, PriceProfile]:
     """(workday, weekend) supplemented retail profiles; weekend 10% cheaper
-    at the market stage. Sell prices are gamma times the buy prices."""
+    at the market stage. Sell prices equal the buy prices."""
     workday_buy = supplement(DEFAULT_MARKET_SHAPE)
     weekend_buy = supplement(0.9 * DEFAULT_MARKET_SHAPE)
-    workday = scale_gamma(PriceProfile(workday_buy, workday_buy, "workday"), gamma)
-    weekend = scale_gamma(PriceProfile(weekend_buy, weekend_buy, "weekend"), gamma)
     return (
-        PriceProfile(workday.eps_buy, workday.eps_sell, "workday"),
-        PriceProfile(weekend.eps_buy, weekend.eps_sell, "weekend"),
+        PriceProfile(workday_buy, workday_buy.copy(), "workday"),
+        PriceProfile(weekend_buy, weekend_buy.copy(), "weekend"),
     )
 
 

@@ -233,15 +233,14 @@ class ThermalPlant:
 def plant_step(
     plant: ThermalPlant,
     state: BatteryState,
-    p_kw: float,
     q_loss_kw: float,
     dt_min: float,
     rng: np.random.Generator | int | None = None,
 ) -> float:
     """Ground-truth temperature change in K over one interval.
 
-    Deterministic for noise_sigma = 0 or a fixed rng seed; p_kw is accepted
-    for interface symmetry but heating is driven by the Ohmic loss.
+    Deterministic for noise_sigma = 0 or a fixed rng seed; heating is
+    driven by the Ohmic loss q_loss_kw.
     """
     delta = (dt_min / 60.0) * (q_loss_kw - float(plant.cooling_kw(state.theta))) / plant.c_th
     if plant.noise_sigma > 0:
@@ -309,7 +308,7 @@ def generate_synthetic_events(
             delta_e, q_loss = electrical.energy_step(tables, e[i], theta[i], p_i, dt_min)
             p[i] = p_i
             e[i + 1] = e[i] + delta_e
-            theta[i + 1] = theta[i] + plant_step(plant, state, p_i, q_loss, dt_min, rng)
+            theta[i + 1] = theta[i] + plant_step(plant, state, q_loss, dt_min, rng)
         # terminal voltage U_OCV + R_i * I at each interval start; U_OCV at the end
         u_bat, r = electrical.lookup_arrays(tables, e, theta)
         u_bat[:-1] += r[:-1] * electrical.battery_current(u_bat[:-1], r[:-1], p)

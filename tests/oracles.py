@@ -26,11 +26,7 @@ def chain_transitions(s: Scenario, grids, models: BatteryModels):
     for i, e in enumerate(grids.e_d):
         for j, th in enumerate(grids.theta_d):
             for k, p in enumerate(grids.p_d):
-                if s.power_bounds is not None:
-                    lo, hi = s.power_bounds(e, th)
-                else:
-                    lo, hi = s.p_lo, s.p_hi
-                if not lo <= p <= hi:
+                if not s.p_lo <= p <= s.p_hi:
                     out[i, j, k] = None
                     continue
                 u, r = electrical.lookup_arrays(models.tables, e, th)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from chargeopt.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
+from chargeopt.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_TRAINING, main
 from chargeopt.optimizer import Scenario, save_scenario_json
 from chargeopt.core import TimeGrid
 from chargeopt.tariff import default_profiles, save_profile_csv
@@ -82,6 +82,28 @@ def test_fit_thermal_and_validate(tmp_path):
     rows = (val_out / "validation.csv").read_text().strip().splitlines()
     assert rows[0] == "model,local_rmse,global_mae"
     assert len(rows) == 1 + 4  # electrical + constant + linear + mlp
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_fit_thermal_on_a_diverging_corpus_exits_with_a_training_failure(tmp_path, capsys):
+    # finite temperatures alternating between +-1e200: every temperature step
+    # squares past the float range, so the first epoch's loss is not finite
+    events = _gen_events(tmp_path, n=2, seed=11)
+    for path in sorted(events.glob("*.csv")):
+        lines = path.read_text().splitlines()
+        for k in range(1, len(lines)):
+            fields = lines[k].split(",")
+            fields[3] = repr((-1.0) ** k * 1e200)  # theta_c
+            lines[k] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "fit"
+    cfg = _write(
+        tmp_path / "fit.json",
+        {"events_dir": str(events), "out": str(out), "grid": [{"hidden_layers": 1, "neurons": 5}], "cv_epochs": 3},
+    )
+    assert main(["fit-thermal", "--config", cfg]) == EXIT_TRAINING
+    assert "training failed (epoch 0)" in capsys.readouterr().err
+    assert not (out / "thermal_mlp.json").exists()
 
 
 def _scenario_file(tmp_path, **overrides):

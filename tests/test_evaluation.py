@@ -60,8 +60,8 @@ def test_validate_perfect_models_zero_error(tables, newtonian_corpus):
     plant, events = newtonian_corpus
     perfect = plant_linear_model(plant, dt_min=5.0)
     report = validate_models(events, tables, {"linear": perfect})
-    assert report.local_rmse_soc == pytest.approx(0.0, abs=1e-9)
-    assert report.global_mae_soc == pytest.approx(0.0, abs=1e-9)
+    assert report.electrical.local_rmse == pytest.approx(0.0, abs=1e-9)
+    assert report.electrical.global_mae == pytest.approx(0.0, abs=1e-9)
     assert report.thermal["linear"].local_rmse == pytest.approx(0.0, abs=1e-9)
     assert report.thermal["linear"].global_mae == pytest.approx(0.0, abs=1e-9)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chargeopt import electrical
-from chargeopt.errors import InvalidParameterError, UndefinedCorrelationError
+from chargeopt.errors import InvalidParameterError, TrainingFailureError, UndefinedCorrelationError
 from chargeopt.learning import (
     Dataset,
     MlpArchitecture,
@@ -195,6 +195,16 @@ def test_mlp_deterministic():
     for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
         assert np.array_equal(wa, wb)
         assert np.array_equal(ba, bb)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_mlp_divergence_raises_with_the_epoch():
+    # finite targets whose squared error overflows: the first epoch's loss is not finite
+    rng = np.random.default_rng(15)
+    ds = _dataset(rng.normal(size=(40, 2)), 1e200 * rng.choice([-1.0, 1.0], size=40))
+    with pytest.raises(TrainingFailureError, match="diverged at epoch 0") as info:
+        fit_mlp(ds, MlpArchitecture(1, 4, epochs=5), seed=0)
+    assert info.value.epoch == 0
 
 
 def test_rmse_mae():

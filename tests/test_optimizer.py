@@ -451,10 +451,6 @@ def _mutate_mlp_weight(s, models, grids):
     return s, models, grids
 
 
-def _with_power_bounds(s, models, grids):
-    return replace(s, power_bounds=lambda e, theta: (s.p_lo, s.p_hi)), models, grids
-
-
 def _replace_bound(name, value):
     # the grids are kept, so that the bound itself, not the grid it implies, must miss
     return lambda s, models, grids: (replace(s, **{name: value}), models, grids)
@@ -488,7 +484,6 @@ TABLE_INPUT_CHANGES = {
     "theta_step": _halve_step("theta_step"),
     "p_step": _halve_step("p_step"),
     "dt": _double_dt,
-    "power_bounds": _with_power_bounds,
     "beta_a": _raise_beta_a,
 }
 
@@ -1019,22 +1014,25 @@ def test_region_cells_equal_a_full_pass_at_full_scale(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_forward_integration_outside_the_region_reruns_the_full_pass(backend):
-    # trials 2, 15 and 18 of the oracle test (seed 1234) are infeasible, and
-    # forward integration follows an invalid action out of a penalized cell
-    # into cells the region left out
+def test_a_region_that_runs_empty_is_one_full_pass(backend, monkeypatch):
+    # trials 2, 15 and 18 of the oracle test (seed 1234) are infeasible: their
+    # region runs empty, and forward integration would follow an invalid
+    # action out of a penalized cell into cells a region pass left out
+    passes = []
+    backward_pass = solver_mod._backward_pass
+    monkeypatch.setattr(solver_mod, "_backward_pass", lambda *args: passes.append(1) or backward_pass(*args))
     rng = np.random.default_rng(1234)
     instances = [random_tiny_instance(rng) for _ in range(20)]
     for trial, (s, models) in enumerate(instances):
         grids = build_grids(s)
+        passes.clear()
         backward_induction(s, grids, models, backend=backend)
-        region = grids.region.copy()
-        sol = forward_integration(s, grids, models)
-        if trial not in (2, 15, 18):
-            assert np.array_equal(grids.region, region), f"trial {trial}"
-            continue
         whole = _whole_grid(s.grid.n_intervals, *grids.shape[:2])
-        assert not np.array_equal(region, whole) and np.array_equal(grids.region, whole), f"trial {trial}"
+        assert np.array_equal(grids.region, whole) == (trial in (2, 15, 18)), f"trial {trial}"
+        sol = forward_integration(s, grids, models)
+        assert len(passes) == 1, f"trial {trial}"
+        if trial not in (2, 15, 18):
+            continue
         full = _full_pass(s, models, build_transition_table(s, models, grids), backend)
         ref = forward_integration(s, full, models)
         assert grids.cost.tobytes() == full.cost.tobytes()
@@ -1097,35 +1095,6 @@ def test_transition_table_reuse_matches_fresh_build():
     backward_induction(s_alt, grids_direct, models, table=fresh)
     assert np.array_equal(grids_shared.cost, grids_direct.cost)
     assert np.array_equal(grids_shared.action, grids_direct.action)
-
-
-def test_state_dependent_power_bounds_hook():
-    models = _simple_models()
-
-    def derate(e, theta):
-        # no charging above 4 kWh
-        hi = np.where(np.asarray(e) >= 4.0, 0.0, 2.0)
-        return np.full_like(np.asarray(e, float), -2.0), hi
-
-    s = Scenario(
-        grid=TimeGrid(t0=0.0, n_intervals=3, dt_min=60.0),
-        e0=3.0,
-        e_target=6.0,
-        theta0=20.0,
-        profile=_flat_profile(),
-        e_lo=0.0,
-        e_hi=6.0,
-        theta_lo=10.0,
-        theta_hi=30.0,
-        p_lo=-2.0,
-        p_hi=2.0,
-        power_bounds=derate,
-    )
-    sol = solve(s, models)
-    # 3 -> 6 kWh needs charging past the 4 kWh derating cap: infeasible
-    assert not sol.feasible
-    s_free = replace(s, power_bounds=None)
-    assert solve(s_free, models).feasible
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -120,7 +120,7 @@ def test_default_profiles_shape():
 
 
 def test_profile_csv_round_trip(tmp_path):
-    workday, _ = default_profiles(gamma=1.7)
+    workday = scale_gamma(default_profiles()[0], 1.7)
     path = tmp_path / "profile.csv"
     save_profile_csv(workday, path)
     back = load_profile_csv(path)

@@ -77,19 +77,19 @@ def test_model_validation():
 
 def test_plant_step_equilibrium():
     plant = ThermalPlant(noise_sigma=0.0)
-    assert plant_step(plant, BatteryState(40.0, plant.theta_amb), 0.0, 0.0, 5.0) == 0.0
+    assert plant_step(plant, BatteryState(40.0, plant.theta_amb), 0.0, 5.0) == 0.0
 
 
 def test_plant_step_heating():
     plant = ThermalPlant(c_th=0.01, k_amb=0.0, noise_sigma=0.0)
-    dth = plant_step(plant, BatteryState(40.0, 20.0), 36.0, 0.948, 5.0)
+    dth = plant_step(plant, BatteryState(40.0, 20.0), 0.948, 5.0)
     assert dth == pytest.approx(7.90, abs=5e-3)
 
 
 def test_plant_step_newton_cooling():
     # pure Newtonian limit: fan disabled
     plant = ThermalPlant(c_th=0.1, k_amb=0.02, theta_amb=20.0, noise_sigma=0.0, fan_gain=0.0)
-    dth = plant_step(plant, BatteryState(40.0, 35.0), 0.0, 0.0, 5.0)
+    dth = plant_step(plant, BatteryState(40.0, 35.0), 0.0, 5.0)
     assert dth == pytest.approx(-0.25)
 
 
@@ -97,7 +97,7 @@ def test_plant_step_superlinear_cooling():
     linear = ThermalPlant(c_th=0.1, k_amb=0.02, theta_amb=20.0, noise_sigma=0.0, fan_gain=0.0)
     nonlin = ThermalPlant(c_th=0.1, k_amb=0.02, theta_amb=20.0, noise_sigma=0.0, fan_gain=5.0, fan_theta_on=30.0)
     st = BatteryState(40.0, 40.0)
-    assert plant_step(nonlin, st, 0.0, 0.0, 5.0) < plant_step(linear, st, 0.0, 0.0, 5.0)
+    assert plant_step(nonlin, st, 0.0, 5.0) < plant_step(linear, st, 0.0, 5.0)
 
 
 def test_plant_heat_conservation():
@@ -109,7 +109,7 @@ def test_plant_heat_conservation():
     dtheta_total = 0.0
     for _ in range(100):
         q = rng.uniform(0, 0.5)
-        d = plant_step(plant, BatteryState(40.0, theta), 0.0, q, 5.0)
+        d = plant_step(plant, BatteryState(40.0, theta), q, 5.0)
         theta += d
         q_total += q * 5.0 / 60.0
         dtheta_total += d
@@ -119,8 +119,8 @@ def test_plant_heat_conservation():
 def test_plant_step_deterministic_given_seed():
     plant = ThermalPlant(noise_sigma=0.1)
     st = BatteryState(40.0, 20.0)
-    a = plant_step(plant, st, 11.0, 0.1, 5.0, rng=123)
-    b = plant_step(plant, st, 11.0, 0.1, 5.0, rng=123)
+    a = plant_step(plant, st, 0.1, 5.0, rng=123)
+    b = plant_step(plant, st, 0.1, 5.0, rng=123)
     assert a == b
 
 
@@ -249,7 +249,7 @@ def test_plant_linear_model_matches_newtonian_plant():
         q = rng.uniform(0, 2)
         de = rng.uniform(0, 4)
         predicted = predict_batch(model, feature_matrix([p], [q], [de], [st.theta]))[0]
-        truth = plant_step(plant, st, p, q, 5.0)
+        truth = plant_step(plant, st, q, 5.0)
         assert predicted == pytest.approx(truth, abs=1e-12)
 
 
