@@ -220,7 +220,11 @@ def save_event_csv(event: ChargingEvent, path) -> None:
 
 
 def load_samples_csv(path) -> RawSamples:
-    """Read raw event samples (header t_s,p_kw,e_kwh,theta_c,u_bat_v)."""
+    """Read raw event samples (header t_s,p_kw,e_kwh,theta_c,u_bat_v).
+
+    Every value must be finite, and every state one that BatteryState
+    accepts: e_kwh >= 0 and theta_c in [THETA_MIN_C, THETA_MAX_C].
+    """
     rows = []
     with open(path, newline="") as fh:
         r = csv.DictReader(fh)
@@ -237,6 +241,14 @@ def load_samples_csv(path) -> RawSamples:
         row, col = bad[0]
         raise InvalidParameterError(
             f"event CSV {path} has a non-finite {EVENT_CSV_HEADER[col]} in data row {row + 1}"
+        )
+    # the states BatteryState accepts, so that no model trains on a state a battery cannot hold
+    bad = np.flatnonzero((arr[:, 2] < 0) | (arr[:, 3] < THETA_MIN_C) | (arr[:, 3] > THETA_MAX_C))
+    if len(bad):
+        row = bad[0]
+        raise InvalidParameterError(
+            f"event CSV {path} has e_kwh {float(arr[row, 2])!r} and theta_c {float(arr[row, 3])!r} "
+            f"in data row {row + 1}, need e_kwh >= 0 and theta_c in [{THETA_MIN_C}, {THETA_MAX_C}]"
         )
     return RawSamples(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4])
 

@@ -24,7 +24,8 @@ class EcmTables:
     """Rectangular look-up grids over (e in kWh, theta in degC).
 
     Axes must be strictly increasing; u_ocv and r_i have shape
-    (len(e_axis), len(theta_axis)) with r_i > 0 and u_ocv > 0 everywhere.
+    (len(e_axis), len(theta_axis)) with r_i > 0 and u_ocv > 0 everywhere;
+    axes and grids are finite.
     Queries outside the hull clamp to the nearest grid edge.
     """
 
@@ -38,12 +39,14 @@ class EcmTables:
             ax = np.asarray(ax, float)
             if ax.ndim != 1 or ax.size < 2 or np.any(np.diff(ax) <= 0):
                 raise InvalidParameterError(f"{label} must be 1-D, strictly increasing, length >= 2")
+            if not np.all(np.isfinite(ax)):
+                raise InvalidParameterError(f"{label} must be finite")
         shape = (len(self.e_axis), len(self.theta_axis))
         for label, grid in (("u_ocv", self.u_ocv), ("r_i", self.r_i)):
             if np.asarray(grid).shape != shape:
                 raise InvalidParameterError(f"{label} grid shape {np.asarray(grid).shape} != {shape}")
-            if np.any(np.asarray(grid) <= 0):
-                raise InvalidParameterError(f"{label} must be positive everywhere")
+            if not np.all(np.isfinite(grid) & (np.asarray(grid) > 0)):
+                raise InvalidParameterError(f"{label} must be positive and finite everywhere")
 
 
 def default_tables() -> EcmTables:
@@ -60,19 +63,27 @@ def default_tables() -> EcmTables:
     return EcmTables(e_axis, theta_axis, u, r)
 
 
+def interp_axis(grid, x):
+    """Lower node index (int64) and fractional weight of x on one grid axis,
+    for bilinear reads.
+
+    x is clamped to the grid hull; the weight on a single-node axis is zero.
+    """
+    x = np.clip(x, grid[0], grid[-1])
+    lo = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, max(len(grid) - 2, 0)).astype(np.int64, copy=False)
+    if len(grid) < 2:
+        return lo, np.zeros_like(x)
+    return lo, (x - grid[lo]) / (grid[lo + 1] - grid[lo])
+
+
 def lookup_arrays(tables: EcmTables, e, theta):
     """Vectorized (u_ocv, r_i) lookup; e/theta broadcast elementwise.
 
     Bilinear interpolation with clamping to the table hull; both grids share
     one set of cell indices and weights.
     """
-    e_axis, theta_axis = tables.e_axis, tables.theta_axis
-    e = np.clip(np.asarray(e, float), e_axis[0], e_axis[-1])
-    th = np.clip(np.asarray(theta, float), theta_axis[0], theta_axis[-1])
-    ie = np.clip(np.searchsorted(e_axis, e, side="right") - 1, 0, len(e_axis) - 2)
-    it = np.clip(np.searchsorted(theta_axis, th, side="right") - 1, 0, len(theta_axis) - 2)
-    fe = (e - e_axis[ie]) / (e_axis[ie + 1] - e_axis[ie])
-    ft = (th - theta_axis[it]) / (theta_axis[it + 1] - theta_axis[it])
+    ie, fe = interp_axis(tables.e_axis, np.asarray(e, float))
+    it, ft = interp_axis(tables.theta_axis, np.asarray(theta, float))
 
     def interp(grid):
         return (

@@ -92,15 +92,11 @@ def build_dataset(events: list[ChargingEvent], tables: EcmTables) -> Dataset:
 def _rank(v: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties receiving the average of their positions."""
     order = np.argsort(v, kind="mergesort")
-    ranks = np.empty(len(v))
     sv = v[order]
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])  # first position of each tie run
+    bounds = np.r_[starts, len(v)]
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat(0.5 * (starts + bounds[1:] - 1) + 1.0, np.diff(bounds))
     return ranks
 
 
@@ -258,14 +254,6 @@ def rmse(pred, actual) -> float:
     if pred.shape != actual.shape or pred.size == 0:
         raise InvalidParameterError("rmse needs equal-length non-empty vectors")
     return float(np.sqrt(np.mean((pred - actual) ** 2)))
-
-
-def mae(pred, actual) -> float:
-    pred = np.asarray(pred, float)
-    actual = np.asarray(actual, float)
-    if pred.shape != actual.shape or pred.size == 0:
-        raise InvalidParameterError("mae needs equal-length non-empty vectors")
-    return float(np.mean(np.abs(pred - actual)))
 
 
 def default_grid() -> list[MlpArchitecture]:

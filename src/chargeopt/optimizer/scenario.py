@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -14,9 +13,6 @@ from ..electrical import EcmTables
 from ..errors import InvalidParameterError
 from ..tariff import PriceProfile
 from ..thermal import ThermalModel
-
-if TYPE_CHECKING:
-    from .transitions import TransitionTable
 
 
 @dataclass(frozen=True)
@@ -109,9 +105,8 @@ class DdpGrids:
     region[n, 1] and region[n, 2] <= j < region[n, 3]. The other cells of
     slices 0 to N-1 hold the penalty and the action p_d[0]. After a pass
     over every cell, each box is the whole grid; region is None only
-    before backward induction. table and backend are the transition table
-    and kernel of the last pass, which forward_integration reuses when it
-    has to rerun the pass over every cell.
+    before backward induction. The grids hold no transition table: a solve
+    takes it from build_transition_table, whose cache keeps one.
     """
 
     e_d: np.ndarray
@@ -120,8 +115,6 @@ class DdpGrids:
     cost: np.ndarray
     action: np.ndarray
     region: np.ndarray | None = None
-    table: TransitionTable | None = None
-    backend: str | None = None
 
     @property
     def shape(self) -> tuple[int, int, int]:

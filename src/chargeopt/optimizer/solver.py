@@ -74,8 +74,7 @@ def backward_induction(
     cell: a corner left out carries a zero weight and adds 0 * c = 0, every
     cost being finite. Cells outside the region hold the penalty and the
     action p_d[0], the values of a cell without a valid action.
-    grids.region records the region, and grids.table and grids.backend
-    what forward_integration needs to rerun the pass over every cell.
+    grids.region records the region.
     """
     if table is None:
         table = build_transition_table(s, models, grids)
@@ -84,8 +83,7 @@ def backward_induction(
     i0 = nearest_index(grids.e_d, s.e0)
     j0 = nearest_index(grids.theta_d, s.theta0)
     region = reachable_region(table, len(grids.e_d), len(grids.theta_d), i0, j0, s.grid.n_intervals)
-    grids.table, grids.backend = table, backend
-    _backward_pass(s, grids, models, region)
+    _backward_pass(s, grids, models, table, region, backend)
     return grids
 
 
@@ -95,7 +93,7 @@ def reachable_region(table: TransitionTable, ni: int, nj: int, i0: int, j0: int,
     Returns an (N, 4) int64 array of half-open boxes: slice n computes the
     cells (i, j) with region[n, 0] <= i < region[n, 1] and region[n, 2] <=
     j < region[n, 3]. Slice 0 is the initial cell (i0, j0). Slice n + 1 is
-    the hull of the successor boxes (TransitionTable.succ_*) of slice n's
+    the hull of the successor boxes (TransitionTable.succ_box) of slice n's
     cells. That may take in more cells than the reachable set, never fewer,
     so every corner a region cell reads with a nonzero weight lies in the
     next slice's box. When no cell of a box has a valid transition, the
@@ -106,32 +104,33 @@ def reachable_region(table: TransitionTable, ni: int, nj: int, i0: int, j0: int,
     """
     region = np.zeros((n_steps, 4), dtype=np.int64)
     region[0] = (i0, i0 + 1, j0, j0 + 1)
-    rows_lo, rows_hi, cols_lo, cols_hi = (
-        a.reshape(ni, nj) for a in (table.succ_i_lo, table.succ_i_hi, table.succ_j_lo, table.succ_j_hi)
-    )
+    succ_box = table.succ_box.reshape(ni, nj, 4)
     for n in range(n_steps - 1):
-        box = np.s_[region[n, 0] : region[n, 1], region[n, 2] : region[n, 3]]
-        # cells without a valid transition have empty successor boxes, which the hull ignores
-        top, bottom = rows_lo[box].min(initial=ni), rows_hi[box].max(initial=-1) + 1
+        boxes = succ_box[region[n, 0] : region[n, 1], region[n, 2] : region[n, 3]]
+        # region boxes are never empty, so the reductions need no initial value; cells
+        # without a valid transition have the empty box (ni, 0, nj, 0), which the hull ignores
+        top, bottom = boxes[..., 0].min(), boxes[..., 1].max()
         if top >= bottom:
             region[:] = (0, ni, 0, nj)
             break
-        region[n + 1] = (top, bottom, cols_lo[box].min(initial=nj), cols_hi[box].max(initial=-1) + 1)
+        region[n + 1] = (top, bottom, boxes[..., 2].min(), boxes[..., 3].max())
         if np.array_equal(region[n + 1], region[n]):
             region[n + 2 :] = region[n + 1]
             break
     return region
 
 
-def _backward_pass(s, grids, models, region):
-    """Assemble the step costs and run the kernel grids.backend names over
-    grids.table and the boxes of region; records region on the grids."""
-    table = grids.table
+def _backward_pass(s, grids, models, table, region, backend):
+    """Assemble the step costs and run the kernel backend names over table
+    and the boxes of region; records region on the grids."""
     eps_buy, eps_sell = tariff.interval_prices(s.profile, s.grid)
-    je = table.buy_energy[None, :] * eps_buy[:, None] + table.sell_energy[None, :] * eps_sell[:, None]
+    buy_kwh = np.maximum(grids.p_d, 0.0) * s.grid.dt_h
+    sell_kwh = np.minimum(grids.p_d, 0.0) * s.grid.dt_h
+    je = buy_kwh[None, :] * eps_buy[:, None] + sell_kwh[None, :] * eps_sell[:, None]
     if s.include_aging_in_objective:
         scale = models.aging.cost_per_fade
-        cal_fade = calendar_fade(models.aging, table.theta_cells, table.e_cells, s.soh0, table.dt_min)
+        e_mesh, th_mesh = np.meshgrid(grids.e_d, grids.theta_d, indexing="ij")
+        cal_fade = calendar_fade(models.aging, th_mesh.reshape(-1), e_mesh.reshape(-1), s.soh0, s.grid.dt_min)
         jd = scale * table.cyc_fade + (scale * cal_fade)[:, None]
     else:
         jd = np.zeros_like(table.cyc_fade)
@@ -144,10 +143,10 @@ def _backward_pass(s, grids, models, region):
         table.frac_theta,
         jd,
         je,
-        table.p_d,
+        grids.p_d,
         s.penalty,
         region,
-        grids.backend,
+        backend,
     )
     grids.region = region
 
@@ -250,11 +249,13 @@ def forward_integration(s: Scenario, grids: DdpGrids, models: BatteryModels) -> 
     Each cell read at a slice n < N must lie in the region backward
     induction computed. The continuous state can leave it, for instance
     after an invalid action out of a penalized cell; the pass is then rerun
-    over every cell, with the same table and backend, which sets
-    grids.region to whole-grid boxes, and the trajectory is simulated
-    again. Slice N is the boundary condition and is always whole. The check
-    sits where the grid is read, in _simulate: a change to what forward
-    integration reads must extend it to every cell the new read uses.
+    over every cell, on the table build_transition_table returns for these
+    inputs (the cached one) and the active kernel, which give the bits of
+    the first pass's table and kernel. That sets grids.region to whole-grid
+    boxes, and the trajectory is simulated again. Slice N is the boundary
+    condition and is always whole. The check sits where the grid is read,
+    in _simulate: a change to what forward integration reads must extend it
+    to every cell the new read uses.
     Grids that backward_induction has not filled raise
     InvalidParameterError.
     """
@@ -264,7 +265,8 @@ def forward_integration(s: Scenario, grids: DdpGrids, models: BatteryModels) -> 
         return _simulate(s, models, None, grids)
     except _LeftRegion:
         ni, nj = len(grids.e_d), len(grids.theta_d)
-        _backward_pass(s, grids, models, np.tile(np.array([0, ni, 0, nj], np.int64), (s.grid.n_intervals, 1)))
+        whole = np.tile(np.array([0, ni, 0, nj], np.int64), (s.grid.n_intervals, 1))
+        _backward_pass(s, grids, models, build_transition_table(s, models, grids), whole, None)
         return _simulate(s, models, None, grids)
 
 

@@ -35,52 +35,33 @@ class TransitionTable:
     every battery price. All arrays are read-only: one table is shared by
     every solve that asks for it (see build_transition_table).
 
-    succ_i_lo, succ_i_hi, succ_j_lo and succ_j_hi bound, per cell, the grid
-    rows i and columns j (inclusive) of the successor corners its costs read:
-    the corners of its valid transitions that carry a nonzero weight, that
-    is, the lower corner where frac < 1 and the upper one where frac > 0. A
-    cell without a valid transition has an empty box (lo = n_axis, hi = -1).
-    backward_induction grows the region a solve computes from these boxes.
+    succ_box holds, per cell, the half-open box [i_lo, i_hi) x [j_lo, j_hi)
+    of grid rows and columns of the successor corners its costs read, laid
+    out like a DdpGrids.region row: the corners of its valid transitions
+    that carry a nonzero weight, that is, the lower corner where frac < 1
+    and the upper one where frac > 0. A cell without a valid transition has
+    the empty box (Ni, 0, Nj, 0). backward_induction grows the region a
+    solve computes from these boxes.
 
     fingerprint is table_fingerprint() of the inputs the table was built
-    from.
+    from: the models, grids, bounds and dt. The table keeps no copy of
+    them; a solve takes them from its scenario and grids.
     """
 
-    e_d: np.ndarray
-    theta_d: np.ndarray
-    p_d: np.ndarray
-    dt_min: float
     valid: np.ndarray  # (M, K) uint8
     corner00: np.ndarray  # (M, K) int64, flat index i*Nj + j of the lower corner
     frac_e: np.ndarray  # (M, K) in [0, 1]
     frac_theta: np.ndarray  # (M, K) in [0, 1]
     cyc_fade: np.ndarray  # (M, K) fade fraction
-    buy_energy: np.ndarray  # (K,) kWh drawn when p >= 0
-    sell_energy: np.ndarray  # (K,) kWh fed back when p < 0
-    theta_cells: np.ndarray  # (M,) degC of each cell
-    e_cells: np.ndarray  # (M,) kWh of each cell
-    succ_i_lo: np.ndarray  # (M,) int64
-    succ_i_hi: np.ndarray  # (M,) int64
-    succ_j_lo: np.ndarray  # (M,) int64
-    succ_j_hi: np.ndarray  # (M,) int64
+    succ_box: np.ndarray  # (M, 4) int64 i_lo, i_hi, j_lo, j_hi
     fingerprint: str
 
     def check(self, s: Scenario, models: BatteryModels, grids: DdpGrids) -> None:
         """Raise InvalidParameterError unless this table is the one
         build_transition_table(s, models, grids) would build."""
-        if not (
-            np.array_equal(self.e_d, grids.e_d)
-            and np.array_equal(self.theta_d, grids.theta_d)
-            and np.array_equal(self.p_d, grids.p_d)
-        ):
-            raise InvalidParameterError("transition table was built for different grids")
-        if self.dt_min != s.grid.dt_min:
-            raise InvalidParameterError(
-                f"transition table was built for dt = {self.dt_min} min, scenario has dt = {s.grid.dt_min} min"
-            )
         if self.fingerprint != table_fingerprint(s, models, grids):
             raise InvalidParameterError(
-                "transition table was built for other battery models or state and power bounds"
+                "transition table was built for other battery models, grids, state and power bounds or dt"
             )
 
 
@@ -163,21 +144,21 @@ def build_transition_table(s: Scenario, models: BatteryModels, grids: DdpGrids) 
 def _build(s: Scenario, models: BatteryModels, grids: DdpGrids, fingerprint: str) -> TransitionTable:
     e_d, theta_d, p_d = grids.e_d, grids.theta_d, grids.p_d
     e_mesh, th_mesh = np.meshgrid(e_d, theta_d, indexing="ij")
-    e_cells = e_mesh.reshape(-1)
-    th_cells = th_mesh.reshape(-1)
-    m = len(e_cells)
+    cell_e = e_mesh.reshape(-1)
+    cell_th = th_mesh.reshape(-1)
+    m = len(cell_e)
     k = len(p_d)
 
-    u, r = electrical.lookup_arrays(models.tables, e_cells, th_cells)
+    u, r = electrical.lookup_arrays(models.tables, cell_e, cell_th)
     p_row = p_d[None, :]
     valid_power = np.broadcast_to((p_d >= s.p_lo) & (p_d <= s.p_hi), (m, k))
     deliverable = p_row >= electrical.max_discharge_power(u, r)[:, None]
     p_eff = np.where(deliverable, p_row, 0.0)  # placeholder where the root is complex
     delta_e, _, d_theta = thermal.step(
-        models.tables, models.thermal, e_cells[:, None], th_cells[:, None], p_eff, s.grid.dt_min
+        models.tables, models.thermal, cell_e[:, None], cell_th[:, None], p_eff, s.grid.dt_min
     )
-    e_next = e_cells[:, None] + delta_e
-    th_next = th_cells[:, None] + d_theta
+    e_next = cell_e[:, None] + delta_e
+    th_next = cell_th[:, None] + d_theta
 
     valid_state = (
         (e_next >= s.e_lo)
@@ -186,35 +167,24 @@ def _build(s: Scenario, models: BatteryModels, grids: DdpGrids, fingerprint: str
         & (th_next <= s.theta_hi)
     )
     valid = (valid_power & deliverable & valid_state).astype(np.uint8)
-    ie, frac_e = _interp_axis(e_d, e_next)
-    jt, frac_theta = _interp_axis(theta_d, th_next)
-    succ_i_lo, succ_i_hi = _corner_span(ie, frac_e, valid, len(e_d))
-    succ_j_lo, succ_j_hi = _corner_span(jt, frac_theta, valid, len(theta_d))
+    ie, frac_e = electrical.interp_axis(e_d, e_next)
+    jt, frac_theta = electrical.interp_axis(theta_d, th_next)
+    succ_box = np.stack(
+        _corner_span(ie, frac_e, valid, len(e_d)) + _corner_span(jt, frac_theta, valid, len(theta_d)), axis=1
+    )
     corner00 = ie * len(theta_d) + jt
     del ie, jt
 
     if np.any(~np.isfinite(delta_e[valid.astype(bool)])):
         raise InvalidParameterError("transition table produced non-finite energy steps")
 
-    dt_h = s.grid.dt_min / 60.0
     table = TransitionTable(
-        e_d=e_d.copy(),
-        theta_d=theta_d.copy(),
-        p_d=p_d.copy(),
-        dt_min=s.grid.dt_min,
         valid=valid,
         corner00=corner00,
         frac_e=frac_e,
         frac_theta=frac_theta,
         cyc_fade=aging_mod.cyclic_fade(models.aging, delta_e),
-        buy_energy=np.maximum(p_d, 0.0) * dt_h,
-        sell_energy=np.minimum(p_d, 0.0) * dt_h,
-        theta_cells=th_cells,
-        e_cells=e_cells,
-        succ_i_lo=succ_i_lo,
-        succ_i_hi=succ_i_hi,
-        succ_j_lo=succ_j_lo,
-        succ_j_hi=succ_j_hi,
+        succ_box=succ_box,
         fingerprint=fingerprint,
     )
     for value in vars(table).values():
@@ -223,32 +193,20 @@ def _build(s: Scenario, models: BatteryModels, grids: DdpGrids, fingerprint: str
     return table
 
 
-def _interp_axis(grid, x):
-    """Lower node index (int64) and fractional weight of x on one grid axis,
-    for bilinear reads.
-
-    x is clamped to the grid hull; the weight on a single-node axis is zero.
-    """
-    x = np.clip(x, grid[0], grid[-1])
-    lo = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, max(len(grid) - 2, 0)).astype(np.int64, copy=False)
-    if len(grid) < 2:
-        return lo, np.zeros_like(x)
-    return lo, (x - grid[lo]) / (grid[lo + 1] - grid[lo])
-
-
 def _corner_span(lo, frac, valid, n_axis):
-    """Per cell, the smallest and largest node index along one axis of the
-    corners its valid transitions read with a nonzero weight: lo where
-    frac < 1, lo + 1 where frac > 0. (n_axis, -1) when no transition is valid."""
+    """Per cell, the half-open range [start, stop) of node indices along one
+    axis of the corners its valid transitions read with a nonzero weight:
+    lo where frac < 1, lo + 1 where frac > 0. (n_axis, 0) when no transition
+    is valid."""
     valid = valid.astype(bool)
     reads_lo = valid & (frac < 1.0)
     reads_hi = valid & (frac > 0.0)
-    first = np.minimum(
+    start = np.minimum(
         np.min(lo, axis=1, where=reads_lo, initial=n_axis),
         np.min(lo, axis=1, where=reads_hi, initial=n_axis - 1) + 1,
     )
-    last = np.maximum(
-        np.max(lo, axis=1, where=reads_lo, initial=-1),
-        np.max(lo, axis=1, where=reads_hi, initial=-2) + 1,
+    stop = np.maximum(
+        np.max(lo, axis=1, where=reads_lo, initial=-1) + 1,
+        np.max(lo, axis=1, where=reads_hi, initial=-2) + 2,
     )
-    return first, last
+    return start, stop

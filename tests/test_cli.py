@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from chargeopt import learning
 from chargeopt.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_TRAINING, main
+from chargeopt.errors import TrainingFailureError
 from chargeopt.optimizer import Scenario, save_scenario_json
 from chargeopt.core import TimeGrid
 from chargeopt.tariff import default_profiles, save_profile_csv
@@ -84,10 +86,9 @@ def test_fit_thermal_and_validate(tmp_path):
     assert len(rows) == 1 + 4  # electrical + constant + linear + mlp
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_fit_thermal_on_a_diverging_corpus_exits_with_a_training_failure(tmp_path, capsys):
-    # finite temperatures alternating between +-1e200: every temperature step
-    # squares past the float range, so the first epoch's loss is not finite
+def test_fit_thermal_on_a_corpus_outside_the_physical_range_is_an_input_error(tmp_path, capsys):
+    # temperatures alternating between +-1e200 lie outside [-40, 80] degC:
+    # the corpus is rejected at load, before any training
     events = _gen_events(tmp_path, n=2, seed=11)
     for path in sorted(events.glob("*.csv")):
         lines = path.read_text().splitlines()
@@ -101,9 +102,37 @@ def test_fit_thermal_on_a_diverging_corpus_exits_with_a_training_failure(tmp_pat
         tmp_path / "fit.json",
         {"events_dir": str(events), "out": str(out), "grid": [{"hidden_layers": 1, "neurons": 5}], "cv_epochs": 3},
     )
+    assert main(["fit-thermal", "--config", cfg]) == EXIT_INPUT
+    assert "theta_c -1e+200 in data row 1" in capsys.readouterr().err
+    assert not (out / "thermal_mlp.json").exists()
+
+
+def test_fit_thermal_exits_with_a_training_failure(tmp_path, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise TrainingFailureError("training diverged at epoch 0", epoch=0)
+
+    monkeypatch.setattr(learning, "fit_mlp", diverge)
+    events = _gen_events(tmp_path, n=2, seed=11)
+    out = tmp_path / "fit"
+    cfg = _write(
+        tmp_path / "fit.json",
+        {"events_dir": str(events), "out": str(out), "grid": [{"hidden_layers": 1, "neurons": 5}], "cv_epochs": 3},
+    )
     assert main(["fit-thermal", "--config", cfg]) == EXIT_TRAINING
     assert "training failed (epoch 0)" in capsys.readouterr().err
     assert not (out / "thermal_mlp.json").exists()
+
+
+def test_ecm_tables_csv_with_a_non_finite_value_is_an_input_error(tmp_path, capsys):
+    ecm = tmp_path / "ecm.csv"
+    ecm.write_text("e_kwh,theta_c,u_ocv_v,r_i_ohm\n0,0,300,0.1\n0,25,300,inf\n80,0,420,0.1\n80,25,420,0.1\n")
+    cfg = _write(
+        tmp_path / "opt.json",
+        {"scenario_json": str(_scenario_file(tmp_path)), "ecm_tables_csv": str(ecm), "out": str(tmp_path / "opt")},
+    )
+    assert main(["optimize", "--config", cfg]) == EXIT_INPUT
+    assert "r_i must be positive and finite everywhere" in capsys.readouterr().err
+    assert not (tmp_path / "opt" / "cost.json").exists()
 
 
 def _scenario_file(tmp_path, **overrides):

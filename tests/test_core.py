@@ -1,5 +1,7 @@
 """Core types and event discretization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,23 @@ def test_samples_csv_rejects_non_finite_values(tmp_path, value):
     path.write_text(f"t_s,p_kw,e_kwh,theta_c,u_bat_v\n0,1,20,20,360\n300,1,{value},20,360\n")
     with pytest.raises(InvalidParameterError, match="non-finite e_kwh in data row 2"):
         load_samples_csv(path)
+
+
+@pytest.mark.parametrize(
+    "e_kwh, theta_c",
+    [("-0.5", "20"), ("20", "-40.5"), ("20", "80.5"), ("20", "1e200"), ("20", "-1e200")],
+)
+def test_samples_csv_rejects_a_state_no_battery_can_hold(tmp_path, e_kwh, theta_c):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t_s,p_kw,e_kwh,theta_c,u_bat_v\n0,1,20,20,360\n300,1,{e_kwh},{theta_c},360\n")
+    with pytest.raises(InvalidParameterError, match=re.escape(f"theta_c {float(theta_c)!r} in data row 2")):
+        load_samples_csv(path)
+
+
+def test_samples_csv_accepts_the_edges_of_the_physical_range(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("t_s,p_kw,e_kwh,theta_c,u_bat_v\n0,1,0,-40,360\n300,1,0,80,360\n")
+    assert load_samples_csv(path).theta_c.tolist() == [-40.0, 80.0]
 
 
 def test_samples_csv_missing_column(tmp_path):

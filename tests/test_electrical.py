@@ -173,6 +173,23 @@ def test_tables_csv_rejects_ragged(tmp_path):
         load_tables_csv(path)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,0,300,0.1\n0,25,300,inf\n80,0,420,0.1\n80,25,420,0.1\n", "r_i must be positive and finite"),
+        ("0,0,300,0.1\n0,25,inf,0.1\n80,0,420,0.1\n80,25,420,0.1\n", "u_ocv must be positive and finite"),
+        ("0,0,300,0.1\n0,inf,300,0.1\n80,0,420,0.1\n80,inf,420,0.1\n", "theta_axis must be finite"),
+        ("0,0,300,0.1\n0,25,300,0.1\n-inf,0,420,0.1\n-inf,25,420,0.1\n", "e_axis must be finite"),
+    ],
+)
+def test_tables_csv_rejects_non_finite_values(tmp_path, rows, message):
+    # an r_i of inf used to load, and energy_step then returned (nan, nan)
+    path = tmp_path / "ecm.csv"
+    path.write_text("e_kwh,theta_c,u_ocv_v,r_i_ohm\n" + rows)
+    with pytest.raises(InvalidParameterError, match=message):
+        load_tables_csv(path)
+
+
 def test_lookup_arrays_matches_scalar():
     t = default_tables()
     rng = np.random.default_rng(7)

@@ -8,13 +8,13 @@ from chargeopt.errors import InvalidParameterError, TrainingFailureError, Undefi
 from chargeopt.learning import (
     Dataset,
     MlpArchitecture,
+    _rank,
     apply_normalizer,
     build_dataset,
     fit_linear,
     fit_mlp,
     fit_normalizer,
     grid_search_cv,
-    mae,
     mlp_forward,
     mlp_gradients,
     rmse,
@@ -33,6 +33,15 @@ def test_spearman_monotone():
 def test_spearman_hand_value():
     # rho = 1 - 6*sum(d^2)/(n(n^2-1)) = 1 - 12/60
     assert spearman([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize("n, n_values", [(1, 1), (2, 1), (7, 3), (40, 5), (2000, 50), (300, 1000)])
+def test_rank_averages_tie_runs(n, n_values):
+    # brute force: the rank of v[i] is 1 + (values below it) + (other values equal to it) / 2
+    v = np.random.default_rng(n).integers(0, n_values, n).astype(float)
+    below = (v[None, :] < v[:, None]).sum(axis=1)
+    equal = (v[None, :] == v[:, None]).sum(axis=1)
+    assert np.array_equal(_rank(v), 1.0 + below + 0.5 * (equal - 1))
 
 
 def test_spearman_monotone_transform_invariance():
@@ -207,13 +216,10 @@ def test_mlp_divergence_raises_with_the_epoch():
     assert info.value.epoch == 0
 
 
-def test_rmse_mae():
+def test_rmse():
     assert rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert mae([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert rmse([1.0, 1.0], [0.0, 2.0]) == pytest.approx(1.0)
-    assert mae([1.0, 1.0], [0.0, 2.0]) == pytest.approx(1.0)
     assert rmse([3.0, 0.0], [0.0, 0.0]) == pytest.approx(2.12132, abs=1e-5)
-    assert mae([3.0, 0.0], [0.0, 0.0]) == pytest.approx(1.5)
     with pytest.raises(InvalidParameterError):
         rmse([], [])
 

@@ -392,7 +392,7 @@ def test_table_built_for_another_dt_is_rejected():
     s5 = default_scenario(e_step=1.6, theta_step=2.0, p_step=2.0)
     table = build_transition_table(s5, models, build_grids(s5))
     s10 = replace(s5, grid=replace(s5.grid, n_intervals=48, dt_min=10.0))
-    with pytest.raises(InvalidParameterError, match="dt = 5.0 min, scenario has dt = 10.0 min"):
+    with pytest.raises(InvalidParameterError, match="grids, state and power bounds or dt"):
         solve(s10, models, table=table)
     assert solve(s10, models).cost.total == pytest.approx(13.213, abs=5e-4)
 
@@ -408,7 +408,7 @@ def test_table_built_for_another_model_is_rejected():
     const = replace(linear, thermal=thermal.constant_model())
     s = default_scenario(e_step=1.6, theta_step=2.0, p_step=2.0)
     table = build_transition_table(s, linear, build_grids(s))
-    with pytest.raises(InvalidParameterError, match="other battery models or state and power bounds"):
+    with pytest.raises(InvalidParameterError, match="other battery models, grids"):
         solve(s, const, table=table)
     assert solve(s, const).cost.total == pytest.approx(13.292, abs=5e-4)
 
@@ -504,7 +504,7 @@ def test_table_arrays_are_read_only():
     s, models, grids = _cache_instance()
     table = build_transition_table(s, models, grids)
     arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 16
+    assert len(arrays) == 6
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
@@ -532,8 +532,7 @@ def _whole_grid(n_steps, ni, nj):
 def _full_pass(s, models, table, backend):
     """Grids of a backward pass over every cell on the given table and kernel."""
     grids = build_grids(s)
-    grids.table, grids.backend = table, backend
-    solver_mod._backward_pass(s, grids, models, _whole_grid(s.grid.n_intervals, *grids.shape[:2]))
+    solver_mod._backward_pass(s, grids, models, table, _whole_grid(s.grid.n_intervals, *grids.shape[:2]), backend)
     return grids
 
 
@@ -992,6 +991,13 @@ def test_region_holds_every_corner_its_cells_read(model, largest_share):
     src, dst = np.concatenate(src), np.concatenate(dst)
     for n in range(s.grid.n_intervals - 1):
         assert not np.any(computed[n, src] & ~computed[n + 1, dst]), f"step {n}"
+    # each succ_box row is the tight hull of its cell's corners, (Ni, 0, Nj, 0) when it has none
+    hull = np.tile(np.array([len(grids.e_d), 0, nj, 0]), (len(table.valid), 1))
+    rows, cols = dst // nj, dst % nj
+    bounds = ((np.minimum, rows), (np.maximum, rows + 1), (np.minimum, cols), (np.maximum, cols + 1))
+    for col, (ufunc, node) in enumerate(bounds):
+        ufunc.at(hull[:, col], src, node)
+    assert np.array_equal(table.succ_box, hull)
     region = grids.region.copy()
     forward_integration(s, grids, models)
     assert np.array_equal(grids.region, region)  # no fallback
