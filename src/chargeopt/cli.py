@@ -151,12 +151,12 @@ def cmd_fit_thermal(cfg) -> int:
     nrm = learning.fit_normalizer(ds)
     dsz = learning.apply_normalizer(ds, nrm)
 
-    cv_epochs = int(cfg.get("cv_epochs", 120))
+    cv_epochs = cfg.get("cv_epochs", 120)
     if "grid" in cfg:
         grid = [
             learning.MlpArchitecture(
-                hidden_layers=int(g["hidden_layers"]),
-                neurons_per_layer=int(g["neurons"]),
+                hidden_layers=g["hidden_layers"],
+                neurons_per_layer=g["neurons"],
                 epochs=cv_epochs,
             )
             for g in cfg["grid"]
@@ -172,7 +172,7 @@ def cmd_fit_thermal(cfg) -> int:
         final_arch = learning.MlpArchitecture(
             best.hidden_layers,
             best.neurons_per_layer,
-            epochs=int(cfg.get("final_epochs", 500)),
+            epochs=cfg.get("final_epochs", 500),
         )
         mlp = learning.fit_mlp(dsz, final_arch, seed=seed, normalization=nrm)
     except TrainingFailureError as exc:

@@ -65,13 +65,18 @@ def validate_models(
     circuit-model error); each thermal rollout propagates energy and
     temperature jointly through the coupled models. Every event is stepped
     at once, with its own dt; an event that has ended keeps its last state
-    while longer ones go on. The predictor is batch-invariant, so each
-    event gets the bits of a rollout of that event alone.
+    while longer ones go on. One circuit step per interval serves the
+    electrical rollout and every thermal model's rollout, one row each, and
+    one circuit step over the measured states serves every model's local
+    errors; each model then predicts its rows in one call. The circuit
+    model and the predictor are batch-invariant, so each event and model
+    gets the bits of a rollout of that event and model alone.
     """
     if not events:
         raise InvalidParameterError("empty event corpus")
-    # local errors: one step per model over every event's intervals
-    measured = (
+    models = list(thermal_models.values())
+    # local errors: one step over every event's intervals
+    e_m, theta_m, p_m, dt_m = (
         np.concatenate([ev.e[:-1] for ev in events]),
         np.concatenate([ev.theta[:-1] for ev in events]),
         np.concatenate([ev.p for ev in events]),
@@ -79,37 +84,33 @@ def validate_models(
     )
     de_true = np.concatenate([np.diff(ev.e) for ev in events])
     dth_true = np.concatenate([np.diff(ev.theta) for ev in events])
-    de_hat, _ = electrical.energy_step(tables, *measured)
+    de_hat, q_loss = electrical.energy_step(tables, e_m, theta_m, p_m, dt_m)
     local_soc = _rms((de_hat - de_true) / e_nom * 100.0)
-    local_theta = {
-        name: _rms(thermal.step(tables, model, *measured)[2] - dth_true) for name, model in thermal_models.items()
-    }
+    local_theta = [
+        _rms(thermal.temperature_change(model, p_m, q_loss, de_hat, theta_m) - dth_true) for model in models
+    ]
 
-    # global errors: rollouts of all events in lockstep
+    # global errors: rollouts of all events in lockstep; row 0 is the
+    # electrical rollout, row 1 + k the joint rollout of thermal model k
     lengths = np.array([ev.grid.n_intervals for ev in events])
     dt_event = np.array([ev.grid.dt_min for ev in events], float)
     p = _stack_rows([ev.p for ev in events])
     theta_measured = _stack_rows([ev.theta[:-1] for ev in events])
-    e_first = np.array([ev.e[0] for ev in events])
-    theta_first = np.array([ev.theta[0] for ev in events])
-    # electrical rollout with measured temperatures
-    e_hat = e_first
+    e_hat = np.tile([ev.e[0] for ev in events], (1 + len(models), 1))
+    th_hat = np.tile([ev.theta[0] for ev in events], (1 + len(models), 1))
     for n in range(p.shape[1]):
-        de, _ = electrical.energy_step(tables, e_hat, theta_measured[:, n], p[:, n], dt_event)
-        e_hat = np.where(n < lengths, e_hat + de, e_hat)
-    gl_soc = np.abs(e_hat - [ev.e[-1] for ev in events]) / e_nom * 100.0
-    # joint rollouts per thermal model
-    gl_theta = {}
-    for name, model in thermal_models.items():
-        e_hat, th_hat = e_first, theta_first
-        for n in range(p.shape[1]):
-            de, _, dth = thermal.step(tables, model, e_hat, th_hat, p[:, n], dt_event)
-            live = n < lengths
-            e_hat, th_hat = np.where(live, e_hat + de, e_hat), np.where(live, th_hat + dth, th_hat)
-        gl_theta[name] = np.abs(th_hat - [ev.theta[-1] for ev in events])
+        live = n < lengths
+        th_hat[0] = theta_measured[:, n]
+        de, q_loss = electrical.energy_step(tables, e_hat, th_hat, p[:, n], dt_event)
+        for k, model in enumerate(models, start=1):
+            dth = thermal.temperature_change(model, p[:, n], q_loss[k], de[k], th_hat[k])
+            th_hat[k] = np.where(live, th_hat[k] + dth, th_hat[k])
+        e_hat = np.where(live, e_hat + de, e_hat)
+    gl_soc = np.abs(e_hat[0] - [ev.e[-1] for ev in events]) / e_nom * 100.0
+    gl_theta = np.abs(th_hat[1:] - [ev.theta[-1] for ev in events])
     report_thermal = {
-        name: ModelErrors(local_rmse=local_theta[name], global_mae=_mean(gl_theta[name]))
-        for name in thermal_models
+        name: ModelErrors(local_rmse=local, global_mae=_mean(errors))
+        for name, local, errors in zip(thermal_models, local_theta, gl_theta)
     }
     return ValidationReport(
         electrical=ModelErrors(local_rmse=local_soc, global_mae=_mean(gl_soc)),

@@ -55,8 +55,12 @@ class MlpArchitecture:
     epochs: int = 500
 
     def __post_init__(self):
-        if self.hidden_layers < 1 or self.neurons_per_layer < 1:
-            raise InvalidParameterError("need at least one hidden layer and one neuron")
+        for name in ("hidden_layers", "neurons_per_layer", "epochs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise InvalidParameterError(f"{name} must be at least 1, got {value}")
 
     def n_parameters(self, n_features: int) -> int:
         sizes = [n_features] + [self.neurons_per_layer] * self.hidden_layers + [1]
@@ -177,35 +181,37 @@ def fit_linear(ds: Dataset, normalization: Normalizer | None = None) -> ThermalM
     )
 
 
-def _init_layers(arch: MlpArchitecture, n_features: int, rng: np.random.Generator):
-    """Xavier-uniform weights, zero biases."""
-    sizes = [n_features] + [arch.neurons_per_layer] * arch.hidden_layers + [1]
-    layers = []
+def _layer_views(flat: np.ndarray, sizes: list[int]) -> list[tuple]:
+    """(weights, bias) views into a flat vector for layer widths `sizes`,
+    each layer's weights (row-major) followed by its bias."""
+    layers, start = [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        layers.append([rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out)])
+        w = flat[start : start + fan_in * fan_out].reshape(fan_in, fan_out)
+        start += fan_in * fan_out
+        layers.append((w, flat[start : start + fan_out]))
+        start += fan_out
     return layers
 
 
-def mlp_gradients(layers, x: np.ndarray, y: np.ndarray):
+def mlp_gradients(layers, x: np.ndarray, y: np.ndarray, out=None):
     """Gradients of the mean squared error wrt every weight and bias.
 
     Also returns the forward predictions so training can track the loss
-    without a second pass.
+    without a second pass. The gradients are written into `out`, a list of
+    (weights, bias) arrays shaped like `layers`, when it is given.
     """
     pred, acts = mlp_forward(layers, x)
-    n = len(y)
-    delta = (2.0 / n) * (pred - y)[:, None]  # d(mse)/d(out)
-    grads = []
+    delta = (2.0 / len(y)) * (pred - y)[:, None]  # d(mse)/d(out)
+    grads = out if out is not None else [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
     for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        gw = acts[li].T @ delta
-        gb = delta.sum(axis=0)
-        grads.append((gw, gb))
+        gw, gb = grads[li]
+        np.dot(acts[li].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
         if li > 0:
             a = acts[li]
-            delta = (delta @ w.T) * a * (1.0 - a)  # sigmoid derivative
-    grads.reverse()
+            delta = np.dot(delta, layers[li][0].T)
+            delta *= a
+            delta *= 1.0 - a  # sigmoid derivative
     return grads, pred
 
 
@@ -217,24 +223,33 @@ def fit_mlp(
 ) -> ThermalModel:
     """Mini-batch SGD on the mean squared error; deterministic per seed.
 
-    The dataset is expected to be normalized already; pass the normalizer
-    so prediction applies the same transform. Divergence (non-finite loss)
+    Weights start Xavier-uniform, biases zero. Each epoch visits the
+    samples in a fresh random order, BATCH_SIZE rows per mlp_gradients
+    call. All weights and biases live in one flat vector (the layers are
+    views into it), so a step updates them with one operation. The dataset
+    is expected to be normalized already; pass the normalizer so
+    prediction applies the same transform. Divergence (non-finite loss)
     raises TrainingFailureError with the epoch index.
     """
     rng = np.random.default_rng(seed)
-    layers = _init_layers(arch, ds.x.shape[1], rng)
+    sizes = [ds.x.shape[1]] + [arch.neurons_per_layer] * arch.hidden_layers + [1]
+    params = np.zeros(arch.n_parameters(ds.x.shape[1]))
+    layers = _layer_views(params, sizes)
+    for w, _ in layers:
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    grads = np.empty_like(params)
+    grad_layers = _layer_views(grads, sizes)
     n = ds.n_samples
+    pred = np.empty(n)
     for epoch in range(arch.epochs):
         perm = rng.permutation(n)
-        epoch_loss = 0.0
+        x, y = ds.x[perm], ds.y[perm]
         for start in range(0, n, BATCH_SIZE):
-            idx = perm[start : start + BATCH_SIZE]
-            xb, yb = ds.x[idx], ds.y[idx]
-            grads, pred = mlp_gradients(layers, xb, yb)
-            epoch_loss += float(np.sum((pred - yb) ** 2))
-            for (w, b), (gw, gb) in zip(layers, grads):
-                w -= LEARNING_RATE * gw
-                b -= LEARNING_RATE * gb
+            batch = slice(start, start + BATCH_SIZE)
+            _, pred[batch] = mlp_gradients(layers, x[batch], y[batch], out=grad_layers)
+            params -= LEARNING_RATE * grads
+        epoch_loss = float(np.sum((pred - y) ** 2))
         if not np.isfinite(epoch_loss):
             raise TrainingFailureError(f"training diverged at epoch {epoch}", epoch=epoch)
     m = ds.x.shape[1]

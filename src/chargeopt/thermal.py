@@ -76,8 +76,12 @@ def constant_model() -> ThermalModel:
     return ThermalModel(variant=VARIANT_CONSTANT)
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), computed in place in the float array z."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 # predict_batch evaluates a batch in pieces of this many rows, so that a
@@ -140,28 +144,40 @@ def mlp_forward(layers, x: np.ndarray):
     """Forward pass through (weights, bias) layers: sigmoid hidden units and
     a linear output unit. Returns predictions (n,) and the per-layer
     activations, input first, that backpropagation needs. Training uses
-    this matrix-product (BLAS) pass, whose last bits may depend on the
-    batch; predict_batch does not."""
+    this matrix-product (BLAS, through np.dot) pass, whose last bits may
+    depend on the batch; predict_batch does not."""
     acts = [np.atleast_2d(x)]
     for w, b in layers[:-1]:
-        acts.append(_sigmoid(acts[-1] @ w + b))
+        z = np.dot(acts[-1], w)
+        z += b
+        acts.append(_sigmoid(z))
     w, b = layers[-1]
-    return (acts[-1] @ w + b)[:, 0], acts
+    z = np.dot(acts[-1], w)
+    z += b
+    return z[:, 0], acts
+
+
+def temperature_change(model: ThermalModel, p_kw, q_loss_kw, delta_e_kwh, theta):
+    """Predicted temperature change in K over one interval, given its power,
+    Ohmic loss and energy throughput from the circuit model and its
+    start temperature. The inputs broadcast elementwise; the predictor sees
+    them flattened in C order in one predict_batch call. 0-d inputs give a
+    float."""
+    p, q, de, th = np.broadcast_arrays(p_kw, q_loss_kw, delta_e_kwh, theta)
+    x = feature_matrix(p.ravel(), q.ravel(), de.ravel(), th.ravel())
+    d_theta = predict_batch(model, x).reshape(p.shape)
+    return d_theta if d_theta.ndim else float(d_theta)
 
 
 def step(tables: EcmTables, model: ThermalModel, e, theta, p_kw, dt_min: float):
     """(delta_e in kWh, q_loss in kW, d_theta in K) over one interval.
 
     The coupled model step: circuit losses and energy throughput from
-    electrical.energy_step, then the predicted temperature change. e, theta
-    and p_kw broadcast elementwise; the predictor sees the broadcast inputs
-    flattened in C order in one predict_batch call. 0-d inputs give floats.
+    electrical.energy_step, then temperature_change. e, theta and p_kw
+    broadcast elementwise; 0-d inputs give floats.
     """
     delta_e, q_loss = electrical.energy_step(tables, e, theta, p_kw, dt_min)
-    p, q, de, th = np.broadcast_arrays(p_kw, q_loss, delta_e, theta)
-    x = feature_matrix(p.ravel(), q.ravel(), de.ravel(), th.ravel())
-    d_theta = predict_batch(model, x).reshape(p.shape)
-    return delta_e, q_loss, (d_theta if d_theta.ndim else float(d_theta))
+    return delta_e, q_loss, temperature_change(model, p_kw, q_loss, delta_e, theta)
 
 
 def save_model(model: ThermalModel, path) -> None:

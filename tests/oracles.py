@@ -3,7 +3,8 @@
 The brute-force search enumerates every action sequence on the snapped
 state chain with one model step per (cell, action) on 0-d inputs, entirely
 separate from the solver's batched transition table. Gradients are
-checked against central finite differences.
+checked against central finite differences, and MLP training against the
+plain mini-batch SGD loop.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from chargeopt import aging as aging_mod
 from chargeopt import electrical, tariff, thermal
 from chargeopt.core import TimeGrid
+from chargeopt.errors import TrainingFailureError
 from chargeopt.optimizer import BatteryModels, Scenario, nearest_index
 from chargeopt.thermal import ThermalModel
 
@@ -222,3 +224,35 @@ def finite_difference_gradients(layers, x, y, h=1e-5):
             gb[idx] = (up - down) / (2 * h)
         grads.append((gw, gb))
     return grads
+
+
+def reference_fit_mlp(ds, arch, seed):
+    """The (weights, bias) layers of plain mini-batch SGD, which fit_mlp
+    must reproduce bit for bit: Xavier-uniform weights and zero biases drawn
+    layer by layer, one permutation per epoch, a gathered copy of each
+    minibatch, mlp_gradients, and an update of each weight and bias array.
+    Raises TrainingFailureError at the first epoch whose summed squared
+    error is not finite."""
+    from chargeopt.learning import BATCH_SIZE, LEARNING_RATE, mlp_gradients
+
+    rng = np.random.default_rng(seed)
+    sizes = [ds.x.shape[1]] + [arch.neurons_per_layer] * arch.hidden_layers + [1]
+    layers = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        layers.append((rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out)))
+    n = ds.n_samples
+    for epoch in range(arch.epochs):
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, BATCH_SIZE):
+            idx = perm[start : start + BATCH_SIZE]
+            xb, yb = ds.x[idx], ds.y[idx]
+            grads, pred = mlp_gradients(layers, xb, yb)
+            epoch_loss += float(np.sum((pred - yb) ** 2))
+            for (w, b), (gw, gb) in zip(layers, grads):
+                w -= LEARNING_RATE * gw
+                b -= LEARNING_RATE * gb
+        if not np.isfinite(epoch_loss):
+            raise TrainingFailureError(f"training diverged at epoch {epoch}", epoch=epoch)
+    return layers

@@ -107,6 +107,28 @@ def test_fit_thermal_on_a_corpus_outside_the_physical_range_is_an_input_error(tm
     assert not (out / "thermal_mlp.json").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("final_epochs", 0, "epochs"),
+        ("final_epochs", 2.5, "epochs"),
+        ("cv_epochs", -1, "epochs"),
+        ("grid", [{"hidden_layers": 1, "neurons": 1.5}], "neurons_per_layer"),
+    ],
+)
+def test_fit_thermal_with_an_architecture_that_is_not_positive_integers_is_an_input_error(
+    tmp_path, capsys, key, value, field
+):
+    # epochs of 0 used to write the untrained initial weights and exit 0
+    events = _gen_events(tmp_path, n=2, seed=11)
+    out = tmp_path / "fit"
+    cfg = {"events_dir": str(events), "out": str(out), "grid": [{"hidden_layers": 1, "neurons": 5}], "cv_epochs": 3}
+    cfg[key] = value
+    assert main(["fit-thermal", "--config", _write(tmp_path / "fit.json", cfg)]) == EXIT_INPUT
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not (out / "thermal_mlp.json").exists()
+
+
 def test_fit_thermal_exits_with_a_training_failure(tmp_path, capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise TrainingFailureError("training diverged at epoch 0", epoch=0)

@@ -200,3 +200,35 @@ def test_lookup_arrays_matches_scalar():
         u, r = lookup_arrays(t, e, th)
         assert u == uv
         assert r == rv
+
+
+def _random_tables(seed):
+    rng = np.random.default_rng(seed)
+    e_axis = np.sort(rng.choice(np.arange(0.0, 81.0), size=7, replace=False))
+    theta_axis = np.sort(rng.choice(np.arange(-25.0, 61.0), size=5, replace=False))
+    shape = (len(e_axis), len(theta_axis))
+    return EcmTables(e_axis, theta_axis, rng.uniform(300.0, 420.0, shape), rng.uniform(0.05, 0.3, shape))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 1001])
+def test_a_row_of_any_batch_equals_its_one_row_call(rows):
+    # validate_models steps many rollouts in one energy_step call and relies on these bits
+    t = _random_tables(rows)
+    rng = np.random.default_rng(rows)
+    e = rng.uniform(-5.0, 85.0, rows)  # some beyond the table hull, where the lookup clamps
+    e[::3] = rng.choice(t.e_axis, len(e[::3]))  # some exactly on grid nodes
+    theta = rng.uniform(-30.0, 65.0, rows)
+    p = rng.uniform(-60.0, 60.0, rows)
+    dt = rng.choice([1.0, 5.0, 15.0], rows)
+    # every row again at other positions of a 2-D batch: shuffled in row 0, reversed in row 1
+    order = rng.permutation(rows)
+    stacked = [np.vstack([v[order], v[::-1]]) for v in (e, theta, p, dt)]
+    batch = lookup_arrays(t, e, theta) + energy_step(t, e, theta, p, dt)
+    batch_2d = lookup_arrays(t, *stacked[:2]) + energy_step(t, *stacked)
+    position = np.argsort(order)
+    for i in range(rows):
+        one = lookup_arrays(t, e[i], theta[i]) + energy_step(t, e[i], theta[i], p[i], dt[i])
+        assert isinstance(one[2], float) and isinstance(one[3], float)
+        for v, b, b2 in zip(one, batch, batch_2d):
+            bits = np.float64(v).tobytes()
+            assert bits == b[i].tobytes() == b2[0, position[i]].tobytes() == b2[1, rows - 1 - i].tobytes(), f"row {i}"

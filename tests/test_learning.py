@@ -22,7 +22,7 @@ from chargeopt.learning import (
     spearman,
 )
 from chargeopt.thermal import ThermalPlant, generate_synthetic_events, predict_batch
-from oracles import finite_difference_gradients
+from oracles import finite_difference_gradients, reference_fit_mlp
 
 
 def test_spearman_monotone():
@@ -214,6 +214,55 @@ def test_mlp_divergence_raises_with_the_epoch():
     with pytest.raises(TrainingFailureError, match="diverged at epoch 0") as info:
         fit_mlp(ds, MlpArchitecture(1, 4, epochs=5), seed=0)
     assert info.value.epoch == 0
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("hidden_layers, neurons", [(1, 1), (1, 5), (2, 10), (3, 20)])
+@pytest.mark.parametrize("n", [5, 31, 33, 850, 864])
+def test_fit_mlp_matches_the_reference_sgd_loop_bit_for_bit(n, hidden_layers, neurons, normalized):
+    # n around and off multiples of the 32-row batch, so the last batch is short or full
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 4)) * [20.0, 0.5, 2.0, 10.0] + [5.0, 0.3, 1.0, 20.0]
+    y = 0.05 * x[:, 1] - 0.002 * (x[:, 3] - 22.0) ** 2 + 0.01 * rng.normal(size=n)
+    ds = _dataset(x, y)
+    nrm = fit_normalizer(ds) if normalized else None
+    if normalized:
+        ds = apply_normalizer(ds, nrm)
+    arch = MlpArchitecture(hidden_layers, neurons, epochs=6)
+    model = fit_mlp(ds, arch, seed=n + neurons, normalization=nrm)
+    reference = reference_fit_mlp(ds, arch, seed=n + neurons)
+    assert len(model.layers) == len(reference) == hidden_layers + 1
+    for (w, b), (w_ref, b_ref) in zip(model.layers, reference):
+        assert w.shape == w_ref.shape and b.shape == b_ref.shape
+        assert w.tobytes() == w_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+    assert np.array_equal(model.means, nrm.means if normalized else np.zeros(4))
+    assert np.array_equal(model.stds, nrm.safe_stds() if normalized else np.ones(4))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_mlp_divergence_raises_at_the_reference_loops_epoch():
+    rng = np.random.default_rng(15)
+    ds = _dataset(rng.normal(size=(70, 3)), 1e200 * rng.choice([-1.0, 1.0], size=70))
+    arch = MlpArchitecture(2, 6, epochs=4)
+    with pytest.raises(TrainingFailureError) as ref:
+        reference_fit_mlp(ds, arch, seed=2)
+    with pytest.raises(TrainingFailureError) as fit:
+        fit_mlp(ds, arch, seed=2)
+    assert fit.value.epoch == ref.value.epoch
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in ("hidden_layers", "neurons_per_layer", "epochs") for v in (0, -3, 2.5, 4.0, True, "5", None)],
+)
+def test_mlp_architecture_rejects_a_field_that_is_not_a_positive_integer(field, value):
+    with pytest.raises(InvalidParameterError, match=field):
+        MlpArchitecture(**{field: value})
+
+
+def test_mlp_architecture_takes_numpy_integers():
+    arch = MlpArchitecture(np.int64(1), np.int32(3), epochs=np.int64(2))
+    assert arch.n_parameters(2) == 2 * 3 + 3 + 3 + 1
 
 
 def test_rmse():
