@@ -166,15 +166,12 @@ def cmd_fit_thermal(cfg) -> int:
             learning.MlpArchitecture(a.hidden_layers, a.neurons_per_layer, epochs=cv_epochs)
             for a in learning.default_grid()
         ]
+    # checked here, before the cross-validation trains every grid cell on every fold
+    final = learning.MlpArchitecture(epochs=cfg.get("final_epochs", 500))
     k = int(cfg.get("cv_folds", 5))
     try:
         best, cv_table = learning.grid_search_cv(dsz, grid, k=k, seed=seed)
-        final_arch = learning.MlpArchitecture(
-            best.hidden_layers,
-            best.neurons_per_layer,
-            epochs=cfg.get("final_epochs", 500),
-        )
-        mlp = learning.fit_mlp(dsz, final_arch, seed=seed, normalization=nrm)
+        mlp = learning.fit_mlp(dsz, dataclasses.replace(best, epochs=final.epochs), seed=seed, normalization=nrm)
     except TrainingFailureError as exc:
         print(f"training failed (epoch {exc.epoch}): {exc}", file=sys.stderr)
         return EXIT_TRAINING

@@ -20,6 +20,21 @@
  * and CPUs, and when K < 8, which leaves no whole block. The module constant
  * LANES is 8 where the lanes run and 1 elsewhere.
  *
+ * On Linux the pass runs on T threads, the calling thread and T - 1 threads
+ * started for the call, where T is the number of CPUs in the process's
+ * affinity mask (sched_getaffinity) capped at the n_rows energy rows. The
+ * affinity mask is the only control; taskset or os.sched_setaffinity narrows
+ * it. Thread id owns the energy rows i with i mod T == id: at every step it
+ * fills its rows with the penalty and p_d[0] and computes the cells of its
+ * rows that lie in the box, one row at a time, so that the same thread fills
+ * and computes each row. The threads then wait at a barrier, because step
+ * n - 1 reads the whole of slice n. Each cell's minimum comes from the same
+ * code and the same complete slice n + 1 whatever T is; only the order in
+ * which the cells are computed changes, so the bits do not depend on T. A
+ * thread that cannot be started leaves the pass to those that were, down to
+ * the calling thread alone: the workers wait at a start gate until the caller
+ * has published the final T. Elsewhere the calling thread runs the pass alone.
+ *
  * Step n computes only the cells of its box, the energy rows [boxes[n, 0],
  * boxes[n, 1]) and temperature columns [boxes[n, 2], boxes[n, 3]) of the
  * n_rows x (M / n_rows) grid. Every other cell gets the penalty and the action
@@ -46,6 +61,12 @@
 #if defined(__GNUC__) && defined(__x86_64__)
 #include <immintrin.h>
 #define HAVE_LANES 1
+#endif
+
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#define HAVE_THREADS 1
 #endif
 
 /* The (M, K) transition arrays of one backward pass. */
@@ -155,40 +176,164 @@ scan_lanes(const Transitions *t, Py_ssize_t row, const double *je_n,
 /* Actions evaluated per instruction: 8 once PyInit finds AVX-512F, else 1. */
 static int lanes = 1;
 
+/* The arguments of one backward pass. */
+typedef struct {
+    Py_ssize_t n_steps, m, n_actions, n_rows;
+    double *cost, *action_kw;
+    const Transitions *t;
+    const double *je, *p_d;
+    const int64_t *boxes;
+} Pass;
+
+/* Row i of slice n: the penalty and p_d[0] in every cell, then the cells of
+ * the box computed from slice n + 1. */
 static void
-backward_loop(Py_ssize_t n_steps, Py_ssize_t m, Py_ssize_t n_actions, Py_ssize_t n_rows,
-              double *cost, double *action_kw, const Transitions *t, const double *je,
-              const double *p_d, const int64_t *boxes)
+step_row(const Pass *p, Py_ssize_t n, Py_ssize_t i)
 {
-    const Py_ssize_t n_cols = m / n_rows;
-    for (Py_ssize_t n = n_steps - 1; n >= 0; n--) {
-        const double *nxt = cost + (n + 1) * m;
-        const double *je_n = je + n * n_actions;
-        double *cost_n = cost + n * m;
-        double *action_n = action_kw + n * m;
-        for (Py_ssize_t cell = 0; cell < m; cell++) {
-            cost_n[cell] = t->penalty;
-            action_n[cell] = p_d[0];
-        }
-        const int64_t *box = boxes + 4 * n;
-        for (Py_ssize_t i = box[0]; i < box[1]; i++) {
-            for (Py_ssize_t cell = i * n_cols + box[2]; cell < i * n_cols + box[3]; cell++) {
-                const Py_ssize_t row = cell * n_actions;
-                double best = INFINITY;
-                Py_ssize_t best_k = 0;
-                Py_ssize_t k0 = 0;
-#ifdef HAVE_LANES
-                if (lanes == 8 && n_actions >= 8) {
-                    scan_lanes(t, row, je_n, nxt, n_actions / 8, &best, &best_k);
-                    k0 = n_actions - n_actions % 8;
-                }
-#endif
-                scan_actions(t, row, je_n, nxt, k0, n_actions, &best, &best_k);
-                cost_n[cell] = best;
-                action_n[cell] = p_d[best_k];
-            }
-        }
+    const Transitions *t = p->t;
+    const Py_ssize_t n_cols = p->m / p->n_rows, n_actions = p->n_actions;
+    const double *nxt = p->cost + (n + 1) * p->m;
+    const double *je_n = p->je + n * n_actions;
+    double *cost_i = p->cost + n * p->m + i * n_cols;
+    double *action_i = p->action_kw + n * p->m + i * n_cols;
+    for (Py_ssize_t j = 0; j < n_cols; j++) {
+        cost_i[j] = t->penalty;
+        action_i[j] = p->p_d[0];
     }
+    const int64_t *box = p->boxes + 4 * n;
+    if (i < box[0] || i >= box[1])
+        return;
+    for (Py_ssize_t j = box[2]; j < box[3]; j++) {
+        const Py_ssize_t row = (i * n_cols + j) * n_actions;
+        double best = INFINITY;
+        Py_ssize_t best_k = 0;
+        Py_ssize_t k0 = 0;
+#ifdef HAVE_LANES
+        if (lanes == 8 && n_actions >= 8) {
+            scan_lanes(t, row, je_n, nxt, n_actions / 8, &best, &best_k);
+            k0 = n_actions - n_actions % 8;
+        }
+#endif
+        scan_actions(t, row, je_n, nxt, k0, n_actions, &best, &best_k);
+        cost_i[j] = best;
+        action_i[j] = p->p_d[best_k];
+    }
+}
+
+static void
+backward_loop(const Pass *p)
+{
+    for (Py_ssize_t n = p->n_steps - 1; n >= 0; n--) {
+        for (Py_ssize_t i = 0; i < p->n_rows; i++)
+            step_row(p, n, i);
+    }
+}
+
+#ifdef HAVE_THREADS
+/* The threads of one pass. n_threads is 0 until the caller publishes it. */
+typedef struct {
+    const Pass *pass;
+    pthread_mutex_t lock;
+    pthread_cond_t published;
+    int n_threads;
+    pthread_barrier_t step_done;
+} Team;
+
+typedef struct {
+    Team *team;
+    int id;
+} Worker;
+
+/* backward_loop over the rows i with i mod n_threads == id; the n_threads
+ * threads meet at team->step_done after each step but the last. */
+static void
+backward_rows(Team *team, int id, int n_threads)
+{
+    const Pass *p = team->pass;
+    for (Py_ssize_t n = p->n_steps - 1; n >= 0; n--) {
+        for (Py_ssize_t i = id; i < p->n_rows; i += n_threads)
+            step_row(p, n, i);
+        if (n_threads > 1 && n > 0)
+            pthread_barrier_wait(&team->step_done);
+    }
+}
+
+static void *
+worker_main(void *arg)
+{
+    const Worker *w = arg;
+    Team *team = w->team;
+    pthread_mutex_lock(&team->lock);
+    while (team->n_threads == 0)
+        pthread_cond_wait(&team->published, &team->lock);
+    const int n_threads = team->n_threads;
+    pthread_mutex_unlock(&team->lock);
+    if (w->id < n_threads)
+        backward_rows(team, w->id, n_threads);
+    return NULL;
+}
+
+/* Threads to run a pass of n_rows rows on: the CPUs this process may run
+ * on, at most one per row, and 1 when the affinity mask cannot be read. */
+static int
+wanted_threads(Py_ssize_t n_rows)
+{
+    cpu_set_t cpus;
+    if (sched_getaffinity(0, sizeof(cpus), &cpus) != 0)
+        return 1;
+    const int n_cpus = CPU_COUNT(&cpus);
+    return n_rows < n_cpus ? (int)n_rows : n_cpus;
+}
+
+/* backward_loop on the calling thread and as many of the wanted - 1 other
+ * threads as start; -1, with nothing computed, when the start gate cannot be
+ * set up. */
+static int
+backward_threads(const Pass *p, int wanted)
+{
+    Team team = {.pass = p, .n_threads = 0};
+    if (pthread_mutex_init(&team.lock, NULL) != 0)
+        return -1;
+    if (pthread_cond_init(&team.published, NULL) != 0) {
+        pthread_mutex_destroy(&team.lock);
+        return -1;
+    }
+    pthread_t threads[wanted];
+    Worker workers[wanted];
+    int started = 1; /* the calling thread */
+    for (; started < wanted; started++) {
+        workers[started] = (Worker){&team, started};
+        if (pthread_create(&threads[started], NULL, worker_main, &workers[started]) != 0)
+            break;
+    }
+    int n_threads = started;
+    if (n_threads > 1 && pthread_barrier_init(&team.step_done, NULL, n_threads) != 0)
+        n_threads = 1; /* the started workers then return at once */
+    pthread_mutex_lock(&team.lock);
+    team.n_threads = n_threads;
+    pthread_cond_broadcast(&team.published);
+    pthread_mutex_unlock(&team.lock);
+    backward_rows(&team, 0, n_threads);
+    for (int w = 1; w < started; w++)
+        pthread_join(threads[w], NULL);
+    if (n_threads > 1)
+        pthread_barrier_destroy(&team.step_done);
+    pthread_cond_destroy(&team.published);
+    pthread_mutex_destroy(&team.lock);
+    return 0;
+}
+#endif
+
+/* backward_loop on every thread it may use (see the top of this file). */
+static void
+backward_pass(const Pass *p)
+{
+#ifdef HAVE_THREADS
+    const int wanted = wanted_threads(p->n_rows);
+    if (wanted > 1 && backward_threads(p, wanted) == 0)
+        return;
+#endif
+    backward_loop(p);
 }
 
 /* Index of the first valid transition whose four successor corners are not
@@ -291,6 +436,7 @@ PyDoc_STRVAR(backward_pass_doc,
 static PyObject *
 py_backward_pass(PyObject *self, PyObject *args)
 {
+    (void)self;
     PyObject *objs[N_ARRAYS];
     double penalty;
     Py_ssize_t n_rows;
@@ -358,8 +504,9 @@ py_backward_pass(PyObject *self, PyObject *args)
     if (bad_corner < 0 && bad_box < 0) {
         const Transitions t = {valid, corner00, views[FRAC_E].buf, views[FRAC_THETA].buf,
                                views[JD].buf, stride_e, stride_t, penalty};
-        backward_loop(n_steps, m, n_actions, n_rows, views[COST].buf, views[ACTION].buf, &t,
-                      views[JE].buf, views[P_D].buf, boxes);
+        const Pass pass = {n_steps, m, n_actions, n_rows, views[COST].buf, views[ACTION].buf,
+                           &t, views[JE].buf, views[P_D].buf, boxes};
+        backward_pass(&pass);
     }
     Py_END_ALLOW_THREADS
     if (bad_corner >= 0) {

@@ -117,9 +117,11 @@ def test_fit_thermal_on_a_corpus_outside_the_physical_range_is_an_input_error(tm
     ],
 )
 def test_fit_thermal_with_an_architecture_that_is_not_positive_integers_is_an_input_error(
-    tmp_path, capsys, key, value, field
+    tmp_path, capsys, monkeypatch, key, value, field
 ):
     # epochs of 0 used to write the untrained initial weights and exit 0
+    searches = []
+    monkeypatch.setattr(learning, "grid_search_cv", lambda *args, **kwargs: searches.append(args))
     events = _gen_events(tmp_path, n=2, seed=11)
     out = tmp_path / "fit"
     cfg = {"events_dir": str(events), "out": str(out), "grid": [{"hidden_layers": 1, "neurons": 5}], "cv_epochs": 3}
@@ -127,6 +129,7 @@ def test_fit_thermal_with_an_architecture_that_is_not_positive_integers_is_an_in
     assert main(["fit-thermal", "--config", _write(tmp_path / "fit.json", cfg)]) == EXIT_INPUT
     assert f"{field} must be" in capsys.readouterr().err
     assert not (out / "thermal_mlp.json").exists()
+    assert searches == []  # every architecture is checked before the cross-validation trains one
 
 
 def test_fit_thermal_exits_with_a_training_failure(tmp_path, capsys, monkeypatch):

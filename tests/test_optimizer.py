@@ -2,9 +2,12 @@
 
 import copy
 import json
+import os
 import platform
 import re
+import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -588,20 +591,20 @@ def test_compiled_kernel_matches_numpy_kernel(int64_format):
     assert args["action_kw"].tobytes() == ref["action_kw"].tobytes()
 
 
-def _lane_case(k, ni, nj, ties):
-    """backward_pass arguments with K = k actions on an ni x nj grid, every
-    cell in every step's box. With ties, costs, weights and prices take a
-    few exact values, so that equal candidates sit at different k, some
-    candidates equal the penalty and -0.0 meets 0.0; without, they are
-    random, so that rounding shows. Every third cell has all transitions
-    valid, the next one none; invalid transitions carry NaN weights and
-    corners far outside the cost slice."""
+def _lane_case(k, ni, nj, ties, n_steps=3):
+    """backward_pass arguments with K = k actions on an ni x nj grid over
+    n_steps steps, every cell in every step's box. With ties, costs,
+    weights and prices take a few exact values, so that equal candidates
+    sit at different k, some candidates equal the penalty and -0.0 meets
+    0.0; without, they are random, so that rounding shows. Every third cell
+    has all transitions valid, the next one none; invalid transitions carry
+    NaN weights and corners far outside the cost slice."""
     rng = np.random.default_rng(1000 * k + 10 * ni + nj)
 
     def draw(shape, exact_values):
         return rng.choice(exact_values, shape) if ties else rng.uniform(size=shape)
 
-    n_steps, m, penalty = 3, ni * nj, 8.0
+    m, penalty = ni * nj, 8.0
     stride_e, stride_t = (nj if ni > 1 else 0), (1 if nj > 1 else 0)  # what both kernels derive
     cost = np.zeros((n_steps + 1, m))
     cost[-1] = draw(m, [0.0, -0.0, -0.0, 1.0, penalty])
@@ -711,6 +714,118 @@ def test_compiled_kernel_matches_numpy_kernel_on_regions(kind, k, ni, nj, ties):
     last = inside[-1]
     assert ref["cost"][-2][last].tobytes() == full["cost"][-2][last].tobytes()
     assert ref["action_kw"][-1][last].tobytes() == full["action_kw"][-1][last].tobytes()
+
+
+def _boxes_of_both_parities(rng, n_steps, ni, nj):
+    """Random boxes of at least two rows and one column whose top row is odd
+    at odd steps and even at even steps: a kernel thread that fills rows by
+    one parity and computes them by another overwrites computed cells."""
+    top = 2 * rng.integers(0, (ni - 2) // 2, size=n_steps) + np.arange(n_steps) % 2
+    left = rng.integers(0, nj, size=n_steps)
+    return np.stack(
+        [top, top + rng.integers(2, ni - top + 1), left, left + rng.integers(1, nj - left + 1)], axis=1
+    )
+
+
+@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+@pytest.mark.parametrize("trial", range(24))
+def test_compiled_kernel_matches_numpy_kernel_on_large_random_regions(trial):
+    # large enough that every thread of the compiled kernel has rows to compute
+    # at every step, whichever thread gets past the barrier first
+    args = _lane_case(17, 31, 30, ties=trial % 2 == 0, n_steps=24)
+    args["boxes"] = _boxes_of_both_parities(np.random.default_rng(trial), 24, 31, 30)
+    _run_both_kernels(args)
+
+
+def _run_python(script, *args, timeout=300):
+    """Run script with args in a fresh interpreter that imports chargeopt
+    from src/ and the test modules from tests/; return its standard output."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        check=True,
+    )
+    return done.stdout
+
+
+# SHA-256 of the cost grid, action grid and p_star of a full-scale solve on
+# the compiled kernel, in a process pinned to the CPU given as its argument
+SOLVE_DIGEST = """
+    import hashlib, os, sys
+    from chargeopt import electrical, thermal
+    from chargeopt.aging import default_params
+    from chargeopt.evaluation import default_scenario
+    from chargeopt.optimizer import BatteryModels, active_backend, build_grids, backward_induction
+    from chargeopt.optimizer import forward_integration
+
+    if len(sys.argv) > 1:
+        os.sched_setaffinity(0, {int(sys.argv[1])})
+    assert active_backend() == "compiled"
+    models = BatteryModels(
+        tables=electrical.default_tables(),
+        thermal=thermal.plant_linear_model(thermal.ThermalPlant()),
+        aging=default_params(),
+    )
+    s = default_scenario()
+    grids = backward_induction(s, build_grids(s), models)
+    sol = forward_integration(s, grids, models)
+    digest = hashlib.sha256()
+    for a in (grids.cost, grids.action, sol.p_star):
+        digest.update(a.tobytes())
+    print(len(os.sched_getaffinity(0)), digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_a_full_scale_solve_has_the_same_bits_on_one_cpu():
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("fewer than 2 CPUs allowed: the kernel runs on one thread either way")
+    n_all, unpinned = _run_python(SOLVE_DIGEST).split()
+    n_one, pinned = _run_python(SOLVE_DIGEST, str(cpus[-1])).split()
+    assert (int(n_all), int(n_one)) == (len(cpus), 1)
+    assert pinned == unpinned
+
+
+@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+@pytest.mark.skipif(sys.platform != "linux", reason="the kernel starts threads on Linux only")
+def test_compiled_kernel_runs_alone_when_no_thread_can_start():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("fewer than 2 CPUs allowed: the kernel starts no thread")
+    # an address-space limit 1 MiB above what the process maps leaves no room
+    # for a thread's stack, so pthread_create fails; the kernel must then give
+    # the NumPy kernel's bits on the calling thread, and not hang or raise
+    out = _run_python(
+        r"""
+        import copy, re, resource, threading
+        import numpy as np
+        from chargeopt.optimizer import _kernel_py, backend
+        from test_optimizer import _boxes_of_both_parities, _lane_case
+
+        args = _lane_case(17, 31, 30, ties=False, n_steps=24)
+        args["boxes"] = _boxes_of_both_parities(np.random.default_rng(0), 24, 31, 30)
+        ref = copy.deepcopy(args)
+        _kernel_py.backward_pass(**ref)
+        mapped = re.search(r"VmSize:\s+(\d+) kB", open("/proc/self/status").read())
+        resource.setrlimit(resource.RLIMIT_AS, (1024 * int(mapped.group(1)) + 2**20, resource.RLIM_INFINITY))
+        backend._ddp_kernel.backward_pass(*args.values())
+        try:
+            threading.Thread(target=print).start()
+            print("a thread started")
+        except RuntimeError:
+            print("no thread started")
+        print(all(args[name].tobytes() == ref[name].tobytes() for name in ("cost", "action_kw")))
+        """,
+        timeout=120,
+    )
+    assert out.split() == ["no", "thread", "started", "True"]
 
 
 @pytest.mark.parametrize("kind", REGION_KINDS)

@@ -3,12 +3,16 @@ renamed public name fails here instead of at `perfbench/run.py --trace 1`.
 The two backward-pass kernels take the same arguments. The calls that the
 benchmark's per-layer numbers divide by keep their counts: one
 mlp_gradients call per minibatch, and one energy_step call per interval
-of a validation, whatever the number of models."""
+of a validation, whatever the number of models. The compiled kernel's
+source compiles without a warning."""
 
 import importlib
 import inspect
 import math
 import re
+import shutil
+import subprocess
+import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,8 @@ import pytest
 
 from chargeopt import electrical, evaluation, learning, thermal
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize("module", ["chargeopt", "chargeopt.optimizer"])
@@ -46,6 +51,17 @@ def test_kernels_name_the_same_parameters_in_the_same_order():
     assert signature is not None
     compiled = [name.strip() for name in signature.group(1).split(",")]
     assert compiled == list(inspect.signature(_kernel_py.backward_pass).parameters)
+
+
+def test_kernel_source_compiles_without_warnings():
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("gcc not found")
+    kernel = ROOT / "src" / "chargeopt" / "optimizer" / "_ddp_kernel.c"
+    include = sysconfig.get_paths()["include"]
+    flags = ["-fsyntax-only", "-Wall", "-Wextra", "-Werror", "-pthread", f"-I{include}"]
+    done = subprocess.run([gcc, *flags, str(kernel)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _counting(monkeypatch, module, name):
