@@ -5,7 +5,12 @@ Arrhenius-type kinetics in temperature and stored energy. To keep calendar
 increments consistent between time steps, the battery's existing fade
 (1 - H_0) is converted to an equivalent age tau at the current conditions
 and the increment over dt is F(tau + dt) - F(tau), which is exactly zero at
-dt = 0. All functions are pure and broadcast over arrays.
+dt = 0. All functions are pure and broadcast over arrays, and are
+batch-invariant: an element has the same bits as a scalar, alone or inside
+any array. Powers therefore go through the np.power ufunc, which takes the
+same path for scalars and arrays; the ** operator on a NumPy scalar calls
+libm pow, which differs in the last bit from the sqrt and square an array
+takes for the exponents 0.5 and 2.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ def cyclic_fade(params: AgingParams, delta_e):
 
     Depends only on |delta_e|, so charging and discharging age equally.
     """
-    return params.beta_a * np.abs(np.asarray(delta_e, float)) ** params.beta_b
+    return params.beta_a * np.power(np.abs(np.asarray(delta_e, float)), params.beta_b)
 
 
 def _stress(params: AgingParams, theta, e):
@@ -104,7 +109,7 @@ def equivalent_age(params: AgingParams, theta, e, h0: float):
     """Storage time in seconds at (theta, e) that explains the fade 1 - h0."""
     if not 0.0 < h0 <= 1.0:
         raise InvalidParameterError(f"h0 must be in (0, 1], got {h0}")
-    return ((1.0 - h0) / _stress(params, theta, e)) ** (1.0 / params.beta_f)
+    return np.power((1.0 - h0) / _stress(params, theta, e), 1.0 / params.beta_f)
 
 
 def calendar_fade(params: AgingParams, theta, e, h0: float, dt_min: float):
@@ -120,7 +125,7 @@ def calendar_fade(params: AgingParams, theta, e, h0: float, dt_min: float):
             np.ndim(theta) or np.ndim(e)
         ) else 0.0
     tau = equivalent_age(params, theta, e, h0)
-    fade = _stress(params, theta, e) * (dt_min * 60.0 + tau) ** params.beta_f - (1.0 - h0)
+    fade = _stress(params, theta, e) * np.power(dt_min * 60.0 + tau, params.beta_f) - (1.0 - h0)
     return fade if np.ndim(fade) else float(fade)
 
 

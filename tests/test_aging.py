@@ -1,5 +1,7 @@
 """Cyclic and calendar fade, equivalent age, aging cost."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,25 @@ def test_fades_non_negative():
         dt = rng.uniform(0, 30)
         assert calendar_fade(p, theta, e, h0, dt) >= 0.0
         assert cyclic_fade(p, rng.uniform(-5, 5)) >= 0.0
+
+
+@pytest.mark.parametrize("beta_b, beta_f", [(1.0, 0.5), (0.5, 0.5), (1.3, 0.7)])
+def test_aging_cost_has_the_same_bits_for_a_scalar_a_row_and_a_row_in_a_batch(beta_b, beta_f):
+    p = replace(default_params(), beta_b=beta_b, beta_f=beta_f)
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        rows = 500
+        delta_e = rng.uniform(-4.0, 4.0, rows)
+        theta = rng.uniform(-25.0, 60.0, rows)
+        e = rng.uniform(0.0, 80.0, rows)
+        h0 = rng.uniform(0.8, 1.0)
+        dt = rng.uniform(0.5, 30.0)
+        batch = np.stack(aging_cost(p, delta_e, theta, e, h0, dt))
+        for k in range(rows):
+            scalar = np.array(aging_cost(p, float(delta_e[k]), float(theta[k]), float(e[k]), h0, dt))
+            one_row = np.concatenate(aging_cost(p, delta_e[k : k + 1], theta[k : k + 1], e[k : k + 1], h0, dt))
+            assert scalar.tobytes() == batch[:, k].tobytes()
+            assert one_row.tobytes() == batch[:, k].tobytes()
 
 
 def test_aging_cost_scale():
