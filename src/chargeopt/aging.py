@@ -5,12 +5,11 @@ Arrhenius-type kinetics in temperature and stored energy. To keep calendar
 increments consistent between time steps, the battery's existing fade
 (1 - H_0) is converted to an equivalent age tau at the current conditions
 and the increment over dt is F(tau + dt) - F(tau), which is exactly zero at
-dt = 0. All functions are pure and broadcast over arrays, and are
-batch-invariant: an element has the same bits as a scalar, alone or inside
-any array. Powers therefore go through the np.power ufunc, which takes the
-same path for scalars and arrays; the ** operator on a NumPy scalar calls
-libm pow, which differs in the last bit from the sqrt and square an array
-takes for the exponents 0.5 and 2.
+dt = 0. All functions are pure, broadcast over arrays and are
+batch-invariant: a state has the same bits as a scalar and inside any
+array. Powers therefore go through np.power, which takes one path for both;
+the ** operator on a NumPy scalar calls libm pow, which differs in the last
+bit from the sqrt and square an array takes for the exponents 0.5 and 2.
 """
 
 from __future__ import annotations
@@ -107,9 +106,14 @@ def _stress(params: AgingParams, theta, e):
 
 def equivalent_age(params: AgingParams, theta, e, h0: float):
     """Storage time in seconds at (theta, e) that explains the fade 1 - h0."""
+    return _age(params, _stress(params, theta, e), h0)
+
+
+def _age(params: AgingParams, stress, h0: float):
+    """equivalent_age from the stress factor at (theta, e)."""
     if not 0.0 < h0 <= 1.0:
         raise InvalidParameterError(f"h0 must be in (0, 1], got {h0}")
-    return np.power((1.0 - h0) / _stress(params, theta, e), 1.0 / params.beta_f)
+    return np.power((1.0 - h0) / stress, 1.0 / params.beta_f)
 
 
 def calendar_fade(params: AgingParams, theta, e, h0: float, dt_min: float):
@@ -124,8 +128,8 @@ def calendar_fade(params: AgingParams, theta, e, h0: float, dt_min: float):
         return np.zeros(np.broadcast(np.asarray(theta), np.asarray(e)).shape) if (
             np.ndim(theta) or np.ndim(e)
         ) else 0.0
-    tau = equivalent_age(params, theta, e, h0)
-    fade = _stress(params, theta, e) * np.power(dt_min * 60.0 + tau, params.beta_f) - (1.0 - h0)
+    stress = _stress(params, theta, e)
+    fade = stress * np.power(dt_min * 60.0 + _age(params, stress, h0), params.beta_f) - (1.0 - h0)
     return fade if np.ndim(fade) else float(fade)
 
 

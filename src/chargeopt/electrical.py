@@ -69,8 +69,11 @@ def interp_axis(grid, x):
 
     x is clamped to the grid hull; the weight on a single-node axis is zero.
     """
-    x = np.clip(x, grid[0], grid[-1])
-    lo = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, max(len(grid) - 2, 0)).astype(np.int64, copy=False)
+    # np.minimum and np.maximum cost half a np.clip call; with the bound first,
+    # a tie returns x as np.clip does, so signed zeros come out the same
+    x = np.minimum(grid[-1], np.maximum(grid[0], x))
+    lo = np.searchsorted(grid, x, side="right") - 1
+    lo = np.minimum(np.maximum(lo, 0), max(len(grid) - 2, 0)).astype(np.int64, copy=False)
     if len(grid) < 2:
         return lo, np.zeros_like(x)
     return lo, (x - grid[lo]) / (grid[lo + 1] - grid[lo])
@@ -80,18 +83,20 @@ def lookup_arrays(tables: EcmTables, e, theta):
     """Vectorized (u_ocv, r_i) lookup; e/theta broadcast elementwise.
 
     Bilinear interpolation with clamping to the table hull; both grids share
-    one set of cell indices and weights.
+    one set of corner indices and weights. Each corner term is
+    (value * weight_e) * weight_theta, and the terms are summed in a fixed
+    order, so a query has the same bits alone or inside any batch.
     """
     ie, fe = interp_axis(tables.e_axis, np.asarray(e, float))
     it, ft = interp_axis(tables.theta_axis, np.asarray(theta, float))
+    ge, gt = 1 - fe, 1 - ft
+    k00 = ie * len(tables.theta_axis) + it  # flat index of the lower corner
+    k10 = k00 + len(tables.theta_axis)
+    k01, k11 = k00 + 1, k10 + 1
 
     def interp(grid):
-        return (
-            grid[ie, it] * (1 - fe) * (1 - ft)
-            + grid[ie + 1, it] * fe * (1 - ft)
-            + grid[ie, it + 1] * (1 - fe) * ft
-            + grid[ie + 1, it + 1] * fe * ft
-        )
+        flat = grid.ravel()
+        return flat[k00] * ge * gt + flat[k10] * fe * gt + flat[k01] * ge * ft + flat[k11] * fe * ft
 
     return interp(tables.u_ocv), interp(tables.r_i)
 

@@ -26,9 +26,12 @@ from .optimizer import (
     DdpSolution,
     Scenario,
     TransitionTable,
+    backward_induction,
+    build_grids,
     replay,
     solve,
 )
+from .optimizer.solver import rollouts
 from .thermal import constant_model
 
 HIGH_POWER_SPLIT_KW = 7.0
@@ -196,16 +199,23 @@ def compare_modes(
     models: BatteryModels,
     table: TransitionTable | None = None,
 ) -> ModeComparison:
-    """Replay the event (Mode I) and solve Modes II and III on its scenario."""
+    """Replay the event (Mode I) and solve Modes II and III on its scenario.
+
+    The two backward passes run first; the replay and both policy rollouts
+    then step together in one forward loop (solver.rollouts), with the bits
+    of replay and solve.
+    """
     if event.duration_h < MIN_EVENT_DURATION_H:
         raise InvalidParameterError(
             f"event lasts {event.duration_h:.2f} h; mode comparison needs >= {MIN_EVENT_DURATION_H} h"
         )
-    mode_i = replay(event.p, s, models)
-    s_ii = replace(s, include_aging_in_objective=False)
-    s_iii = replace(s, include_aging_in_objective=True)
-    mode_ii = solve(s_ii, models, table=table)
-    mode_iii = solve(s_iii, models, table=table)
+    runs = [(s, event.p)]
+    for aging_in_objective in (False, True):
+        s_mode = replace(s, include_aging_in_objective=aging_in_objective)
+        grids = build_grids(s_mode)
+        backward_induction(s_mode, grids, models, table=table)
+        runs.append((s_mode, grids))
+    mode_i, mode_ii, mode_iii = rollouts(models, runs)
     return ModeComparison(mode_i=mode_i, mode_ii=mode_ii, mode_iii=mode_iii)
 
 

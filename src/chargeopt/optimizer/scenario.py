@@ -82,8 +82,9 @@ def make_range(start: float, stop: float, step: float) -> np.ndarray:
 def nearest_indices(grid: np.ndarray, x) -> np.ndarray:
     """Indices of the grid values nearest to x; ties go to the lower index."""
     x = np.asarray(x, float)
-    hi = np.clip(np.searchsorted(grid, x, side="left"), 0, len(grid) - 1)
-    lo = np.clip(hi - 1, 0, len(grid) - 1)
+    # np.minimum and np.maximum cost half a np.clip call
+    hi = np.minimum(np.searchsorted(grid, x, side="left"), len(grid) - 1)
+    lo = np.maximum(hi - 1, 0)
     pick_lo = np.abs(x - grid[lo]) <= np.abs(grid[hi] - x)
     return np.where(pick_lo, lo, hi)
 

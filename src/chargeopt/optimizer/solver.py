@@ -8,12 +8,15 @@ integration then walks the continuous dynamics from the initial state,
 looking the policy up at the nearest grid cell, which is exactly how the
 cost grid was built. Costs along the returned trajectory are recomputed
 from the models at the continuous states, never from grid snapshots.
+Forward integration and replay share one forward loop, which steps the
+rollouts of one scenario in lockstep, one row each (rollouts); a mode
+comparison steps its replay and two policy rollouts together.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from ..aging import aging_cost, calendar_fade
 from ..core import BatteryState, CostBreakdown
 from ..errors import InfeasiblePowerError, InvalidParameterError
 from . import backend as backend_mod
-from .scenario import BatteryModels, DdpGrids, Scenario, build_grids, nearest_index
+from .scenario import BatteryModels, DdpGrids, Scenario, build_grids, nearest_index, nearest_indices
 from .transitions import TransitionTable, build_transition_table
 
 
@@ -151,92 +154,215 @@ def _backward_pass(s, grids, models, table, region, backend):
     grids.region = region
 
 
-class _LeftRegion(Exception):
-    """Forward integration reached a cell outside the computed region."""
+def _simulate(models: BatteryModels, runs) -> list:
+    """The forward loop: steps the rollouts of runs in lockstep, one row each.
 
-
-def _simulate(s: Scenario, models: BatteryModels, powers, grids: DdpGrids | None):
-    """Shared forward loop: a policy rollout on grids, or a replay of powers
-    when grids is None. A rollout raises _LeftRegion when it reads a cell
-    of a slice n < N outside grids.region."""
+    runs holds (scenario, row) pairs. A row is a float power array (a
+    replay) or filled DdpGrids (a policy rollout). The scenarios may differ
+    in include_aging_in_objective alone, which the loop does not read, and
+    the policy rows share their grid axes. Each interval makes one
+    thermal.step and one aging_cost call over the rows still running. Both
+    are batch-invariant, so a row gets the bits it gets alone. A row whose
+    step fails stops there with a note; that step's calls are then made
+    row by row to find the rows that fail. A policy row that reads a cell of
+    a slice n < N outside its grids.region stops and gives None.
+    """
+    s = runs[0][0]
     n_steps = s.grid.n_intervals
     eps_buy, eps_sell = tariff.interval_prices(s.profile, s.grid)
     dt_h = s.grid.dt_h
-    p_star = np.zeros(n_steps)
-    e_traj = np.empty(n_steps + 1)
-    theta_traj = np.empty(n_steps + 1)
-    j_e_steps = np.zeros(n_steps)
-    j_d_steps = np.zeros(n_steps)
-    e_traj[0], theta_traj[0] = s.e0, s.theta0
-    totals = np.zeros(4)  # buy, sell, cyc, cal
-    feasible = True
-    notes: list[str] = []
-    e, th = s.e0, s.theta0
+    rows = [row for _, row in runs]
+    is_policy = [isinstance(row, DdpGrids) for row in rows]
+    axes = next(((row.e_d, row.theta_d) for row, pol in zip(rows, is_policy) if pol), None)
+    p_star = [np.zeros(n_steps) for _ in rows]
+    e_traj = [np.empty(n_steps + 1) for _ in rows]
+    theta_traj = [np.empty(n_steps + 1) for _ in rows]
+    j_e_steps = [np.zeros(n_steps) for _ in rows]
+    j_d_steps = [np.zeros(n_steps) for _ in rows]
+    totals = [[0.0] * 4 for _ in rows]  # buy, sell, cyc, cal
+    feasible = [True] * len(rows)
+    notes: list[list[str]] = [[] for _ in rows]
+    left = [False] * len(rows)
+    e, th = [s.e0] * len(rows), [s.theta0] * len(rows)
+    for k in range(len(rows)):
+        e_traj[k][0], theta_traj[k][0] = s.e0, s.theta0
+
+    def stop(k, n, p, exc):
+        notes[k].append(f"interval {n}: cannot simulate action {p:.3f} kW ({exc})")
+        feasible[k] = False
+        e_traj[k][n + 1 :] = e[k]
+        theta_traj[k][n + 1 :] = th[k]
+
+    running = list(range(len(rows)))
     for n in range(n_steps):
-        if grids is not None:
-            i = nearest_index(grids.e_d, e)
-            j = nearest_index(grids.theta_d, th)
-            top, bottom, left, right = grids.region[n]
-            if not (top <= i < bottom and left <= j < right):
-                raise _LeftRegion
-            if grids.cost[n, i, j] >= s.penalty:
-                feasible = False
-            p = float(grids.action[n, i, j])
-        else:
-            p = float(powers[n])
-            if not s.p_lo - 1e-12 <= p <= s.p_hi + 1e-12:
-                notes.append(f"interval {n}: power {p:.3f} kW outside [{s.p_lo}, {s.p_hi}]")
-        try:
-            BatteryState(e, th)  # e >= 0 and theta in the physical range, else InvalidParameterError
-            # a replay clamps to the deliverable floor, which is negative: only a discharge can be clamped
-            if grids is None and p < 0:
-                p_floor = electrical.max_discharge_power(*electrical.lookup_arrays(models.tables, e, th))
-                if p < p_floor:
-                    notes.append(f"interval {n}: power {p:.3f} kW clamped to deliverable {p_floor:.3f}")
-                    p = float(p_floor)
-            delta_e, _, d_theta = thermal.step(models.tables, models.thermal, e, th, p, s.grid.dt_min)
-            j_cyc, j_cal = aging_cost(models.aging, delta_e, th, e, s.soh0, s.grid.dt_min)
-        except (InfeasiblePowerError, InvalidParameterError) as exc:
-            notes.append(f"interval {n}: cannot simulate action {p:.3f} kW ({exc})")
-            feasible = False
-            e_traj[n + 1 :] = e
-            theta_traj[n + 1 :] = th
-            break
-        j_buy = max(p, 0.0) * dt_h * eps_buy[n]
-        j_sell = min(p, 0.0) * dt_h * eps_sell[n]
-        p_star[n] = p
-        totals += (j_buy, j_sell, j_cyc, j_cal)
-        j_e_steps[n] = j_buy + j_sell
-        j_d_steps[n] = j_cyc + j_cal
-        e += delta_e
-        th += d_theta
-        e_traj[n + 1] = e
-        theta_traj[n + 1] = th
-    if grids is not None:
-        i = nearest_index(grids.e_d, e)
-        j = nearest_index(grids.theta_d, th)
-        if grids.cost[n_steps, i, j] >= s.penalty:
-            feasible = False
-        if not np.isclose(e, s.e_target, atol=0.5 * s.e_step + 1e-12):
-            notes.append(
-                f"terminal energy {e:.3f} kWh misses target {s.e_target:.3f} by more than half a grid step"
+        p = {}
+        on_policy = [k for k in running if is_policy[k]]
+        if on_policy:
+            cells = zip(
+                nearest_indices(axes[0], [e[k] for k in on_policy]).tolist(),
+                nearest_indices(axes[1], [th[k] for k in on_policy]).tolist(),
             )
-    breakdown = CostBreakdown(
-        j_e_buy=float(totals[0]),
-        j_e_sell=float(totals[1]),
-        j_d_cyc=float(totals[2]),
-        j_d_cal=float(totals[3]),
-    )
-    return DdpSolution(
-        p_star=p_star,
-        e_traj=e_traj,
-        theta_traj=theta_traj,
-        cost=breakdown,
-        feasible=feasible,
-        j_e_steps=j_e_steps,
-        j_d_steps=j_d_steps,
-        notes=tuple(notes),
-    )
+            for k, (i, j) in zip(on_policy, cells):
+                grids = rows[k]
+                top, bottom, lft, rgt = grids.region[n]
+                if not (top <= i < bottom and lft <= j < rgt):
+                    left[k] = True
+                    continue
+                if grids.cost[n, i, j] >= s.penalty:
+                    feasible[k] = False
+                p[k] = float(grids.action[n, i, j])
+        stepping = []
+        for k in running:
+            if is_policy[k]:
+                if left[k]:
+                    continue
+            else:
+                p[k] = float(rows[k][n])
+                if not s.p_lo - 1e-12 <= p[k] <= s.p_hi + 1e-12:
+                    notes[k].append(f"interval {n}: power {p[k]:.3f} kW outside [{s.p_lo}, {s.p_hi}]")
+            try:
+                BatteryState(e[k], th[k])  # e >= 0 and theta in the physical range, else InvalidParameterError
+            except InvalidParameterError as exc:
+                stop(k, n, p[k], exc)
+                continue
+            # a replay clamps to the deliverable floor, which is negative: only a discharge can be clamped
+            if not is_policy[k] and p[k] < 0:
+                p_floor = electrical.max_discharge_power(*electrical.lookup_arrays(models.tables, e[k], th[k]))
+                if p[k] < p_floor:
+                    notes[k].append(f"interval {n}: power {p[k]:.3f} kW clamped to deliverable {p_floor:.3f}")
+                    p[k] = float(p_floor)
+            stepping.append(k)
+        if not stepping:
+            break
+        # a lone row steps on floats, which NumPy takes faster than 1-element arrays, with the same bits
+        state = [x[stepping[0]] if len(stepping) == 1 else np.array([x[k] for k in stepping]) for x in (e, th, p)]
+        try:
+            steps = _model_steps(models, s, *state)
+        except (InfeasiblePowerError, InvalidParameterError):
+            steps = []
+            for k in stepping:
+                try:
+                    steps.extend(_model_steps(models, s, e[k], th[k], p[k]))
+                except (InfeasiblePowerError, InvalidParameterError) as exc:
+                    steps.append(exc)
+        running = []
+        for k, step in zip(stepping, steps):
+            if isinstance(step, Exception):
+                stop(k, n, p[k], step)
+                continue
+            delta_e, d_theta, j_cyc, j_cal = step
+            j_buy = max(p[k], 0.0) * dt_h * eps_buy[n]
+            j_sell = min(p[k], 0.0) * dt_h * eps_sell[n]
+            p_star[k][n] = p[k]
+            total = totals[k]
+            total[0] += j_buy
+            total[1] += j_sell
+            total[2] += j_cyc
+            total[3] += j_cal
+            j_e_steps[k][n] = j_buy + j_sell
+            j_d_steps[k][n] = j_cyc + j_cal
+            e[k] += delta_e
+            th[k] += d_theta
+            e_traj[k][n + 1] = e[k]
+            theta_traj[k][n + 1] = th[k]
+            running.append(k)
+    sols = []
+    for k, row in enumerate(rows):
+        if left[k]:
+            sols.append(None)
+            continue
+        if is_policy[k]:
+            i = nearest_index(row.e_d, e[k])
+            j = nearest_index(row.theta_d, th[k])
+            if row.cost[n_steps, i, j] >= s.penalty:
+                feasible[k] = False
+            if not np.isclose(e[k], s.e_target, atol=0.5 * s.e_step + 1e-12):
+                notes[k].append(
+                    f"terminal energy {e[k]:.3f} kWh misses target {s.e_target:.3f} by more than half a grid step"
+                )
+        else:
+            if np.any(e_traj[k] < s.e_lo - 1e-9) or np.any(e_traj[k] > s.e_hi + 1e-9):
+                notes[k].append("energy trajectory leaves [e_lo, e_hi]")
+            if np.any(theta_traj[k] < s.theta_lo - 1e-9) or np.any(theta_traj[k] > s.theta_hi + 1e-9):
+                notes[k].append("temperature trajectory leaves [theta_lo, theta_hi]")
+        buy, sell, cyc, cal = totals[k]
+        sols.append(
+            DdpSolution(
+                p_star=p_star[k],
+                e_traj=e_traj[k],
+                theta_traj=theta_traj[k],
+                cost=CostBreakdown(j_e_buy=float(buy), j_e_sell=float(sell), j_d_cyc=float(cyc), j_d_cal=float(cal)),
+                feasible=feasible[k],
+                j_e_steps=j_e_steps[k],
+                j_d_steps=j_d_steps[k],
+                notes=tuple(notes[k]),
+            )
+        )
+    return sols
+
+
+def _model_steps(models: BatteryModels, s: Scenario, e, th, p) -> list:
+    """(delta_e, d_theta, j_cyc, j_cal) of one interval for each row of the
+    states e, th and p (1-D arrays, or floats for one row), from one
+    thermal.step and one aging_cost call."""
+    delta_e, _, d_theta = thermal.step(models.tables, models.thermal, e, th, p, s.grid.dt_min)
+    j_cyc, j_cal = aging_cost(models.aging, delta_e, th, e, s.soh0, s.grid.dt_min)
+    return list(zip(*(np.atleast_1d(v).tolist() for v in (delta_e, d_theta, j_cyc, j_cal))))
+
+
+def rollouts(models: BatteryModels, runs) -> list[DdpSolution]:
+    """Simulate several rollouts of one scenario in one forward loop.
+
+    runs holds (scenario, row) pairs, and the result has one DdpSolution
+    per pair, in order. A row is a power trajectory, which is replayed as
+    replay describes, or DdpGrids filled by backward_induction, whose
+    policy is rolled out as forward_integration describes. The scenarios
+    may differ in include_aging_in_objective alone, and grids rows must
+    share their axes (grids of one scenario do). Every row gets the bits
+    it gets in a loop of its own, notes and feasible included. Rows are
+    checked before any is stepped: a power trajectory of the wrong length
+    or with a non-finite power, grids that backward_induction has not
+    filled, or grids with other axes raise InvalidParameterError.
+
+    A policy row whose continuous state leaves the region backward
+    induction computed (for instance after an invalid action out of a
+    penalized cell) gets that mode's pass rerun over every cell, on the
+    table build_transition_table returns for its inputs (the cached one)
+    and the active kernel, which give the bits of the first pass's table
+    and kernel. That sets its grids.region to whole-grid boxes, and the
+    row is rolled out again alone. Slice N is the boundary condition and is
+    always whole. The check sits where the grid is read, in _simulate: a
+    change to what the rollout reads must extend it to every cell the new
+    read uses.
+    """
+    checked = []
+    for s, row in runs:
+        if isinstance(row, DdpGrids):
+            if row.region is None:
+                raise InvalidParameterError("forward_integration needs grids filled by backward_induction")
+        else:
+            row = np.asarray(row, float)
+            if len(row) != s.grid.n_intervals:
+                raise InvalidParameterError(
+                    f"power trajectory has length {len(row)}, scenario has N={s.grid.n_intervals}"
+                )
+            if not np.all(np.isfinite(row)):
+                raise InvalidParameterError("power trajectory must be finite")
+        checked.append((s, row))
+    grids_rows = [row for _, row in checked if isinstance(row, DdpGrids)]
+    if any(
+        not (np.array_equal(g.e_d, grids_rows[0].e_d) and np.array_equal(g.theta_d, grids_rows[0].theta_d))
+        for g in grids_rows
+    ):
+        raise InvalidParameterError("the grids of one forward loop must share their axes")
+    sols = _simulate(models, checked)
+    for k, ((s, grids), sol) in enumerate(zip(checked, sols)):
+        if sol is None:
+            ni, nj = len(grids.e_d), len(grids.theta_d)
+            whole = np.tile(np.array([0, ni, 0, nj], np.int64), (s.grid.n_intervals, 1))
+            _backward_pass(s, grids, models, build_transition_table(s, models, grids), whole, None)
+            sols[k] = _simulate(models, [(s, grids)])[0]
+    return sols
 
 
 def forward_integration(s: Scenario, grids: DdpGrids, models: BatteryModels) -> DdpSolution:
@@ -244,30 +370,12 @@ def forward_integration(s: Scenario, grids: DdpGrids, models: BatteryModels) -> 
 
     Starts at the initial-state cell (the only cell whose slice-0 cost is
     meaningful), applies continuous transitions, and takes each next action
-    from the action grid at the nearest cell of the continuous state.
-
-    Each cell read at a slice n < N must lie in the region backward
-    induction computed. The continuous state can leave it, for instance
-    after an invalid action out of a penalized cell; the pass is then rerun
-    over every cell, on the table build_transition_table returns for these
-    inputs (the cached one) and the active kernel, which give the bits of
-    the first pass's table and kernel. That sets grids.region to whole-grid
-    boxes, and the trajectory is simulated again. Slice N is the boundary
-    condition and is always whole. The check sits where the grid is read,
-    in _simulate: a change to what forward integration reads must extend it
-    to every cell the new read uses.
-    Grids that backward_induction has not filled raise
+    from the action grid at the nearest cell of the continuous state. A
+    state that leaves the computed region reruns the pass over every cell
+    (see rollouts). Grids that backward_induction has not filled raise
     InvalidParameterError.
     """
-    if grids.region is None:
-        raise InvalidParameterError("forward_integration needs grids filled by backward_induction")
-    try:
-        return _simulate(s, models, None, grids)
-    except _LeftRegion:
-        ni, nj = len(grids.e_d), len(grids.theta_d)
-        whole = np.tile(np.array([0, ni, 0, nj], np.int64), (s.grid.n_intervals, 1))
-        _backward_pass(s, grids, models, build_transition_table(s, models, grids), whole, None)
-        return _simulate(s, models, None, grids)
+    return rollouts(models, [(s, grids)])[0]
 
 
 def replay(powers, s: Scenario, models: BatteryModels) -> DdpSolution:
@@ -275,19 +383,10 @@ def replay(powers, s: Scenario, models: BatteryModels) -> DdpSolution:
 
     No optimization; power-bound violations are reported in notes and
     undeliverable discharge requests are clamped to the physical limit.
+    A trajectory of the wrong length or with a non-finite power raises
+    InvalidParameterError.
     """
-    powers = np.asarray(powers, float)
-    if len(powers) != s.grid.n_intervals:
-        raise InvalidParameterError(
-            f"power trajectory has length {len(powers)}, scenario has N={s.grid.n_intervals}"
-        )
-    sol = _simulate(s, models, powers, None)
-    notes = list(sol.notes)
-    if np.any(sol.e_traj < s.e_lo - 1e-9) or np.any(sol.e_traj > s.e_hi + 1e-9):
-        notes.append("energy trajectory leaves [e_lo, e_hi]")
-    if np.any(sol.theta_traj < s.theta_lo - 1e-9) or np.any(sol.theta_traj > s.theta_hi + 1e-9):
-        notes.append("temperature trajectory leaves [theta_lo, theta_hi]")
-    return replace(sol, notes=tuple(notes))
+    return rollouts(models, [(s, powers)])[0]
 
 
 def solve(

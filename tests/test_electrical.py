@@ -212,12 +212,14 @@ def _random_tables(seed):
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 1001])
 def test_a_row_of_any_batch_equals_its_one_row_call(rows):
-    # validate_models steps many rollouts in one energy_step call and relies on these bits
+    # validate_models and the solver's forward loop step many rollouts in one
+    # energy_step call and rely on these bits
     t = _random_tables(rows)
     rng = np.random.default_rng(rows)
     e = rng.uniform(-5.0, 85.0, rows)  # some beyond the table hull, where the lookup clamps
     e[::3] = rng.choice(t.e_axis, len(e[::3]))  # some exactly on grid nodes
     theta = rng.uniform(-30.0, 65.0, rows)
+    theta[1::3] = rng.choice(t.theta_axis, len(theta[1::3]))
     p = rng.uniform(-60.0, 60.0, rows)
     dt = rng.choice([1.0, 5.0, 15.0], rows)
     # every row again at other positions of a 2-D batch: shuffled in row 0, reversed in row 1

@@ -1,15 +1,15 @@
 """Validation protocol, mode comparison, sweeps, gamma-star."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from chargeopt import electrical
+from chargeopt import electrical, evaluation
 from chargeopt.aging import default_params
 from chargeopt.core import TimeGrid
-from chargeopt.errors import InvalidParameterError
+from chargeopt.errors import InfeasiblePowerError, InvalidParameterError
 from chargeopt.evaluation import (
     ModelErrors,
     compare_modes,
@@ -27,8 +27,17 @@ from chargeopt.evaluation import (
     thermal_effect,
     validate_models,
 )
-from chargeopt.optimizer import BatteryModels, Scenario, replay, solve
-from chargeopt.tariff import PriceProfile, default_profiles
+from chargeopt.optimizer import (
+    BatteryModels,
+    Scenario,
+    backward_induction,
+    build_grids,
+    nearest_index,
+    replay,
+    solve,
+)
+from chargeopt.optimizer import backend as backend_mod
+from chargeopt.tariff import PriceProfile, default_profiles, profile_for_time
 from chargeopt.thermal import (
     ThermalModel,
     ThermalPlant,
@@ -206,6 +215,91 @@ def test_compare_modes_objective_ordering(tables, default_corpus):
         gap_total, gap_je = mode_ordering_gaps(cmp_, s)
         assert gap_total <= tol
         assert gap_je <= tol
+
+
+@pytest.fixture(scope="module")
+def coarse_mode_events(tables):
+    # on this coarse grid the Mode II solve of event 1 misses its target
+    plant = ThermalPlant()
+    models = _models(tables, plant_linear_model(plant))
+    events = eligible_events(generate_synthetic_events(plant, tables, 2, seed=11))
+    wd, we = default_profiles()
+    coarse = dict(e_step=1.6, theta_step=2.0, p_step=2.0)
+    return models, [(ev, scenario_for_event(ev, profile_for_time(ev.grid.t0, wd, we), **coarse)) for ev in events]
+
+
+def _undeliverable_start(tables, s):
+    """The first e0 on a 0.01 kWh scan from which a replay clamped to the
+    deliverable floor still cannot be simulated: the floor, rounded, asks a
+    little more than the circuit can give."""
+    for e0 in np.arange(s.e_lo + 1.0, s.e_hi, 0.01):
+        u, r = electrical.lookup_arrays(tables, e0, s.theta0)
+        try:
+            electrical.energy_step(tables, e0, s.theta0, electrical.max_discharge_power(u, r), s.grid.dt_min)
+        except InfeasiblePowerError:
+            return float(e0)
+    raise AssertionError("no undeliverable start found")
+
+
+def _bits(sol):
+    arrays = (sol.p_star, sol.e_traj, sol.theta_traj, sol.j_e_steps, sol.j_d_steps)
+    return [a.tobytes() for a in arrays] + [np.array(astuple(sol.cost)).tobytes(), sol.feasible, sol.notes]
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize(
+    "case, rare_row, rare_note",
+    [
+        ("terminal_miss", 1, "terminal energy"),
+        ("clamp", 0, "interval 3: power -500.000 kW clamped"),
+        ("energy_below_zero", 0, "interval 3: cannot simulate action 7.200 kW (battery energy must be >= 0"),
+        ("undeliverable", 0, "interval 0: cannot simulate action -"),
+        ("left_region", 1, None),
+    ],
+)
+def test_compare_modes_equals_replay_and_two_solves(monkeypatch, tables, coarse_mode_events, backend, case, rare_row, rare_note):
+    # the three rollouts step together; each keeps the bits of its own loop
+    # while one of them takes a rare path and the others go on
+    if backend == "python":
+        monkeypatch.setattr(backend_mod, "HAVE_COMPILED", False)
+    elif not backend_mod.HAVE_COMPILED:
+        pytest.skip("compiled kernel not built")
+    models, events = coarse_mode_events
+    ev, s = events[1] if case == "terminal_miss" else events[0]
+    p = ev.p.copy()
+    if case == "clamp":
+        p[3] = -500.0
+    elif case == "energy_below_zero":
+        p[2] = -500.0  # the clamped discharge empties the battery
+    elif case == "undeliverable":
+        s = replace(s, e0=_undeliverable_start(tables, s))
+        p[0] = -500.0
+    ev = replace(ev, p=p)
+    s_modes = [replace(s, include_aging_in_objective=flag) for flag in (False, True)]
+    expected = [replay(ev.p, s, models)] + [solve(s_mode, models) for s_mode in s_modes]
+    filled = []
+    if case == "left_region":
+        # leave out of Mode II's slice-1 box the row its trajectory reads there
+        i = nearest_index(build_grids(s).e_d, expected[1].e_traj[1])
+
+        def shrinking(s_mode, grids, *args, **kwargs):
+            backward_induction(s_mode, grids, *args, **kwargs)
+            if not s_mode.include_aging_in_objective:
+                grids.region[1, 0] = i + 1
+            filled.append(grids)
+
+        monkeypatch.setattr(evaluation, "backward_induction", shrinking)
+    got = compare_modes(ev, s, models)
+    sols = (got.mode_i, got.mode_ii, got.mode_iii)
+    for sol, ref in zip(sols, expected):
+        assert _bits(sol) == _bits(ref)
+    if rare_note is not None:
+        assert any(note.startswith(rare_note) for note in sols[rare_row].notes)
+        assert [k for k, sol in enumerate(sols) if any(n.startswith(rare_note) for n in sol.notes)] == [rare_row]
+    if case == "left_region":
+        whole = [0, len(filled[0].e_d), 0, len(filled[0].theta_d)]
+        assert np.all(filled[0].region == whole)  # Mode II reran its pass over every cell
+        assert not np.all(filled[1].region == whole)
 
 
 def test_eligible_events_filters_short(tables):

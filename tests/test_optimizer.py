@@ -109,6 +109,28 @@ def test_nearest_index_rules():
     assert nearest_index(grid, 100.0) == 3
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 33, 1001])
+def test_axis_reads_give_a_row_the_same_bits_alone_and_in_a_batch(rows):
+    # the forward loop reads the axes for all its rollouts in one call
+    grid = make_range(8.0, 80.0, 0.8)
+    rng = np.random.default_rng(rows)
+    x = rng.uniform(0.0, 90.0, rows)  # some beyond the hull, where the reads clamp
+    x[::3] = rng.choice(grid, len(x[::3]))  # on the nodes
+    x[1::3] = (grid[:-1] + grid[1:])[rng.integers(0, len(grid) - 1, len(x[1::3]))] / 2  # halfway: ties
+    x[-1] = -0.0  # a signed zero below the hull
+
+    def reads(v):
+        return (nearest_indices(grid, v), *electrical.interp_axis(grid, v))
+
+    order = rng.permutation(rows)
+    batch, shuffled = reads(x), reads(x[order])
+    position = np.argsort(order)
+    for i in range(rows):
+        for alone, one_row, b, sh in zip(reads(x[i]), reads(x[i : i + 1]), batch, shuffled):
+            bits = np.asarray(alone).tobytes()
+            assert bits == one_row.tobytes() == b[i].tobytes() == sh[position[i]].tobytes(), f"row {i}"
+
+
 def test_nearest_indices_match_argmin():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -352,6 +374,38 @@ def test_replay_clamps_undeliverable_discharge():
     assert sol.notes == ("interval 0: power -40.000 kW clamped to deliverable -32.400",)
     assert sol.p_star.tolist() == [-32.4, 0.0]
     assert sol.feasible
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_replay_rejects_a_non_finite_power(bad):
+    # a NaN power used to return a NaN cost, and an infinite one an infinite cost, with notes only
+    s = Scenario(
+        grid=TimeGrid(t0=0.0, n_intervals=3, dt_min=60.0),
+        e0=1.0,
+        e_target=3.0,
+        theta0=20.0,
+        profile=_flat_profile(),
+        e_lo=0.0,
+        e_hi=6.0,
+        theta_lo=10.0,
+        theta_hi=30.0,
+        p_lo=-2.0,
+        p_hi=2.0,
+    )
+    with pytest.raises(InvalidParameterError, match="power trajectory must be finite"):
+        replay([1.0, bad, 0.0], s, _simple_models())
+
+
+def test_rollouts_of_one_loop_share_their_grid_axes():
+    s = default_scenario(e_step=1.6, theta_step=2.0, p_step=2.0, grid=TimeGrid(t0=0.0, n_intervals=4, dt_min=5.0))
+    models = _reference_models("constant")
+    runs = []
+    for s_run in (s, replace(s, e_step=2.0)):
+        grids = build_grids(s_run)
+        backward_induction(s_run, grids, models)
+        runs.append((s_run, grids))
+    with pytest.raises(InvalidParameterError, match="share their axes"):
+        solver_mod.rollouts(models, runs)
 
 
 def test_replay_stops_when_temperature_leaves_physical_range():

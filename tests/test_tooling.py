@@ -2,9 +2,11 @@
 renamed public name fails here instead of at `perfbench/run.py --trace 1`.
 The two backward-pass kernels take the same arguments. The calls that the
 benchmark's per-layer numbers divide by keep their counts: one
-mlp_gradients call per minibatch, and one energy_step call per interval
-of a validation, whatever the number of models. The compiled kernel's
-source compiles without a warning."""
+mlp_gradients call per minibatch, one energy_step call per interval of a
+validation, whatever the number of models, and one thermal.step and one
+lookup_arrays call per interval of a mode comparison, for its three
+rollouts together. The compiled kernel's source compiles without a
+warning."""
 
 import importlib
 import inspect
@@ -18,7 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chargeopt import electrical, evaluation, learning, thermal
+from chargeopt import electrical, evaluation, learning, tariff, thermal
+from chargeopt.aging import default_params
+from chargeopt.optimizer import BatteryModels, build_grids, build_transition_table
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -94,3 +98,17 @@ def test_validate_models_calls_energy_step_once_per_interval_and_once_for_local_
     calls = _counting(monkeypatch, electrical, "energy_step")
     evaluation.validate_models(events, tables, models)
     assert len(calls) == max(ev.grid.n_intervals for ev in events) + 1
+
+
+@pytest.mark.parametrize("module, name", [(thermal, "step"), (electrical, "lookup_arrays")])
+def test_compare_modes_steps_its_three_rollouts_with_one_call_per_interval(monkeypatch, module, name):
+    tables = electrical.default_tables()
+    plant = thermal.ThermalPlant()
+    models = BatteryModels(tables=tables, thermal=thermal.plant_linear_model(plant), aging=default_params())
+    event = evaluation.eligible_events(thermal.generate_synthetic_events(plant, tables, 2, seed=11))[0]
+    s = evaluation.scenario_for_event(event, tariff.default_profiles()[0], e_step=1.6, theta_step=2.0, p_step=2.0)
+    table = build_transition_table(s, models, build_grids(s))
+    calls = _counting(monkeypatch, module, name)
+    cmp_ = evaluation.compare_modes(event, s, models, table=table)
+    assert not any(note.startswith("interval") for sol in (cmp_.mode_i, cmp_.mode_ii, cmp_.mode_iii) for note in sol.notes)
+    assert len(calls) == s.grid.n_intervals
