@@ -31,7 +31,7 @@ from .optimizer import (
     replay,
     solve,
 )
-from .optimizer.solver import rollouts
+from .optimizer.solver import checked_powers, rollouts
 from .thermal import constant_model
 
 HIGH_POWER_SPLIT_KW = 7.0
@@ -201,15 +201,16 @@ def compare_modes(
 ) -> ModeComparison:
     """Replay the event (Mode I) and solve Modes II and III on its scenario.
 
-    The two backward passes run first; the replay and both policy rollouts
-    then step together in one forward loop (solver.rollouts), with the bits
-    of replay and solve.
+    The event's powers are checked first, so a malformed event.p costs no
+    backward pass. The two backward passes run next; the replay and both
+    policy rollouts then step together in one forward loop
+    (solver.rollouts), with the bits of replay and solve.
     """
     if event.duration_h < MIN_EVENT_DURATION_H:
         raise InvalidParameterError(
             f"event lasts {event.duration_h:.2f} h; mode comparison needs >= {MIN_EVENT_DURATION_H} h"
         )
-    runs = [(s, event.p)]
+    runs = [(s, checked_powers(event.p, s))]
     for aging_in_objective in (False, True):
         s_mode = replace(s, include_aging_in_objective=aging_in_objective)
         grids = build_grids(s_mode)

@@ -198,18 +198,22 @@ def mlp_gradients(layers, x: np.ndarray, y: np.ndarray, out=None):
 
     Also returns the forward predictions so training can track the loss
     without a second pass. The gradients are written into `out`, a list of
-    (weights, bias) arrays shaped like `layers`, when it is given.
+    (weights, bias) arrays shaped like `layers`, when it is given. Every
+    sum is a left fold: over the rows, in row order, for the gradients, and
+    over a layer's outputs for the backpropagated error, as the forward
+    pass folds over its inputs (thermal.mlp_forward). No BLAS call takes
+    part, and _mlp_kernel's SGD epoch performs the same operations.
     """
     pred, acts = mlp_forward(layers, x)
-    delta = (2.0 / len(y)) * (pred - y)[:, None]  # d(mse)/d(out)
+    delta = ((2.0 / len(y)) * (pred - y))[None, :]  # d(mse)/d(out), (outputs, rows)
     grads = out if out is not None else [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
     for li in range(len(layers) - 1, -1, -1):
         gw, gb = grads[li]
-        np.dot(acts[li].T, delta, out=gw)
-        delta.sum(axis=0, out=gb)
+        a = acts[li]
+        gw[...] = np.add.accumulate(a[:, None, :] * delta[None, :, :], axis=2)[:, :, -1]
+        gb[...] = np.add.accumulate(delta, axis=1)[:, -1]
         if li > 0:
-            a = acts[li]
-            delta = np.dot(delta, layers[li][0].T)
+            delta = thermal.fold(layers[li][0].T, delta)
             delta *= a
             delta *= 1.0 - a  # sigmoid derivative
     return grads, pred
@@ -224,12 +228,16 @@ def fit_mlp(
     """Mini-batch SGD on the mean squared error; deterministic per seed.
 
     Weights start Xavier-uniform, biases zero. Each epoch visits the
-    samples in a fresh random order, BATCH_SIZE rows per mlp_gradients
-    call. All weights and biases live in one flat vector (the layers are
-    views into it), so a step updates them with one operation. The dataset
-    is expected to be normalized already; pass the normalizer so
-    prediction applies the same transform. Divergence (non-finite loss)
-    raises TrainingFailureError with the epoch index.
+    samples in a fresh random order, BATCH_SIZE rows per step, and each
+    step subtracts LEARNING_RATE times mlp_gradients from every weight and
+    bias. All weights and biases live in one flat vector (the layers are
+    views into it), so a step updates them with one operation. An epoch
+    runs in the compiled module _mlp_kernel when it is built, and through
+    mlp_gradients otherwise, with the same bits either way; the weights and
+    permutations come from NumPy's Generator on both paths. The dataset is
+    expected to be normalized already; pass the normalizer so prediction
+    applies the same transform. Divergence (non-finite loss) raises
+    TrainingFailureError with the epoch index.
     """
     rng = np.random.default_rng(seed)
     sizes = [ds.x.shape[1]] + [arch.neurons_per_layer] * arch.hidden_layers + [1]
@@ -238,17 +246,25 @@ def fit_mlp(
     for w, _ in layers:
         limit = np.sqrt(6.0 / sum(w.shape))
         w[...] = rng.uniform(-limit, limit, size=w.shape)
+    kernel = thermal._mlp_kernel
+    x_all = np.ascontiguousarray(ds.x, float)
+    y_all = np.ascontiguousarray(ds.y, float)
+    widths = np.array(sizes, np.int64)
     grads = np.empty_like(params)
     grad_layers = _layer_views(grads, sizes)
     n = ds.n_samples
     pred = np.empty(n)
     for epoch in range(arch.epochs):
         perm = rng.permutation(n)
-        x, y = ds.x[perm], ds.y[perm]
-        for start in range(0, n, BATCH_SIZE):
-            batch = slice(start, start + BATCH_SIZE)
-            _, pred[batch] = mlp_gradients(layers, x[batch], y[batch], out=grad_layers)
-            params -= LEARNING_RATE * grads
+        y = y_all[perm]
+        if kernel is not None:
+            kernel.sgd_epoch(params, widths, x_all, y_all, perm, pred, LEARNING_RATE, BATCH_SIZE)
+        else:
+            x = x_all[perm]
+            for start in range(0, n, BATCH_SIZE):
+                batch = slice(start, start + BATCH_SIZE)
+                _, pred[batch] = mlp_gradients(layers, x[batch], y[batch], out=grad_layers)
+                params -= LEARNING_RATE * grads
         epoch_loss = float(np.sum((pred - y) ** 2))
         if not np.isfinite(epoch_loss):
             raise TrainingFailureError(f"training diverged at epoch {epoch}", epoch=epoch)

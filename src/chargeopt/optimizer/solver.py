@@ -310,6 +310,19 @@ def _model_steps(models: BatteryModels, s: Scenario, e, th, p) -> list:
     return list(zip(*(np.atleast_1d(v).tolist() for v in (delta_e, d_theta, j_cyc, j_cal))))
 
 
+def checked_powers(powers, s: Scenario) -> np.ndarray:
+    """powers as a float array, after checking that it has one finite power
+    per interval of s; raises InvalidParameterError otherwise."""
+    powers = np.asarray(powers, float)
+    if len(powers) != s.grid.n_intervals:
+        raise InvalidParameterError(
+            f"power trajectory has length {len(powers)}, scenario has N={s.grid.n_intervals}"
+        )
+    if not np.all(np.isfinite(powers)):
+        raise InvalidParameterError("power trajectory must be finite")
+    return powers
+
+
 def rollouts(models: BatteryModels, runs) -> list[DdpSolution]:
     """Simulate several rollouts of one scenario in one forward loop.
 
@@ -341,13 +354,7 @@ def rollouts(models: BatteryModels, runs) -> list[DdpSolution]:
             if row.region is None:
                 raise InvalidParameterError("forward_integration needs grids filled by backward_induction")
         else:
-            row = np.asarray(row, float)
-            if len(row) != s.grid.n_intervals:
-                raise InvalidParameterError(
-                    f"power trajectory has length {len(row)}, scenario has N={s.grid.n_intervals}"
-                )
-            if not np.all(np.isfinite(row)):
-                raise InvalidParameterError("power trajectory must be finite")
+            row = checked_powers(row, s)
         checked.append((s, row))
     grids_rows = [row for _, row in checked if isinstance(row, DdpGrids)]
     if any(

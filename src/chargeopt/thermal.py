@@ -17,6 +17,7 @@ immutable after training; prediction is pure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,11 @@ from . import electrical
 from .core import BatteryState, ChargingEvent, TimeGrid
 from .electrical import EcmTables
 from .errors import InvalidParameterError
+
+try:
+    from . import _mlp_kernel  # type: ignore[attr-defined]
+except ImportError:  # not built: the NumPy definition below runs, with the same bits
+    _mlp_kernel = None
 
 FEATURE_NAMES = ("p_abs", "q_loss", "delta_e_abs", "theta")
 
@@ -76,22 +82,72 @@ def constant_model() -> ThermalModel:
     return ThermalModel(variant=VARIANT_CONSTANT)
 
 
+# The sigmoid's exp, defined once here as element-wise operations and
+# mirrored operation for operation in _mlp_kernel.c, so that the MLP's bits
+# depend on neither libm nor NumPy's exp (which differ in the last bit):
+# - clamp z to [EXP_Z_MIN, EXP_Z_MAX], beyond which exp is 0 or inf in
+#   double precision anyway; NaN passes through the clamps;
+# - Cody-Waite reduction z = k ln2 + r, with k = rint(z log2 e) rounded to
+#   nearest even, and ln2 split in two so that k * LN2_HI is exact;
+# - exp(r), |r| <= ln2 / 2, by Horner's rule on the Taylor coefficients
+#   1/13!, ..., 1/1!, 1/0!, each 1/i! correctly rounded;
+# - 2^k applied as two factors 2^floor(k/2) and 2^(k - floor(k/2)), each a
+#   normal double made from its exponent bits, so that a result that
+#   overflows or is subnormal is rounded once.
+# It is within 1 ulp of np.exp on [-40, 40].
+EXP_Z_MIN = -750.0
+EXP_Z_MAX = 710.0
+LOG2_E = 1.4426950408889634
+LN2_HI = 6.93147180369123816490e-01
+LN2_LO = 1.90821492927058770002e-10
+EXP_TAYLOR = tuple(1.0 / math.factorial(i) for i in range(13, -1, -1))
+# 2^52 + 1023: adding it to an integer-valued m in [-1022, 1023] puts the
+# biased exponent m + 1023 in the low mantissa bits
+_EXP_BIAS_SHIFTER = 4503599627371519.0
+
+
+def _pow2(m: np.ndarray) -> np.ndarray:
+    """2.0**m for integer-valued float m in [-1022, 1023], from its exponent
+    bits; m is overwritten. No float is converted to an integer, so NaN
+    needs no special case (it gives some double, which the caller only
+    multiplies into a NaN)."""
+    m += _EXP_BIAS_SHIFTER
+    bits = m.view(np.uint64)
+    np.left_shift(bits, np.uint64(52), out=bits)
+    return m
+
+
+def explicit_exp(z) -> np.ndarray:
+    """exp(z) by the fixed sequence of IEEE operations described above."""
+    z = np.minimum(np.maximum(z, EXP_Z_MIN), EXP_Z_MAX)
+    k = np.rint(z * LOG2_E)
+    r = z - k * LN2_HI
+    r -= k * LN2_LO
+    p = np.full_like(r, EXP_TAYLOR[0])
+    for c in EXP_TAYLOR[1:]:
+        p *= r
+        p += c
+    k1 = np.floor(k * 0.5)
+    k -= k1
+    p *= _pow2(k1)
+    p *= _pow2(k)
+    return p
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)), computed in place in the float array z."""
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    z += 1.0
-    return np.divide(1.0, z, out=z)
+    """1 / (1 + explicit_exp(-z)), element-wise."""
+    e = explicit_exp(np.negative(z))
+    e += 1.0
+    return np.divide(1.0, e, out=e)
 
 
-# predict_batch evaluates a batch in pieces of this many rows, so that a
-# transition table's ~10^6 rows never hold the MLP's (neurons, rows)
-# temporaries all at once. Of 2**11 to 2**16 rows, 2**13 ran a 790k-row
-# 2x10 MLP batch fastest on a 2-CPU Xeon. Every row is computed alone (see
-# predict_batch), so the piece size changes no bits.
+# predict_batch evaluates a batch in NumPy in pieces of this many rows, so
+# that a transition table's ~10^6 rows never hold the MLP's (neurons, rows)
+# temporaries all at once. Every row is computed alone (see predict_batch),
+# so the piece size changes no bits.
 PREDICT_PIECE_ROWS = 2**13
 
-# Below this many rows an affine layer is one broadcast product and one
+# Below this many rows a fold is one broadcast product and one
 # add.accumulate over the inputs, whose (inputs, outputs, rows) temporary
 # stays small; from here on a loop over the inputs is faster. Both add the
 # same products in the same order, so they give the same bits.
@@ -102,59 +158,79 @@ def predict_batch(model: ThermalModel, x_full: np.ndarray) -> np.ndarray:
     """Temperature changes in K for a (M, 4) feature matrix in canonical order.
 
     Batch-invariant: a row's result has the same bits whatever batch it
-    sits in, at whatever position, and whatever the BLAS thread count,
-    because prediction uses elementwise ufuncs only. Each affine layer is
-    the left fold ((x0*w0 + x1*w1) + ...) + b over its inputs in a fixed
-    order; a matrix product (BLAS) sums in an order set by the call's row
-    count and the row's position instead. Callers may therefore stack the
-    rows of many states, events or steps into one call.
+    sits in, at whatever position, and whatever the BLAS thread count.
+    Each affine layer is the left fold ((x0*w0 + x1*w1) + ...) + b over its
+    inputs in a fixed order, and the sigmoid uses explicit_exp, so neither
+    BLAS nor libm takes part. The compiled module _mlp_kernel runs this
+    definition when it is built, and the NumPy code below otherwise, with
+    the same bits; every NaN result is np.nan. Callers may therefore stack
+    the rows of many states, events or steps into one call.
     """
     x_full = np.atleast_2d(np.asarray(x_full, float))
     out = np.zeros(x_full.shape[0])
-    if model.variant != VARIANT_CONSTANT:
-        for start in range(0, len(out), PREDICT_PIECE_ROWS):
-            piece = slice(start, start + PREDICT_PIECE_ROWS)
-            out[piece] = _predict_rows(model, x_full[piece])
+    if model.variant == VARIANT_CONSTANT:
+        return out
+    cols = [FEATURE_NAMES.index(name) for name in model.feature_names]
+    if _mlp_kernel is not None:
+        params, widths = _flat_parameters(model.layers)
+        _mlp_kernel.predict(
+            np.ascontiguousarray(x_full),
+            np.array(cols, np.int64),
+            np.ascontiguousarray(model.means, float),
+            np.ascontiguousarray(model.stds, float),
+            params,
+            widths,
+            out,
+        )
+        return out
+    for start in range(0, len(out), PREDICT_PIECE_ROWS):
+        piece = slice(start, start + PREDICT_PIECE_ROWS)
+        # activations are (features, rows): each input of a layer is one contiguous row
+        a = np.ascontiguousarray(((x_full[piece, cols] - model.means) / model.stds).T)
+        out[piece] = _forward(model.layers, a)[-1][0]
+    out[np.isnan(out)] = np.nan  # one NaN: IEEE leaves open which NaN operand an operation returns
     return out
 
 
-def _predict_rows(model: ThermalModel, x_full: np.ndarray) -> np.ndarray:
-    cols = [FEATURE_NAMES.index(name) for name in model.feature_names]
-    # activations are (features, rows): each input of a layer is one contiguous row
-    a = np.ascontiguousarray(((x_full[:, cols] - model.means) / model.stds).T)
-    for w, b in model.layers[:-1]:
-        a = _sigmoid(_affine_fold(w, b, a))
-    w, b = model.layers[-1]
-    return _affine_fold(w, b, a)[0]
+def _flat_parameters(layers) -> tuple[np.ndarray, np.ndarray]:
+    """The (weights, bias) layers as the flat float64 parameter vector that
+    _mlp_kernel reads (each layer's weights, row-major, then its bias) and
+    the int64 layer widths, inputs first."""
+    params = np.concatenate([np.ravel(a) for w, b in layers for a in (w, b)]).astype(float, copy=False)
+    widths = np.array([layers[0][0].shape[0]] + [w.shape[1] for w, _ in layers], np.int64)
+    return params, widths
 
 
-def _affine_fold(w: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """w.T @ a + b for activations a of shape (inputs, rows), summed as a
-    left fold over the inputs and then the bias; returns (outputs, rows)."""
+def fold(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """w.T @ a for activations a of shape (inputs, rows), summed as a left
+    fold over the inputs; returns (outputs, rows)."""
     if a.shape[1] < FOLD_LOOP_ROWS:
-        acc = np.add.accumulate(w[:, :, None] * a[:, None, :], axis=0)[-1]
-    else:
-        acc = w[0][:, None] * a[0]
-        for wj, aj in zip(w[1:], a[1:]):
-            acc += wj[:, None] * aj
-    return acc + b[:, None]
+        return np.add.accumulate(w[:, :, None] * a[:, None, :], axis=0)[-1]
+    acc = w[0][:, None] * a[0]
+    for wj, aj in zip(w[1:], a[1:]):
+        acc += wj[:, None] * aj
+    return acc
+
+
+def _forward(layers, a: np.ndarray) -> list[np.ndarray]:
+    """Activations of every layer, input a (inputs, rows) first: each layer
+    is fold plus the bias, through the sigmoid except for the last."""
+    acts = [a]
+    for li, (w, b) in enumerate(layers):
+        z = fold(w, acts[-1])
+        z += b[:, None]
+        acts.append(_sigmoid(z) if li < len(layers) - 1 else z)
+    return acts
 
 
 def mlp_forward(layers, x: np.ndarray):
-    """Forward pass through (weights, bias) layers: sigmoid hidden units and
-    a linear output unit. Returns predictions (n,) and the per-layer
-    activations, input first, that backpropagation needs. Training uses
-    this matrix-product (BLAS, through np.dot) pass, whose last bits may
-    depend on the batch; predict_batch does not."""
-    acts = [np.atleast_2d(x)]
-    for w, b in layers[:-1]:
-        z = np.dot(acts[-1], w)
-        z += b
-        acts.append(_sigmoid(z))
-    w, b = layers[-1]
-    z = np.dot(acts[-1], w)
-    z += b
-    return z[:, 0], acts
+    """Forward pass through (weights, bias) layers for the (n, inputs) rows
+    x: sigmoid hidden units and a linear output unit, with predict_batch's
+    arithmetic (left folds and explicit_exp), so no BLAS call takes part.
+    Returns predictions (n,) and the activations of the layers below the
+    output, input first, each (width, n), that backpropagation needs."""
+    acts = _forward(layers, np.atleast_2d(x).T)
+    return acts[-1][0], acts[:-1]
 
 
 def temperature_change(model: ThermalModel, p_kw, q_loss_kw, delta_e_kwh, theta):

@@ -1,11 +1,17 @@
-"""Builds the compiled kernel in place before the tests import chargeopt, so
-that both backward-induction kernels are tested. The module is rebuilt when
-it is older than its C source or than setup.py, which holds the compile
-flags. Without a C compiler the tests run on the NumPy kernel alone. With
-one, a build that leaves no up-to-date module fails the session: setup.py
-builds the extension as optional, so a kernel that does not compile would
-otherwise pass as a skip of every compiled-kernel test."""
+"""Builds the compiled kernels in place before the tests import chargeopt, so
+that both the compiled and the NumPy paths are tested. Every extension that
+setup.py lists is rebuilt when its module is older than one of its C
+sources or than setup.py, which holds the compile flags. Without a C
+compiler the tests run on the NumPy paths alone. With one, a build that
+leaves a module missing or out of date fails the session: setup.py builds
+the extensions as optional, so a kernel that does not compile would
+otherwise pass as a skip of every test of its compiled path.
 
+The mlp_path fixture runs a test once on the NumPy definition of the MLP's
+arithmetic and once on the compiled module _mlp_kernel (skipped when it is
+not built)."""
+
+import importlib.util
 import shlex
 import shutil
 import subprocess
@@ -16,17 +22,32 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-KERNEL_SOURCE = ROOT / "src" / "chargeopt" / "optimizer" / "_ddp_kernel.c"
-BUILD_INPUTS = (KERNEL_SOURCE, ROOT / "setup.py")
+SETUP = ROOT / "setup.py"
+
+
+def extensions():
+    """setup.py's EXTENSIONS, read without running setup()."""
+    spec = importlib.util.spec_from_file_location("chargeopt_setup", SETUP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.EXTENSIONS
 
 
 def pytest_sessionstart(session):
-    built = KERNEL_SOURCE.with_name("_ddp_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    builds = []
+    for ext in extensions():
+        sources = [ROOT / src for src in ext.sources]
+        builds.append((sources[0].with_name(ext.name.rsplit(".", 1)[-1] + suffix), sources + [SETUP]))
 
-    def up_to_date():
-        return built.is_file() and all(built.stat().st_mtime >= p.stat().st_mtime for p in BUILD_INPUTS)
+    def stale():
+        return [
+            built.name
+            for built, inputs in builds
+            if not (built.is_file() and all(built.stat().st_mtime >= p.stat().st_mtime for p in inputs))
+        ]
 
-    if up_to_date():
+    if not stale():
         return
     if shutil.which(shlex.split(sysconfig.get_config_var("CC") or "cc")[0]) is None:
         return
@@ -37,5 +58,16 @@ def pytest_sessionstart(session):
         stdout=subprocess.DEVNULL,
         check=True,
     )
-    if not up_to_date():
-        pytest.exit(f"a C compiler is on PATH, but building {KERNEL_SOURCE.name} left no up-to-date {built.name}", 1)
+    if stale():
+        pytest.exit(f"a C compiler is on PATH, but the build left {', '.join(stale())} missing or out of date", 1)
+
+
+@pytest.fixture(params=["numpy", "compiled"])
+def mlp_path(request, monkeypatch):
+    from chargeopt import thermal
+
+    if request.param == "numpy":
+        monkeypatch.setattr(thermal, "_mlp_kernel", None)
+    elif thermal._mlp_kernel is None:
+        pytest.skip("MLP kernel not built")
+    return request.param

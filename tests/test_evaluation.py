@@ -202,6 +202,29 @@ def test_compare_modes_rejects_short_event(tables):
         compare_modes(ev, s, models)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "longer_than_the_scenario"])
+def test_compare_modes_rejects_malformed_powers_before_any_backward_pass(monkeypatch, tables, bad):
+    from chargeopt.core import ChargingEvent
+
+    def event(n, p):
+        grid = TimeGrid(t0=10 * 3600.0, n_intervals=n, dt_min=5.0)
+        return ChargingEvent(
+            grid=grid, p=p, e=np.linspace(20.0, 40.0, n + 1), theta=np.full(n + 1, 20.0), u_bat=np.full(n + 1, 360.0)
+        )
+
+    s = scenario_for_event(event(24, np.full(24, 10.0)), default_profiles()[0])
+    p = np.full(24, 10.0)
+    if bad == "longer_than_the_scenario":
+        p = np.full(30, 10.0)
+    else:
+        p[5] = float(bad)
+    passes = []
+    monkeypatch.setattr(backend_mod, "backward_pass", lambda *a, **k: passes.append(1))
+    with pytest.raises(InvalidParameterError, match="power trajectory"):
+        compare_modes(event(len(p), p), s, _models(tables))
+    assert passes == []
+
+
 def test_compare_modes_objective_ordering(tables, default_corpus):
     from oracles import mode_ordering_gaps
 

@@ -1,9 +1,14 @@
 """Screening, normalization, OLS, MLP training, cross-validation, metrics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from chargeopt import electrical
+from chargeopt import electrical, thermal
 from chargeopt.errors import InvalidParameterError, TrainingFailureError, UndefinedCorrelationError
 from chargeopt.learning import (
     Dataset,
@@ -219,7 +224,7 @@ def test_mlp_divergence_raises_with_the_epoch():
 @pytest.mark.parametrize("normalized", [False, True])
 @pytest.mark.parametrize("hidden_layers, neurons", [(1, 1), (1, 5), (2, 10), (3, 20)])
 @pytest.mark.parametrize("n", [5, 31, 33, 850, 864])
-def test_fit_mlp_matches_the_reference_sgd_loop_bit_for_bit(n, hidden_layers, neurons, normalized):
+def test_fit_mlp_matches_the_reference_sgd_loop_bit_for_bit(mlp_path, n, hidden_layers, neurons, normalized):
     # n around and off multiples of the 32-row batch, so the last batch is short or full
     rng = np.random.default_rng(n)
     x = rng.normal(size=(n, 4)) * [20.0, 0.5, 2.0, 10.0] + [5.0, 0.3, 1.0, 20.0]
@@ -240,7 +245,7 @@ def test_fit_mlp_matches_the_reference_sgd_loop_bit_for_bit(n, hidden_layers, ne
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_mlp_divergence_raises_at_the_reference_loops_epoch():
+def test_mlp_divergence_raises_at_the_reference_loops_epoch(mlp_path):
     rng = np.random.default_rng(15)
     ds = _dataset(rng.normal(size=(70, 3)), 1e200 * rng.choice([-1.0, 1.0], size=70))
     arch = MlpArchitecture(2, 6, epochs=4)
@@ -249,6 +254,32 @@ def test_mlp_divergence_raises_at_the_reference_loops_epoch():
     with pytest.raises(TrainingFailureError) as fit:
         fit_mlp(ds, arch, seed=2)
     assert fit.value.epoch == ref.value.epoch
+
+
+def test_fit_mlp_weights_do_not_depend_on_the_blas_thread_count_or_the_path(tmp_path):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(850, 4))
+    np.save(tmp_path / "x.npy", x)
+    np.save(tmp_path / "y.npy", 0.05 * x[:, 1] - 0.002 * (x[:, 3] - 2.0) ** 2)
+    # the NumPy path runs second, with the compiled module's handle cleared
+    code = (
+        "import hashlib, sys, numpy as np; from chargeopt import learning, thermal; "
+        "ds = learning.Dataset(np.load(sys.argv[1]), np.load(sys.argv[2]), ('a', 'b', 'c', 'd')); "
+        "arch = learning.MlpArchitecture(2, 10, epochs=30); "
+        "digest = lambda m: hashlib.sha256(b''.join(a.tobytes() for layer in m.layers for a in layer)).hexdigest(); "
+        "print(digest(learning.fit_mlp(ds, arch, seed=4))); thermal._mlp_kernel = None; "
+        "print(digest(learning.fit_mlp(ds, arch, seed=4)))"
+    )
+    src = str(Path(thermal.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "x.npy"), str(tmp_path / "y.npy")],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        digests.update(run.stdout.split())
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize(

@@ -184,6 +184,8 @@ def _random_model(variant, seed):
 @pytest.mark.parametrize("variant", ["linear", "mlp"])
 @pytest.mark.parametrize("rows", [24, 41, 701])
 def test_predict_batch_in_pieces_is_bit_identical(monkeypatch, variant, rows):
+    # pieces and the two fold forms are the NumPy path's
+    monkeypatch.setattr(thermal, "_mlp_kernel", None)
     m = _random_model(variant, seed=11)
     x = np.abs(np.random.default_rng(11).normal(size=(rows, 4)))
     whole = predict_batch(m, x)
@@ -202,7 +204,7 @@ def test_predict_batch_in_pieces_is_bit_identical(monkeypatch, variant, rows):
     "rows",
     [1, 2, 3, 4, 5, 7, 12, 13, thermal.PREDICT_PIECE_ROWS - 1, thermal.PREDICT_PIECE_ROWS + 1, 2**17 + 3],
 )
-def test_a_row_of_any_batch_equals_its_one_row_call(variant, rows):
+def test_a_row_of_any_batch_equals_its_one_row_call(mlp_path, variant, rows):
     m = _random_model(variant, seed=rows)
     rng = np.random.default_rng(rows)
     x = feature_matrix(*(rng.uniform(lo, hi, rows) for lo, hi in ((-50, 50), (0, 3), (-4, 4), (-25, 60))))
@@ -216,6 +218,111 @@ def test_a_row_of_any_batch_equals_its_one_row_call(variant, rows):
     )
     for i in sorted(checked):
         assert predict_batch(m, x[i : i + 1]).tobytes() == batch[i : i + 1].tobytes(), f"row {i}"
+
+
+def _predict_on_both_paths(monkeypatch, model, x):
+    compiled = predict_batch(model, x)
+    monkeypatch.setattr(thermal, "_mlp_kernel", None)
+    numpy_path = predict_batch(model, x)
+    monkeypatch.undo()
+    return compiled, numpy_path
+
+
+needs_mlp_kernel = pytest.mark.skipif(thermal._mlp_kernel is None, reason="MLP kernel not built")
+
+
+@needs_mlp_kernel
+@pytest.mark.parametrize("variant", ["linear", "mlp"])
+@pytest.mark.parametrize(
+    # one row, fewer rows than a compiled block (128) or a NumPy fold loop (64),
+    # and either side of a compiled block and of a NumPy piece
+    "rows",
+    [1, 2, 17, 63, 64, 127, 129, thermal.PREDICT_PIECE_ROWS - 1, thermal.PREDICT_PIECE_ROWS + 5],
+)
+def test_predict_batch_compiled_equals_numpy(monkeypatch, variant, rows):
+    m = _random_model(variant, seed=rows)
+    rng = np.random.default_rng(rows)
+    x = feature_matrix(*(rng.uniform(lo, hi, rows) for lo, hi in ((-50, 50), (0, 3), (-4, 4), (-25, 60))))
+    compiled, numpy_path = _predict_on_both_paths(monkeypatch, m, x)
+    assert compiled.tobytes() == numpy_path.tobytes()
+
+
+@needs_mlp_kernel
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("variant", ["linear", "mlp"])
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e300])
+def test_predict_batch_compiled_equals_numpy_where_exp_overflows_and_on_inf_and_nan(monkeypatch, variant, scale):
+    # scaled weights drive the hidden units' exp far past both clamps
+    m = _random_model(variant, seed=4)
+    m = ThermalModel(
+        variant=variant,
+        means=m.means,
+        stds=m.stds,
+        layers=tuple((scale * w, scale * b) for w, b in m.layers),
+    )
+    specials = [0.0, -0.0, 1e-300, 745.0, -745.0, 1e300, -1e300, np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(4)
+    x = rng.choice(specials, size=(400, 4))
+    x[:100] = rng.normal(scale=50.0, size=(100, 4))
+    compiled, numpy_path = _predict_on_both_paths(monkeypatch, m, x)
+    assert np.isnan(compiled).any() and np.isfinite(compiled).any()
+    assert compiled.tobytes() == numpy_path.tobytes()
+
+
+@needs_mlp_kernel
+def test_mlp_kernel_checks_every_buffer_before_it_runs():
+    kernel = thermal._mlp_kernel
+    params, widths = thermal._flat_parameters(_random_model("mlp", seed=2).layers)
+    x, y, perm, pred = np.zeros((5, 4)), np.zeros(5), np.arange(5), np.zeros(5)
+    good = dict(params=params, widths=widths, x=x, y=y, perm=perm, pred=pred, learning_rate=0.1, batch_size=2)
+    bad_epochs = [
+        (TypeError, "params", params.astype(np.float32)),
+        (ValueError, "params", params[:-1]),
+        (ValueError, "widths", np.array([4, 10, 10, 2])),
+        (ValueError, "widths", np.array([4])),
+        (ValueError, "x", np.zeros((5, 3))),
+        (ValueError, "x", np.zeros((8, 4))[::2]),
+        (ValueError, "y", np.zeros(4)),
+        (ValueError, "perm", np.array([0, 1, 2, 3, 5])),
+        (ValueError, "perm", np.array([0, 1, -1, 3, 4])),
+        (TypeError, "perm", np.arange(5, dtype=np.int32)),
+        (ValueError, "pred", np.zeros(5)[::-1]),
+        (ValueError, "batch_size", 0),
+    ]
+    for error, name, value in bad_epochs:
+        with pytest.raises(error):
+            kernel.sgd_epoch(*dict(good, **{name: value}).values())
+    before = params.copy()
+    read_only = np.zeros(5)
+    read_only.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        kernel.sgd_epoch(*dict(good, pred=read_only).values())
+    assert params.tobytes() == before.tobytes()
+    x_full = np.zeros((3, 4))
+    good = dict(x=x_full, cols=np.arange(4), means=np.zeros(4), stds=np.ones(4), params=params, widths=widths, out=np.zeros(3))
+    bad_predicts = [
+        (ValueError, "cols", np.array([0, 1, 2, 4])),
+        (ValueError, "cols", np.array([0, 1, 2])),
+        (ValueError, "means", np.zeros(3)),
+        (ValueError, "out", np.zeros(2)),
+        (TypeError, "x", np.zeros((3, 4), np.float32)),
+    ]
+    for error, name, value in bad_predicts:
+        with pytest.raises(error):
+            kernel.predict(*dict(good, **{name: value}).values())
+
+
+def test_explicit_exp_is_within_one_ulp_of_numpys_exp():
+    z = np.random.default_rng(9).uniform(-40.0, 40.0, 100_000)
+    ours, numpy_exp = thermal.explicit_exp(z), np.exp(z)
+    assert np.all(np.abs(ours - numpy_exp) <= np.spacing(numpy_exp))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_explicit_exp_rounds_to_zero_and_infinity_where_exp_does_and_passes_nan():
+    z = np.array([-np.inf, -1e300, -800.0, -745.2, -745.1, -708.5, 0.0, -0.0, 709.78, 709.79, 1e300, np.inf])
+    assert thermal.explicit_exp(z).tolist() == np.exp(z).tolist()
+    assert np.isnan(thermal.explicit_exp(np.array([np.nan]))).all()
 
 
 def test_predict_batch_bits_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -1,12 +1,13 @@
 """The benchmark in perfbench/ resolves against the package: a deleted or
 renamed public name fails here instead of at `perfbench/run.py --trace 1`.
 The two backward-pass kernels take the same arguments. The calls that the
-benchmark's per-layer numbers divide by keep their counts: one
-mlp_gradients call per minibatch, one energy_step call per interval of a
-validation, whatever the number of models, and one thermal.step and one
-lookup_arrays call per interval of a mode comparison, for its three
-rollouts together. The compiled kernel's source compiles without a
-warning."""
+benchmark's per-layer numbers divide by keep their counts: on the NumPy
+path of MLP training one mlp_gradients call per minibatch, and on the
+compiled path one epoch call per epoch and none of mlp_gradients; one
+energy_step call per interval of a validation, whatever the number of
+models, and one thermal.step and one lookup_arrays call per interval of a
+mode comparison, for its three rollouts together. Every compiled kernel's
+source compiles without a warning."""
 
 import importlib
 import inspect
@@ -23,6 +24,7 @@ import pytest
 from chargeopt import electrical, evaluation, learning, tariff, thermal
 from chargeopt.aging import default_params
 from chargeopt.optimizer import BatteryModels, build_grids, build_transition_table
+from conftest import extensions
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -57,11 +59,11 @@ def test_kernels_name_the_same_parameters_in_the_same_order():
     assert compiled == list(inspect.signature(_kernel_py.backward_pass).parameters)
 
 
-def test_kernel_source_compiles_without_warnings():
+@pytest.mark.parametrize("kernel", [ROOT / src for ext in extensions() for src in ext.sources], ids=lambda p: p.name)
+def test_kernel_source_compiles_without_warnings(kernel):
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("gcc not found")
-    kernel = ROOT / "src" / "chargeopt" / "optimizer" / "_ddp_kernel.c"
     include = sysconfig.get_paths()["include"]
     flags = ["-fsyntax-only", "-Wall", "-Wextra", "-Werror", "-pthread", f"-I{include}"]
     done = subprocess.run([gcc, *flags, str(kernel)], capture_output=True, text=True)
@@ -82,11 +84,23 @@ def _counting(monkeypatch, module, name):
 
 @pytest.mark.parametrize("n, epochs", [(5, 3), (32, 2), (33, 2), (100, 4)])
 def test_fit_mlp_calls_mlp_gradients_once_per_minibatch(monkeypatch, n, epochs):
+    monkeypatch.setattr(thermal, "_mlp_kernel", None)  # the compiled epoch does not call it
     calls = _counting(monkeypatch, learning, "mlp_gradients")
     rng = np.random.default_rng(n)
     ds = learning.Dataset(rng.normal(size=(n, 2)), rng.normal(size=n), ("a", "b"))
     learning.fit_mlp(ds, learning.MlpArchitecture(2, 3, epochs=epochs))
     assert len(calls) == epochs * math.ceil(n / learning.BATCH_SIZE)
+
+
+@pytest.mark.skipif(thermal._mlp_kernel is None, reason="MLP kernel not built")
+@pytest.mark.parametrize("n, epochs", [(5, 3), (33, 2), (100, 4)])
+def test_fit_mlp_calls_the_compiled_epoch_once_per_epoch(monkeypatch, n, epochs):
+    epochs_run = _counting(monkeypatch, thermal._mlp_kernel, "sgd_epoch")
+    minibatches = _counting(monkeypatch, learning, "mlp_gradients")
+    rng = np.random.default_rng(n)
+    ds = learning.Dataset(rng.normal(size=(n, 2)), rng.normal(size=n), ("a", "b"))
+    learning.fit_mlp(ds, learning.MlpArchitecture(2, 3, epochs=epochs))
+    assert (len(epochs_run), len(minibatches)) == (epochs, 0)
 
 
 @pytest.mark.parametrize("n_models", [0, 1, 3])
