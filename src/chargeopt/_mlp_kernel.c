@@ -44,6 +44,7 @@
 #define HAVE_AVX512 1
 #endif
 
+/* Inlined into both compiled variants, so each vectorizes its own copy. */
 #define INLINE static inline __attribute__((always_inline))
 
 /* The constants of thermal.explicit_exp. */
