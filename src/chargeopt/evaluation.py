@@ -26,12 +26,11 @@ from .optimizer import (
     DdpSolution,
     Scenario,
     TransitionTable,
-    backward_induction,
     build_grids,
     replay,
     solve,
 )
-from .optimizer.solver import checked_powers, rollouts
+from .optimizer.solver import checked_powers, induce, rollouts
 from .thermal import constant_model
 
 HIGH_POWER_SPLIT_KW = 7.0
@@ -202,21 +201,20 @@ def compare_modes(
     """Replay the event (Mode I) and solve Modes II and III on its scenario.
 
     The event's powers are checked first, so a malformed event.p costs no
-    backward pass. The two backward passes run next; the replay and both
-    policy rollouts then step together in one forward loop
-    (solver.rollouts), with the bits of replay and solve.
+    backward pass. Modes II and III share the table, the initial cell and
+    the region, so one backward pass fills both (solver.induce); the replay
+    and both policy rollouts then step together in one forward loop
+    (solver.rollouts). Each mode gets the bits of replay or solve.
     """
     if event.duration_h < MIN_EVENT_DURATION_H:
         raise InvalidParameterError(
             f"event lasts {event.duration_h:.2f} h; mode comparison needs >= {MIN_EVENT_DURATION_H} h"
         )
-    runs = [(s, checked_powers(event.p, s))]
-    for aging_in_objective in (False, True):
-        s_mode = replace(s, include_aging_in_objective=aging_in_objective)
-        grids = build_grids(s_mode)
-        backward_induction(s_mode, grids, models, table=table)
-        runs.append((s_mode, grids))
-    mode_i, mode_ii, mode_iii = rollouts(models, runs)
+    powers = checked_powers(event.p, s)
+    modes = [replace(s, include_aging_in_objective=flag) for flag in (False, True)]
+    policies = [(s_mode, build_grids(s_mode)) for s_mode in modes]
+    induce(models, policies, table=table)
+    mode_i, mode_ii, mode_iii = rollouts(models, [(s, powers)] + policies)
     return ModeComparison(mode_i=mode_i, mode_ii=mode_ii, mode_iii=mode_iii)
 
 

@@ -1,8 +1,14 @@
 """NumPy fallback for the backward-induction hot loop.
 
-Semantics match the compiled kernel exactly, including the expression
-structure (je + jd) + interpolated successor and the first-minimum tie
-rule, so both backends produce bit-identical cost and action grids.
+One pass fills the grids of B scenarios that share a transition table.
+Scenario b's candidate for cell c and action k is
+(je_b[k] + (scale_b * cyc_fade[c, k] + cal_b[c])) + interpolated successor,
+read from its own cost slice. Semantics match the compiled kernel exactly,
+including this expression structure and the first-minimum tie rule, so both
+backends produce bit-identical cost and action grids, and a scenario gets the
+same bits in a batch as alone. Mode II passes scale 0.0 and a zero cal, so
+its aging term is 0.0 * cyc + 0.0 = +0.0 for every finite cyc_fade, the term
+a zero aging array would give.
 
 The compiled kernel evaluates 8 actions at a time on CPUs with AVX-512F
 (its LANES constant is then 8): each lane does the same IEEE multiplies and
@@ -13,19 +19,20 @@ stays the reference the tests compare both kernels against.
 
 Both kernels compute at step n only the cells of its box, the energy rows
 [boxes[n, 0], boxes[n, 1]) and temperature columns [boxes[n, 2],
-boxes[n, 3]) of the n_rows x (M / n_rows) grid; every other cell gets the
-penalty and the action p_d[0], what a cell without a valid transition gets.
-Both work out the strides to a successor's other corners from that shape:
-Nj cells to the next energy row and 1 to the next temperature column, or 0
-along an axis of a single node.
+boxes[n, 3]) of the n_rows x (M / n_rows) grid, in every scenario; every
+other cell gets the penalty and the action p_d[0], what a cell without a
+valid transition gets. Both work out the strides to a successor's other
+corners from that shape: Nj cells to the next energy row and 1 to the next
+temperature column, or 0 along an axis of a single node.
 Here a step walks its box in blocks of BLOCK_CELLS // Nj rows (at least
-one), each block a box of slice views of the (M, K) arrays: the ufuncs work
-element by element, so a cell gets the same bits in any block. The
-temporaries are then at most one block by K, whatever the size of the box,
-so the kernel's memory does not depend on the scenario. Invalid transitions
-read corner 0 instead of their own corners, as the compiled kernel reads
-none of them, so both accept the same inputs, and both raise ValueError for
-a box outside the grid or a row count that does not divide M.
+one), each block a box of slice views of the (M, K) arrays, read once for
+all scenarios: the ufuncs work element by element, so a cell gets the same
+bits in any block. The temporaries are then at most one block by K per
+scenario, whatever the size of the box, so the kernel's memory does not
+depend on the region. Invalid transitions read corner 0 instead of their own
+corners, as the compiled kernel reads none of them, so both accept the same
+inputs, and both raise ValueError for a box outside the grid, a row count
+that does not divide M or an empty batch.
 """
 
 from __future__ import annotations
@@ -36,20 +43,24 @@ BLOCK_CELLS = 1024  # cells per row block, which bounds the (cells, K) temporari
 
 
 def backward_pass(
-    cost: np.ndarray,  # (N+1, M), slices N..0; slice N pre-initialized
-    action_kw: np.ndarray,  # (N, M) out
+    cost: np.ndarray,  # (B, N+1, M), slices N..0; slice N pre-initialized
+    action_kw: np.ndarray,  # (B, N, M) out
     valid: np.ndarray,  # (M, K) uint8
-    corner00: np.ndarray,  # (M, K) flat lower-corner cell of the successor
+    corner00: np.ndarray,  # (M, K) int32 flat lower-corner cell of the successor
     frac_e: np.ndarray,  # (M, K)
     frac_theta: np.ndarray,  # (M, K)
-    jd: np.ndarray,  # (M, K) aging cost per transition, EUR
-    je: np.ndarray,  # (N, K) energy cost per action and interval, EUR
+    cyc_fade: np.ndarray,  # (M, K) cyclic fade fraction per transition
+    je: np.ndarray,  # (N, B, K) energy cost per action and interval, EUR
+    cal: np.ndarray,  # (B, M) calendar aging cost per cell, EUR
+    scale: np.ndarray,  # (B,) aging cost per unit of fade, EUR
     p_d: np.ndarray,  # (K,)
     penalty: float,
     n_rows: int,  # Ni, energy rows of Nj = M / Ni cells
     boxes: np.ndarray,  # (N, 4) int64 row range and column range [lo, hi) per step
 ) -> None:
-    n_steps = je.shape[0]
+    n_steps, n_scen = je.shape[:2]
+    if n_scen < 1:
+        raise ValueError("backward_pass: no scenarios (B=0)")
     if n_rows < 1 or valid.shape[0] % n_rows:
         raise ValueError(f"backward_pass: {n_rows} rows, which do not divide M={valid.shape[0]} cells")
     shape = (n_rows, valid.shape[0] // n_rows, len(p_d))  # (Ni, Nj, K) views of the (M, K) arrays
@@ -67,23 +78,26 @@ def backward_pass(
         )
     mask = valid.astype(bool).reshape(shape)
     c00 = np.where(mask, corner00.reshape(shape), 0)
-    frac_e, frac_theta, jd = (a.reshape(shape) for a in (frac_e, frac_theta, jd))
+    frac_e, frac_theta, cyc_fade = (a.reshape(shape) for a in (frac_e, frac_theta, cyc_fade))
+    cal = cal.reshape(n_scen, *shape[:2])
     block = max(1, BLOCK_CELLS // shape[1])
     for n in range(n_steps - 1, -1, -1):
-        cost[n] = penalty
-        action_kw[n] = p_d[0]
-        nxt = cost[n + 1]
+        cost[:, n] = penalty
+        action_kw[:, n] = p_d[0]
         top, bottom, left, right = boxes[n]
         # views of step n's slices: a 1-D row reshapes without a copy, whatever its stride
-        cost_n, action_n = (a[n].reshape(shape[:2]) for a in (cost, action_kw))
+        cost_n, action_n = ([a[b, n].reshape(shape[:2]) for b in range(n_scen)] for a in (cost, action_kw))
         for r0 in range(top, bottom, block):
             box = np.s_[r0 : min(r0 + block, bottom), left:right]
-            fe, ft, c = frac_e[box], frac_theta[box], c00[box]
-            lo = (1.0 - ft) * nxt[c] + ft * nxt[c + stride_t]
-            hi = (1.0 - ft) * nxt[c + stride_e] + ft * nxt[c + stride_e + stride_t]
-            succ_cost = (1.0 - fe) * lo + fe * hi
-            cand = (je[n] + jd[box]) + succ_cost
-            cand = np.where(mask[box], cand, penalty)
-            k_best = np.argmin(cand, axis=2)
-            cost_n[box] = np.take_along_axis(cand, k_best[..., None], axis=2)[..., 0]
-            action_n[box] = p_d[k_best]
+            fe, ft, c, cyc = frac_e[box], frac_theta[box], c00[box], cyc_fade[box]
+            ge, gt = 1.0 - fe, 1.0 - ft
+            for b in range(n_scen):
+                nxt = cost[b, n + 1]
+                lo = gt * nxt[c] + ft * nxt[c + stride_t]
+                hi = gt * nxt[c + stride_e] + ft * nxt[c + stride_e + stride_t]
+                succ_cost = ge * lo + fe * hi
+                cand = (je[n, b] + (scale[b] * cyc + cal[b][box][..., None])) + succ_cost
+                cand = np.where(mask[box], cand, penalty)
+                k_best = np.argmin(cand, axis=2)
+                cost_n[b][box] = np.take_along_axis(cand, k_best[..., None], axis=2)[..., 0]
+                action_n[b][box] = p_d[k_best]

@@ -36,45 +36,56 @@ def active_backend() -> str:
 
 
 def backward_pass(
-    cost3,
-    action3,
+    cost,
+    action,
     valid,
     corner00,
     frac_e,
     frac_theta,
-    jd,
+    cyc_fade,
     je,
+    cal,
+    scale,
     p_d,
     penalty,
     region,
     backend: str | None = None,
 ):
-    """Run the backward induction over flattened state cells.
+    """Run one backward induction over flattened state cells for B
+    scenarios that share a transition table.
 
-    cost3 is the (N+1, Ni, Nj) cost grid, action3 the (N, Ni, Nj) action
-    grid; both are filled in place. Successor costs are read by bilinear
-    interpolation from corner00 with weights (frac_e, frac_theta). region,
-    an (N, 4) int array of half-open boxes, limits step n to the cells
-    [region[n, 0], region[n, 1]) x [region[n, 2], region[n, 3]), and the
-    other cells get penalty and p_d[0]. backend names the kernel; None
-    takes active_backend().
+    cost is the (B, N+1, Ni, Nj) cost grid and action the (B, N, Ni, Nj)
+    action grid of the B scenarios; both are filled in place. Successor
+    costs are read by bilinear interpolation from corner00 (int32) with
+    weights (frac_e, frac_theta). Scenario b's candidate for cell c and
+    action k is (je[n, b, k] + (scale[b] * cyc_fade[c, k] + cal[b, c])) +
+    successor cost: je is (N, B, K), cal (B, M) the calendar cost per cell
+    and scale (B,) the cost per unit of fade, 0.0 with a zero cal to leave
+    aging out of the objective. The table's arrays are read once per
+    (cell, action) for all B. region, an (N, 4) int array of half-open
+    boxes, limits step n to the cells [region[n, 0], region[n, 1]) x
+    [region[n, 2], region[n, 3]) of every scenario, and the other cells get
+    penalty and p_d[0]. The table's arrays reach the kernel without a copy.
+    backend names the kernel; None takes active_backend().
     """
-    n_plus_1, ni, nj = cost3.shape
-    cost2 = cost3.reshape(n_plus_1, ni * nj)
-    action2 = action3.reshape(action3.shape[0], ni * nj)
+    n_scen, n_plus_1, ni, nj = cost.shape
     args = (
+        cost.reshape(n_scen, n_plus_1, ni * nj),
+        action.reshape(n_scen, n_plus_1 - 1, ni * nj),
         np.ascontiguousarray(valid, dtype=np.uint8),
-        np.ascontiguousarray(corner00, dtype=np.int64),
+        np.ascontiguousarray(corner00, dtype=np.int32),
         np.ascontiguousarray(frac_e, dtype=np.float64),
         np.ascontiguousarray(frac_theta, dtype=np.float64),
-        np.ascontiguousarray(jd, dtype=np.float64),
+        np.ascontiguousarray(cyc_fade, dtype=np.float64),
         np.ascontiguousarray(je, dtype=np.float64),
+        np.ascontiguousarray(cal, dtype=np.float64),
+        np.ascontiguousarray(scale, dtype=np.float64),
         np.ascontiguousarray(p_d, dtype=np.float64),
         float(penalty),
         ni,
         np.ascontiguousarray(region, dtype=np.int64),
     )
     if normalize_backend(backend) == "compiled":
-        _ddp_kernel.backward_pass(cost2, action2, *args)
+        _ddp_kernel.backward_pass(*args)
     else:
-        _kernel_py.backward_pass(cost2, action2, *args)
+        _kernel_py.backward_pass(*args)

@@ -106,8 +106,10 @@ class DdpGrids:
     region[n, 1] and region[n, 2] <= j < region[n, 3]. The other cells of
     slices 0 to N-1 hold the penalty and the action p_d[0]. After a pass
     over every cell, each box is the whole grid; region is None only
-    before backward induction. The grids hold no transition table: a solve
-    takes it from build_transition_table, whose cache keeps one.
+    before backward induction. Backward induction replaces cost and action
+    with the arrays it fills; the grids solved in one pass (solver.induce)
+    hold views of one array each. The grids hold no transition table: a
+    solve takes it from build_transition_table, whose cache keeps one.
     """
 
     e_d: np.ndarray
@@ -127,8 +129,9 @@ def build_grids(s: Scenario) -> DdpGrids:
 
     Slice N is 0 along the target-energy row and penalty elsewhere; slice 0
     is 0 only at the initial-state cell. Interior slices are filled by
-    backward induction, which overwrites slices 0 to N-1 and computes only
-    the cells the initial cell can reach (see DdpGrids).
+    backward induction, which writes slices 0 to N-1 anew, with slice N
+    copied from these grids, and computes only the cells the initial cell
+    can reach (see DdpGrids).
     """
     e_d = make_range(s.e_lo, s.e_hi, s.e_step)
     theta_d = make_range(s.theta_lo, s.theta_hi, s.theta_step)

@@ -3,7 +3,10 @@
 Backward induction fills the cost grid over a precomputed transition table
 (cells of one time slice are independent; the table and models are
 read-only, so results do not depend on evaluation order), on the cells the
-initial cell can reach. Forward
+initial cell can reach. Scenarios that share the table, the initial cell
+and N, such as Modes II and III of one event, are solved in one pass
+(induce), which reads the table once for all of them; backward_induction
+is its one-scenario case. Forward
 integration then walks the continuous dynamics from the initial state,
 looking the policy up at the nearest grid cell, which is exactly how the
 cost grid was built. Costs along the returned trajectory are recomputed
@@ -78,16 +81,46 @@ def backward_induction(
     cost being finite. Cells outside the region hold the penalty and the
     action p_d[0], the values of a cell without a valid action.
     grids.region records the region.
+
+    This is the one-scenario case of induce, which solves several
+    scenarios in one pass.
     """
-    if table is None:
-        table = build_transition_table(s, models, grids)
-    else:
-        table.check(s, models, grids)
-    i0 = nearest_index(grids.e_d, s.e0)
-    j0 = nearest_index(grids.theta_d, s.theta0)
-    region = reachable_region(table, len(grids.e_d), len(grids.theta_d), i0, j0, s.grid.n_intervals)
-    _backward_pass(s, grids, models, table, region, backend)
+    induce(models, [(s, grids)], table=table, backend=backend)
     return grids
+
+
+def induce(
+    models: BatteryModels,
+    runs,
+    table: TransitionTable | None = None,
+    backend: str | None = None,
+) -> None:
+    """Backward induction for several scenarios in one pass over the table.
+
+    runs holds (scenario, grids) pairs, and each grids is filled as
+    backward_induction fills it alone, with the same bits: the kernel reads
+    each (cell, action) of the table once and keeps one minimum per
+    scenario. The scenarios must share the transition table (the models,
+    grid axes, bounds and dt its fingerprint covers), the initial cell, N
+    and the penalty, and so the region; they may differ in prices,
+    e_target, soh0 and include_aging_in_objective (Modes II and III of one
+    event, for instance). Anything else raises InvalidParameterError before
+    any pass.
+    """
+    starts = {
+        (nearest_index(grids.e_d, s.e0), nearest_index(grids.theta_d, s.theta0), s.grid.n_intervals, s.penalty)
+        for s, grids in runs
+    }
+    if len(starts) > 1:
+        raise InvalidParameterError("the scenarios of one backward pass must share the initial cell, N and penalty")
+    ((i0, j0, n_steps, _),) = starts
+    for s, grids in runs:
+        if table is None:
+            table = build_transition_table(s, models, grids)
+        else:
+            table.check(s, models, grids)
+    region = reachable_region(table, len(grids.e_d), len(grids.theta_d), i0, j0, n_steps)
+    _backward_pass(models, runs, table, region, backend)
 
 
 def reachable_region(table: TransitionTable, ni: int, nj: int, i0: int, j0: int, n_steps: int) -> np.ndarray:
@@ -123,35 +156,46 @@ def reachable_region(table: TransitionTable, ni: int, nj: int, i0: int, j0: int,
     return region
 
 
-def _backward_pass(s, grids, models, table, region, backend):
-    """Assemble the step costs and run the kernel backend names over table
-    and the boxes of region; records region on the grids."""
-    eps_buy, eps_sell = tariff.interval_prices(s.profile, s.grid)
+def _backward_pass(models, runs, table, region, backend):
+    """Assemble the step costs of each (scenario, grids) pair of runs and
+    run the kernel backend names over table and the boxes of region, once
+    for all of them. Each grids gets new cost and action arrays, views of
+    one array per batch, and its own copy of region."""
+    s, grids = runs[0]
     buy_kwh = np.maximum(grids.p_d, 0.0) * s.grid.dt_h
     sell_kwh = np.minimum(grids.p_d, 0.0) * s.grid.dt_h
-    je = buy_kwh[None, :] * eps_buy[:, None] + sell_kwh[None, :] * eps_sell[:, None]
-    if s.include_aging_in_objective:
-        scale = models.aging.cost_per_fade
-        e_mesh, th_mesh = np.meshgrid(grids.e_d, grids.theta_d, indexing="ij")
-        cal_fade = calendar_fade(models.aging, th_mesh.reshape(-1), e_mesh.reshape(-1), s.soh0, s.grid.dt_min)
-        jd = scale * table.cyc_fade + (scale * cal_fade)[:, None]
-    else:
-        jd = np.zeros_like(table.cyc_fade)
+    e_mesh, th_mesh = np.meshgrid(grids.e_d, grids.theta_d, indexing="ij")
+    cost = np.empty((len(runs), *grids.cost.shape))
+    action = np.empty((len(runs), *grids.action.shape))
+    je = np.empty((s.grid.n_intervals, len(runs), len(grids.p_d)))
+    cal = np.zeros((len(runs), e_mesh.size))
+    scale = np.zeros(len(runs))
+    for b, (s_b, grids_b) in enumerate(runs):
+        cost[b, -1] = grids_b.cost[-1]
+        eps_buy, eps_sell = tariff.interval_prices(s_b.profile, s_b.grid)
+        je[:, b] = buy_kwh[None, :] * eps_buy[:, None] + sell_kwh[None, :] * eps_sell[:, None]
+        if s_b.include_aging_in_objective:
+            scale[b] = models.aging.cost_per_fade
+            cal_fade = calendar_fade(models.aging, th_mesh.reshape(-1), e_mesh.reshape(-1), s_b.soh0, s_b.grid.dt_min)
+            cal[b] = models.aging.cost_per_fade * cal_fade
     backend_mod.backward_pass(
-        grids.cost,
-        grids.action,
+        cost,
+        action,
         table.valid,
         table.corner00,
         table.frac_e,
         table.frac_theta,
-        jd,
+        table.cyc_fade,
         je,
+        cal,
+        scale,
         grids.p_d,
         s.penalty,
         region,
         backend,
     )
-    grids.region = region
+    for b, (_, grids_b) in enumerate(runs):
+        grids_b.cost, grids_b.action, grids_b.region = cost[b], action[b], region.copy()
 
 
 def _simulate(models: BatteryModels, runs) -> list:
@@ -367,7 +411,7 @@ def rollouts(models: BatteryModels, runs) -> list[DdpSolution]:
         if sol is None:
             ni, nj = len(grids.e_d), len(grids.theta_d)
             whole = np.tile(np.array([0, ni, 0, nj], np.int64), (s.grid.n_intervals, 1))
-            _backward_pass(s, grids, models, build_transition_table(s, models, grids), whole, None)
+            _backward_pass(models, [(s, grids)], build_transition_table(s, models, grids), whole, None)
             sols[k] = _simulate(models, [(s, grids)])[0]
     return sols
 

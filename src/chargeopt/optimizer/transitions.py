@@ -49,7 +49,7 @@ class TransitionTable:
     """
 
     valid: np.ndarray  # (M, K) uint8
-    corner00: np.ndarray  # (M, K) int64, flat index i*Nj + j of the lower corner
+    corner00: np.ndarray  # (M, K) int32, flat index i*Nj + j of the lower corner
     frac_e: np.ndarray  # (M, K) in [0, 1]
     frac_theta: np.ndarray  # (M, K) in [0, 1]
     cyc_fade: np.ndarray  # (M, K) fade fraction
@@ -110,7 +110,7 @@ def table_fingerprint(s: Scenario, models: BatteryModels, grids: DdpGrids) -> st
 
 # The last table built. One entry: a solve without a table, a sweep and a
 # corpus of events share one model and bounds, and a second entry would keep
-# another ~26 MB alive at full scale.
+# another ~23 MB alive at full scale.
 _last_table: TransitionTable | None = None
 
 
@@ -143,11 +143,13 @@ def build_transition_table(s: Scenario, models: BatteryModels, grids: DdpGrids) 
 
 def _build(s: Scenario, models: BatteryModels, grids: DdpGrids, fingerprint: str) -> TransitionTable:
     e_d, theta_d, p_d = grids.e_d, grids.theta_d, grids.p_d
+    m = len(e_d) * len(theta_d)
+    k = len(p_d)
+    if m * k > np.iinfo(np.int32).max:
+        raise InvalidParameterError(f"{m} cells x {k} actions do not fit the table's int32 corner indices")
     e_mesh, th_mesh = np.meshgrid(e_d, theta_d, indexing="ij")
     cell_e = e_mesh.reshape(-1)
     cell_th = th_mesh.reshape(-1)
-    m = len(cell_e)
-    k = len(p_d)
 
     u, r = electrical.lookup_arrays(models.tables, cell_e, cell_th)
     p_row = p_d[None, :]
@@ -172,7 +174,7 @@ def _build(s: Scenario, models: BatteryModels, grids: DdpGrids, fingerprint: str
     succ_box = np.stack(
         _corner_span(ie, frac_e, valid, len(e_d)) + _corner_span(jt, frac_theta, valid, len(theta_d)), axis=1
     )
-    corner00 = ie * len(theta_d) + jt
+    corner00 = (ie * len(theta_d) + jt).astype(np.int32)
     del ie, jt
 
     if np.any(~np.isfinite(delta_e[valid.astype(bool)])):

@@ -30,13 +30,13 @@ from chargeopt.evaluation import (
 from chargeopt.optimizer import (
     BatteryModels,
     Scenario,
-    backward_induction,
     build_grids,
     nearest_index,
     replay,
     solve,
 )
 from chargeopt.optimizer import backend as backend_mod
+from chargeopt.optimizer.solver import induce
 from chargeopt.tariff import PriceProfile, default_profiles, profile_for_time
 from chargeopt.thermal import (
     ThermalModel,
@@ -305,13 +305,14 @@ def test_compare_modes_equals_replay_and_two_solves(monkeypatch, tables, coarse_
         # leave out of Mode II's slice-1 box the row its trajectory reads there
         i = nearest_index(build_grids(s).e_d, expected[1].e_traj[1])
 
-        def shrinking(s_mode, grids, *args, **kwargs):
-            backward_induction(s_mode, grids, *args, **kwargs)
-            if not s_mode.include_aging_in_objective:
-                grids.region[1, 0] = i + 1
-            filled.append(grids)
+        def shrinking(models, runs, *args, **kwargs):
+            induce(models, runs, *args, **kwargs)
+            for s_mode, grids in runs:
+                if not s_mode.include_aging_in_objective:
+                    grids.region[1, 0] = i + 1
+                filled.append(grids)
 
-        monkeypatch.setattr(evaluation, "backward_induction", shrinking)
+        monkeypatch.setattr(evaluation, "induce", shrinking)
     got = compare_modes(ev, s, models)
     sols = (got.mode_i, got.mode_ii, got.mode_iii)
     for sol, ref in zip(sols, expected):

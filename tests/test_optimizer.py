@@ -43,10 +43,12 @@ from chargeopt.optimizer import _kernel_py
 from chargeopt.optimizer import backend as backend_mod
 from chargeopt.optimizer import solver as solver_mod
 from chargeopt.optimizer.scenario import _SCENARIO_SCALARS
-from chargeopt.tariff import PriceProfile
+from chargeopt.tariff import PriceProfile, default_profiles
 from oracles import brute_force_optimum, chain_transitions, random_tiny_instance
 
 BACKENDS = ["python"] + (["compiled"] if HAVE_COMPILED else [])
+# batch sizes B of the kernel tests: one scenario, Modes II and III, and one more
+BATCHES = pytest.mark.parametrize("n_scen", [1, 2, 3])
 
 
 def _flat_profile(buy=0.3, sell=None):
@@ -567,6 +569,59 @@ def test_table_arrays_are_read_only():
             a.flat[0] = a.flat[0]
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_the_tables_int32_corners_reach_the_kernel_without_a_copy(monkeypatch, backend):
+    s, models, grids = _cache_instance()
+    table = build_transition_table(s, models, grids)
+    assert table.corner00.dtype == np.int32
+    kernel = backend_mod._ddp_kernel if backend == "compiled" else _kernel_py
+    corners = []
+    backward_pass = kernel.backward_pass
+    monkeypatch.setattr(kernel, "backward_pass", lambda *args: corners.append(args[3]) or backward_pass(*args))
+    backward_induction(s, grids, models, table=table, backend=backend)
+    assert len(corners) == 1 and corners[0] is table.corner00
+
+
+def test_a_table_whose_cells_times_actions_overflow_int32_is_refused():
+    # 10,001 energy rows x 21 temperature columns x 10,235 actions > 2**31 - 1;
+    # the build refuses before it evaluates any model
+    s = replace(
+        default_scenario(grid=TimeGrid(t0=0.0, n_intervals=1, dt_min=5.0)),
+        e_lo=0.0,
+        e_hi=100.0,
+        e_step=0.01,
+        theta_lo=0.0,
+        theta_hi=20.0,
+        p_lo=-51.17,
+        p_hi=51.17,
+        p_step=0.01,
+    )
+    grids = build_grids(s)
+    assert len(grids.e_d) * len(grids.theta_d) * len(grids.p_d) > 2**31 - 1
+    with pytest.raises(InvalidParameterError, match="int32"):
+        build_transition_table(s, _simple_models(), grids)
+
+
+@pytest.mark.parametrize("kernel", BACKENDS)
+@BATCHES
+def test_a_zero_scale_and_cal_add_what_a_zero_aging_array_added(kernel, n_scen):
+    # Mode II passes scale 0.0 and a zero cal; its aging term 0.0 * cyc + 0.0 is
+    # +0.0 for every finite cyc, negative and -0.0 included, the term a zero
+    # (M, K) array gave, so no candidate changes
+    args = _lane_case(17, 3, 4, ties=True, n_scen=n_scen)
+    valid = args["valid"].astype(bool)
+    args["cyc_fade"][valid] = np.random.default_rng(3).choice([-1.5, -0.0, 0.0, 2.0], valid.sum())
+    args["scale"][:] = 0.0
+    args["cal"][:] = 0.0
+    zero = copy.deepcopy(args)
+    zero["cyc_fade"] = np.zeros_like(args["cyc_fade"])
+    run = backend_mod._ddp_kernel.backward_pass if kernel == "compiled" else _kernel_py.backward_pass
+    run(*args.values())
+    run(*zero.values())
+    assert args["cost"].tobytes() == zero["cost"].tobytes()
+    assert args["action_kw"].tobytes() == zero["action_kw"].tobytes()
+
+
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 def test_backends_bitwise_identical():
     rng = np.random.default_rng(99)
@@ -589,7 +644,8 @@ def _whole_grid(n_steps, ni, nj):
 def _full_pass(s, models, table, backend):
     """Grids of a backward pass over every cell on the given table and kernel."""
     grids = build_grids(s)
-    solver_mod._backward_pass(s, grids, models, table, _whole_grid(s.grid.n_intervals, *grids.shape[:2]), backend)
+    whole = _whole_grid(s.grid.n_intervals, *grids.shape[:2])
+    solver_mod._backward_pass(models, [(s, grids)], table, whole, backend)
     return grids
 
 
@@ -599,22 +655,25 @@ def _box_mask(boxes, ni, nj):
     return np.stack([(b[0] <= rows) & (rows < b[1]) & (b[2] <= cols) & (cols < b[3]) for b in boxes])
 
 
-def _kernel_args():
-    """Keyword arguments of a well-formed backward_pass call on random data."""
+def _kernel_args(n_scen):
+    """Keyword arguments of a well-formed backward_pass call on random data
+    for n_scen scenarios."""
     rng = np.random.default_rng(0)
     n_steps, ni, nj, k = 3, 2, 3, 4
     m = ni * nj
-    cost = np.zeros((n_steps + 1, m))
-    cost[-1] = rng.uniform(0.0, 5.0, m)
+    cost = np.zeros((n_scen, n_steps + 1, m))
+    cost[:, -1] = rng.uniform(0.0, 5.0, (n_scen, m))
     return dict(
         cost=cost,
-        action_kw=np.zeros((n_steps, m)),
+        action_kw=np.zeros((n_scen, n_steps, m)),
         valid=(rng.uniform(size=(m, k)) < 0.8).astype(np.uint8),
-        corner00=rng.integers(0, (ni - 1) * nj - 1, size=(m, k)).astype(np.int64),
+        corner00=rng.integers(0, (ni - 1) * nj - 1, size=(m, k)).astype(np.int32),
         frac_e=rng.uniform(size=(m, k)),
         frac_theta=rng.uniform(size=(m, k)),
-        jd=rng.uniform(size=(m, k)),
-        je=rng.normal(size=(n_steps, k)),
+        cyc_fade=rng.uniform(size=(m, k)),
+        je=rng.normal(size=(n_steps, n_scen, k)),
+        cal=rng.uniform(size=(n_scen, m)),
+        scale=rng.uniform(size=n_scen),
         p_d=np.linspace(-1.0, 1.0, k),
         penalty=1e6,
         n_rows=ni,
@@ -634,25 +693,26 @@ def _short(a):
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 @pytest.mark.parametrize("int64_format", ["int64", "longlong"])
-def test_compiled_kernel_matches_numpy_kernel(int64_format):
-    ref = _kernel_args()
+@BATCHES
+def test_compiled_kernel_matches_numpy_kernel(int64_format, n_scen):
+    ref = _kernel_args(n_scen)
     _kernel_py.backward_pass(**ref)
-    args = _kernel_args()
-    for name in ("corner00", "boxes"):
-        args[name] = args[name].astype(int64_format)
+    args = _kernel_args(n_scen)
+    args["boxes"] = args["boxes"].astype(int64_format)
     backend_mod._ddp_kernel.backward_pass(*args.values())
     assert args["cost"].tobytes() == ref["cost"].tobytes()
     assert args["action_kw"].tobytes() == ref["action_kw"].tobytes()
 
 
-def _lane_case(k, ni, nj, ties, n_steps=3):
-    """backward_pass arguments with K = k actions on an ni x nj grid over
-    n_steps steps, every cell in every step's box. With ties, costs,
-    weights and prices take a few exact values, so that equal candidates
-    sit at different k, some candidates equal the penalty and -0.0 meets
-    0.0; without, they are random, so that rounding shows. Every third cell
-    has all transitions valid, the next one none; invalid transitions carry
-    NaN weights and corners far outside the cost slice."""
+def _lane_case(k, ni, nj, ties, n_steps=3, n_scen=1):
+    """backward_pass arguments for n_scen scenarios with K = k actions on
+    an ni x nj grid over n_steps steps, every cell in every step's box. With
+    ties, costs, weights, fades and prices take a few exact values, so that
+    equal candidates sit at different k, some candidates equal the penalty
+    and -0.0 meets 0.0, and every other scenario has scale 0.0 (Mode II's);
+    without, they are random, so that rounding shows. Every third cell has
+    all transitions valid, the next one none; invalid transitions carry NaN
+    weights and fades and int32 corners far outside the cost slice."""
     rng = np.random.default_rng(1000 * k + 10 * ni + nj)
 
     def draw(shape, exact_values):
@@ -660,27 +720,32 @@ def _lane_case(k, ni, nj, ties, n_steps=3):
 
     m, penalty = ni * nj, 8.0
     stride_e, stride_t = (nj if ni > 1 else 0), (1 if nj > 1 else 0)  # what both kernels derive
-    cost = np.zeros((n_steps + 1, m))
-    cost[-1] = draw(m, [0.0, -0.0, -0.0, 1.0, penalty])
+    cost = np.zeros((n_scen, n_steps + 1, m))
+    cost[:, -1] = draw((n_scen, m), [0.0, -0.0, -0.0, 1.0, penalty])
     valid = (rng.uniform(size=(m, k)) < 0.6).astype(np.uint8)
     valid[0::3] = 1
     valid[1::3] = 0
     invalid = valid == 0
-    corner00 = rng.integers(0, m - stride_e - stride_t, size=(m, k))
-    corner00[invalid] = rng.choice([-(2**40), -m - 1, m, 2**40], invalid.sum())
+    corner00 = rng.integers(0, m - stride_e - stride_t, size=(m, k)).astype(np.int32)
+    corner00[invalid] = rng.choice([-(2**31 - 1), -m - 1, m, 2**31 - 1], invalid.sum())
     frac_e, frac_theta = draw((2, m, k), [0.0, 0.5, 1.0])
-    jd = draw((m, k), [0.0, -0.0, -0.0, 0.5])
-    for a in (frac_e, frac_theta, jd):
+    cyc_fade = draw((m, k), [0.0, -0.0, -0.0, 0.5])
+    for a in (frac_e, frac_theta, cyc_fade):
         a[invalid] = np.nan
+    scale = draw(n_scen, [0.5, 2.0])
+    if ties:
+        scale[::2] = 0.0
     return dict(
         cost=cost,
-        action_kw=np.zeros((n_steps, m)),
+        action_kw=np.zeros((n_scen, n_steps, m)),
         valid=valid,
         corner00=corner00,
         frac_e=frac_e,
         frac_theta=frac_theta,
-        jd=jd,
-        je=draw((n_steps, k), [0.0, -0.0, -0.0, 0.5]),
+        cyc_fade=cyc_fade,
+        je=draw((n_steps, n_scen, k), [0.0, -0.0, -0.0, 0.5]),
+        cal=draw((n_scen, m), [0.0, -0.0, -0.0, 0.5]),
+        scale=scale,
         p_d=np.arange(k) - k / 2,
         penalty=penalty,
         n_rows=ni,
@@ -703,8 +768,9 @@ def _run_both_kernels(args):
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 17, 101])
 @pytest.mark.parametrize("ni, nj", [(3, 4), (1, 5), (4, 1), (1, 1)])
 @pytest.mark.parametrize("ties", [True, False], ids=["ties", "random"])
-def test_compiled_lanes_match_numpy_kernel(k, ni, nj, ties):
-    _run_both_kernels(_lane_case(k, ni, nj, ties))
+@BATCHES
+def test_compiled_lanes_match_numpy_kernel(k, ni, nj, ties, n_scen):
+    _run_both_kernels(_lane_case(k, ni, nj, ties, n_scen=n_scen))
 
 
 def _random_span(rng, n_steps, n):
@@ -753,21 +819,23 @@ REGION_KINDS = {
 @pytest.mark.parametrize("k", [1, 9, 101])
 @pytest.mark.parametrize("ni, nj", [(3, 4), (1, 5), (4, 1), (1, 1)])
 @pytest.mark.parametrize("ties", [True, False], ids=["ties", "random"])
-def test_compiled_kernel_matches_numpy_kernel_on_regions(kind, k, ni, nj, ties):
-    args = _lane_case(k, ni, nj, ties)
+@BATCHES
+def test_compiled_kernel_matches_numpy_kernel_on_regions(kind, k, ni, nj, ties, n_scen):
+    args = _lane_case(k, ni, nj, ties, n_scen=n_scen)
     rng = np.random.default_rng(7 * k + ni + 100 * nj)
     args["boxes"] = REGION_KINDS[kind](rng, len(args["je"]), ni, nj)
-    full = _run_both_kernels(_lane_case(k, ni, nj, ties))
+    full = _run_both_kernels(_lane_case(k, ni, nj, ties, n_scen=n_scen))
     ref = _run_both_kernels(args)
     # cells outside the boxes get the penalty and p_d[0]; the last slice is the input
     inside = _box_mask(args["boxes"], ni, nj).reshape(len(args["je"]), ni * nj)
-    assert np.all(ref["cost"][:-1][~inside] == args["penalty"])
-    assert np.all(ref["action_kw"][~inside] == args["p_d"][0])
-    assert ref["cost"][-1].tobytes() == args["cost"][-1].tobytes()
-    # the last step reads the whole boundary slice, so its box's cells equal a full pass
-    last = inside[-1]
-    assert ref["cost"][-2][last].tobytes() == full["cost"][-2][last].tobytes()
-    assert ref["action_kw"][-1][last].tobytes() == full["action_kw"][-1][last].tobytes()
+    for b in range(n_scen):
+        assert np.all(ref["cost"][b, :-1][~inside] == args["penalty"])
+        assert np.all(ref["action_kw"][b][~inside] == args["p_d"][0])
+        assert ref["cost"][b, -1].tobytes() == args["cost"][b, -1].tobytes()
+        # the last step reads the whole boundary slice, so its box's cells equal a full pass
+        last = inside[-1]
+        assert ref["cost"][b, -2][last].tobytes() == full["cost"][b, -2][last].tobytes()
+        assert ref["action_kw"][b, -1][last].tobytes() == full["action_kw"][b, -1][last].tobytes()
 
 
 def _boxes_of_both_parities(rng, n_steps, ni, nj):
@@ -783,10 +851,11 @@ def _boxes_of_both_parities(rng, n_steps, ni, nj):
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 @pytest.mark.parametrize("trial", range(24))
-def test_compiled_kernel_matches_numpy_kernel_on_large_random_regions(trial):
+@BATCHES
+def test_compiled_kernel_matches_numpy_kernel_on_large_random_regions(trial, n_scen):
     # large enough that every thread of the compiled kernel has rows to compute
     # at every step, whichever thread gets past the barrier first
-    args = _lane_case(17, 31, 30, ties=trial % 2 == 0, n_steps=24)
+    args = _lane_case(17, 31, 30, ties=trial % 2 == 0, n_steps=24, n_scen=n_scen)
     args["boxes"] = _boxes_of_both_parities(np.random.default_rng(trial), 24, 31, 30)
     _run_both_kernels(args)
 
@@ -808,15 +877,18 @@ def _run_python(script, *args, timeout=300):
     return done.stdout
 
 
-# SHA-256 of the cost grid, action grid and p_star of a full-scale solve on
-# the compiled kernel, in a process pinned to the CPU given as its argument
+# SHA-256 of the cost grid, action grid and p_star of full-scale Mode III and
+# Mode II solves on the compiled kernel, each solved alone and both in one
+# batch, in a process pinned to the CPU given as its argument
 SOLVE_DIGEST = """
     import hashlib, os, sys
+    from dataclasses import replace
     from chargeopt import electrical, thermal
     from chargeopt.aging import default_params
     from chargeopt.evaluation import default_scenario
     from chargeopt.optimizer import BatteryModels, active_backend, build_grids, backward_induction
     from chargeopt.optimizer import forward_integration
+    from chargeopt.optimizer.solver import induce
 
     if len(sys.argv) > 1:
         os.sched_setaffinity(0, {int(sys.argv[1])})
@@ -826,13 +898,17 @@ SOLVE_DIGEST = """
         thermal=thermal.plant_linear_model(thermal.ThermalPlant()),
         aging=default_params(),
     )
-    s = default_scenario()
-    grids = backward_induction(s, build_grids(s), models)
-    sol = forward_integration(s, grids, models)
-    digest = hashlib.sha256()
-    for a in (grids.cost, grids.action, sol.p_star):
-        digest.update(a.tobytes())
-    print(len(os.sched_getaffinity(0)), digest.hexdigest())
+    modes = [default_scenario(), default_scenario(include_aging_in_objective=False)]
+    batch = [(s, build_grids(s)) for s in modes]
+    induce(models, batch)
+    for runs in ([(s, backward_induction(s, build_grids(s), models)) for s in modes], batch):
+        digest = hashlib.sha256()
+        for s, grids in runs:
+            sol = forward_integration(s, grids, models)
+            for a in (grids.cost, grids.action, sol.p_star):
+                digest.update(a.tobytes())
+        print(digest.hexdigest())
+    print(len(os.sched_getaffinity(0)))
 """
 
 
@@ -842,10 +918,13 @@ def test_a_full_scale_solve_has_the_same_bits_on_one_cpu():
     cpus = sorted(os.sched_getaffinity(0))
     if len(cpus) < 2:
         pytest.skip("fewer than 2 CPUs allowed: the kernel runs on one thread either way")
-    n_all, unpinned = _run_python(SOLVE_DIGEST).split()
-    n_one, pinned = _run_python(SOLVE_DIGEST, str(cpus[-1])).split()
+    unpinned_lone, unpinned_batch, n_all = _run_python(SOLVE_DIGEST).split()
+    pinned_lone, pinned_batch, n_one = _run_python(SOLVE_DIGEST, str(cpus[-1])).split()
     assert (int(n_all), int(n_one)) == (len(cpus), 1)
-    assert pinned == unpinned
+    assert pinned_lone == unpinned_lone
+    # a batch of Modes III and II gives each mode the bits of its lone solve
+    assert unpinned_batch == unpinned_lone
+    assert pinned_batch == pinned_lone
 
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
@@ -863,7 +942,7 @@ def test_compiled_kernel_runs_alone_when_no_thread_can_start():
         from chargeopt.optimizer import _kernel_py, backend
         from test_optimizer import _boxes_of_both_parities, _lane_case
 
-        args = _lane_case(17, 31, 30, ties=False, n_steps=24)
+        args = _lane_case(17, 31, 30, ties=False, n_steps=24, n_scen=2)
         args["boxes"] = _boxes_of_both_parities(np.random.default_rng(0), 24, 31, 30)
         ref = copy.deepcopy(args)
         _kernel_py.backward_pass(**ref)
@@ -885,8 +964,9 @@ def test_compiled_kernel_runs_alone_when_no_thread_can_start():
 @pytest.mark.parametrize("kind", REGION_KINDS)
 @pytest.mark.parametrize("block_cells", [1, 4, 9, 13])  # 1, 1, 2 and 3 rows of 4 cells
 @pytest.mark.parametrize("ties", [True, False], ids=["ties", "random"])
-def test_numpy_kernel_block_size_keeps_every_bit(monkeypatch, kind, block_cells, ties):
-    args = _lane_case(9, 7, 4, ties)
+@BATCHES
+def test_numpy_kernel_block_size_keeps_every_bit(monkeypatch, kind, block_cells, ties, n_scen):
+    args = _lane_case(9, 7, 4, ties, n_scen=n_scen)
     rng = np.random.default_rng(block_cells)
     args["boxes"] = REGION_KINDS[kind](rng, len(args["je"]), 7, 4)
     whole = copy.deepcopy(args)  # one block holds the whole grid
@@ -897,31 +977,33 @@ def test_numpy_kernel_block_size_keeps_every_bit(monkeypatch, kind, block_cells,
     assert args["action_kw"].tobytes() == whole["action_kw"].tobytes()
 
 
-def test_numpy_kernel_writes_through_non_contiguous_grids():
+@BATCHES
+def test_numpy_kernel_writes_through_non_contiguous_grids(n_scen):
     """Each step's (Ni, Nj) views must alias the output grids, whatever
     their strides, or the kernel would fill copies and leave the grids."""
-    ref = _kernel_args()
+    ref = _kernel_args(n_scen)
     _kernel_py.backward_pass(**ref)
-    args = _kernel_args()
+    args = _kernel_args(n_scen)
     args["cost"], args["action_kw"] = (_non_contiguous(args[name]) for name in ("cost", "action_kw"))
     _kernel_py.backward_pass(**args)
     assert np.ascontiguousarray(args["cost"]).tobytes() == ref["cost"].tobytes()
     assert np.ascontiguousarray(args["action_kw"]).tobytes() == ref["action_kw"].tobytes()
 
 
-def test_numpy_kernel_memory_does_not_grow_with_the_region(monkeypatch):
-    """A step's temporaries are one row block by K, so a pass over every
-    cell peaks no higher than a pass over one row of cells."""
+@BATCHES
+def test_numpy_kernel_memory_does_not_grow_with_the_region(monkeypatch, n_scen):
+    """A step's temporaries are one row block by K per scenario, so a pass
+    over every cell peaks no higher than a pass over one row of cells."""
     import tracemalloc
 
     ni, nj = 40, 30
     monkeypatch.setattr(_kernel_py, "BLOCK_CELLS", nj)
     # an untraced pass first: the first pass through many blocks leaves a few
     # KB in NumPy's and Python's caches, which are not temporaries
-    _kernel_py.backward_pass(**_lane_case(9, ni, nj, ties=False))
+    _kernel_py.backward_pass(**_lane_case(9, ni, nj, ties=False, n_scen=n_scen))
     peaks = {}
     for name, rows in (("one row", (ni // 2, ni // 2 + 1)), ("every row", (0, ni))):
-        args = _lane_case(9, ni, nj, ties=False)
+        args = _lane_case(9, ni, nj, ties=False, n_scen=n_scen)
         args["boxes"][:, :2] = rows
         tracemalloc.start()
         _kernel_py.backward_pass(**args)
@@ -943,7 +1025,8 @@ def test_compiled_kernel_uses_lanes_where_the_cpu_has_avx512f():
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 @pytest.mark.parametrize(
-    "name", ["cost", "action_kw", "valid", "corner00", "frac_e", "frac_theta", "jd", "je", "p_d", "boxes"]
+    "name",
+    ["cost", "action_kw", "valid", "corner00", "frac_e", "frac_theta", "cyc_fade", "je", "cal", "scale", "p_d", "boxes"],
 )
 @pytest.mark.parametrize(
     "misuse, error, match",
@@ -951,32 +1034,53 @@ def test_compiled_kernel_uses_lanes_where_the_cpu_has_avx512f():
         (lambda a: a.astype(np.int8 if a.dtype == np.uint8 else np.float32), TypeError, "{name} has item"),
         (lambda a: a.astype(np.int32 if a.dtype == np.int64 else np.int64), TypeError, "{name} has item"),
         (_non_contiguous, ValueError, "{name} is not C-contiguous"),
-        # N and K are read from je, so a short je is reported on the first array it
+        # N, B and K are read from je, so a short je is reported on the first array it
         # disagrees with
         (_short, ValueError, "entries along axis"),
-        (lambda a: a[None], ValueError, "{name} has [23] dimensions"),
+        (lambda a: a[None], ValueError, "{name} has [234] dimensions"),
     ],
     ids=["narrow-or-signed", "wrong-kind", "non-contiguous", "short", "extra-axis"],
 )
-def test_compiled_kernel_rejects_malformed_buffers(name, misuse, error, match):
-    args = _kernel_args()
+@BATCHES
+def test_compiled_kernel_rejects_malformed_buffers(name, misuse, error, match, n_scen):
+    args = _kernel_args(n_scen)
     args[name] = misuse(args[name])
+    if (name, misuse, n_scen) == ("scale", _non_contiguous, 1):
+        # one element is C-contiguous whatever its stride, so the kernel takes it
+        ref = _kernel_args(n_scen)
+        _kernel_py.backward_pass(**ref)
+        backend_mod._ddp_kernel.backward_pass(*args.values())
+        assert args["cost"].tobytes() == ref["cost"].tobytes()
+        return
     with pytest.raises(error, match=match.format(name=name)):
         backend_mod._ddp_kernel.backward_pass(*args.values())
 
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_compiled_kernel_rejects_bad_corners_and_outputs():
+@BATCHES
+def test_compiled_kernel_rejects_bad_corners_and_outputs(n_scen):
     kernel = backend_mod._ddp_kernel.backward_pass
-    args = _kernel_args()
-    args["valid"][2, 1] = 1
-    args["corner00"][2, 1] = args["cost"].shape[1] - 1  # its upper corners lie past the slice
-    with pytest.raises(ValueError, match=r"corner00\[2, 1\]"):
-        kernel(*args.values())
-    args = _kernel_args()
-    args["cost"].flags.writeable = False
-    with pytest.raises(ValueError, match="read-only"):
-        kernel(*args.values())
+    m = _kernel_args(n_scen)["valid"].shape[0]
+    # m - 1: its upper corners lie past the slice; the others lie outside it
+    for corner in (m - 1, m, -1, -m - 1, 2**31 - 1, -(2**31 - 1)):
+        args = _kernel_args(n_scen)
+        args["valid"][2, 1] = 1
+        args["corner00"][2, 1] = corner
+        with pytest.raises(ValueError, match=rf"corner00\[2, 1\] = {corner} "):
+            kernel(*args.values())
+    for name in ("cost", "action_kw"):
+        args = _kernel_args(n_scen)
+        args[name].flags.writeable = False
+        with pytest.raises(ValueError, match=f"{name} is read-only"):
+            kernel(*args.values())
+
+
+@pytest.mark.parametrize("kernel", BACKENDS)
+def test_kernels_reject_an_empty_batch(kernel):
+    args = _kernel_args(0)
+    run = backend_mod._ddp_kernel.backward_pass if kernel == "compiled" else _kernel_py.backward_pass
+    with pytest.raises(ValueError, match=r"no scenarios \(B=0\)"):
+        run(*args.values())
 
 
 def _set_box(n, side, value):
@@ -1031,8 +1135,8 @@ BAD_BOXES = pytest.mark.parametrize(
 )
 
 
-def _bad_box_args(change):
-    args = _kernel_args()
+def _bad_box_args(change, n_scen):
+    args = _kernel_args(n_scen)
     args["boxes"][1] = (0, 2, 0, 2)
     change(args)
     return args
@@ -1040,21 +1144,24 @@ def _bad_box_args(change):
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 @BAD_BOXES
-def test_compiled_kernel_rejects_bad_region_rows(change, match):
+@BATCHES
+def test_compiled_kernel_rejects_bad_region_rows(change, match, n_scen):
     with pytest.raises(ValueError, match=match):
-        backend_mod._ddp_kernel.backward_pass(*_bad_box_args(change).values())
+        backend_mod._ddp_kernel.backward_pass(*_bad_box_args(change, n_scen).values())
 
 
 @BAD_BOXES
-def test_numpy_kernel_rejects_bad_boxes(change, match):
+@BATCHES
+def test_numpy_kernel_rejects_bad_boxes(change, match, n_scen):
     with pytest.raises(ValueError, match=match):
-        _kernel_py.backward_pass(**_bad_box_args(change))
+        _kernel_py.backward_pass(**_bad_box_args(change, n_scen))
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (3, 5), (3, 4, 1), (4,)])
-def test_numpy_kernel_rejects_boxes_of_a_wrong_shape(shape):
+@BATCHES
+def test_numpy_kernel_rejects_boxes_of_a_wrong_shape(shape, n_scen):
     # the compiled kernel's buffer checks: test_compiled_kernel_rejects_malformed_buffers
-    args = _kernel_args()
+    args = _kernel_args(n_scen)
     args["boxes"] = np.zeros(shape, np.int64)
     with pytest.raises(ValueError, match=r"boxes has shape \("):
         _kernel_py.backward_pass(**args)
@@ -1236,6 +1343,93 @@ def test_forward_integration_leaves_a_box_along_either_axis(axis):
     for name in ("p_star", "e_traj", "theta_traj", "j_e_steps", "j_d_steps"):
         assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
     assert (sol.cost, sol.feasible, sol.notes) == (ref.cost, ref.feasible, ref.notes)
+
+
+def _batch_scenarios():
+    """Three coarse reference scenarios that share a table, the initial cell
+    and N: Mode III, Mode II, and Mode III on other prices with another
+    target and state of health."""
+    s = default_scenario(e_step=1.6, theta_step=2.0, p_step=2.0)
+    weekend = default_profiles()[1]
+    return [s, replace(s, include_aging_in_objective=False), replace(s, profile=weekend, e_target=56.0, soh0=0.9)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n_scen", [1, 2, 3])
+def test_a_batch_gives_each_scenario_the_bits_of_its_lone_solve(backend, n_scen):
+    models = _reference_models("plant-linear")
+    batch = [(s, build_grids(s)) for s in _batch_scenarios()[:n_scen]]
+    solver_mod.induce(models, batch, backend=backend)
+    for s, grids in batch:
+        lone = backward_induction(s, build_grids(s), models, backend=backend)
+        for name in ("cost", "action", "region"):
+            assert getattr(grids, name).tobytes() == getattr(lone, name).tobytes(), name
+        sol, ref = forward_integration(s, grids, models), forward_integration(s, lone, models)
+        assert sol.p_star.tobytes() == ref.p_star.tobytes()
+
+
+def _differing_grid(**changes):
+    return lambda s: replace(s, grid=replace(s.grid, **changes))
+
+
+# changes that leave a scenario without the table, the initial cell, N or the
+# penalty of the reference scenario, so that the two cannot share a pass
+BATCH_MISMATCHES = {
+    "e0": lambda s: replace(s, e0=s.e0 + 5 * s.e_step),
+    "theta0": lambda s: replace(s, theta0=s.theta0 + 3 * s.theta_step),
+    "N": _differing_grid(n_intervals=95),
+    "e_hi": lambda s: replace(s, e_hi=72.0),
+    "theta_lo": lambda s: replace(s, theta_lo=-20.0),
+    "p_lo": lambda s: replace(s, p_lo=0.0),
+    "e_step": lambda s: replace(s, e_step=0.8),
+    "theta_step": lambda s: replace(s, theta_step=1.0),
+    "p_step": lambda s: replace(s, p_step=1.0),
+    "dt": _differing_grid(dt_min=10.0),
+    "penalty": lambda s: replace(s, penalty=1e6),
+}
+
+
+@pytest.mark.parametrize("change", BATCH_MISMATCHES)
+@pytest.mark.parametrize("first", ["reference", "changed"])
+def test_a_batch_that_cannot_share_a_pass_raises_before_any_pass(monkeypatch, change, first):
+    models = _reference_models("plant-linear")
+    s = _batch_scenarios()[0]
+    scenarios = [s, BATCH_MISMATCHES[change](s)]
+    if first == "changed":
+        scenarios.reverse()
+    passes = []
+    monkeypatch.setattr(backend_mod, "backward_pass", lambda *a, **k: passes.append(1))
+    with pytest.raises(InvalidParameterError):
+        solver_mod.induce(models, [(s_b, build_grids(s_b)) for s_b in scenarios])
+    assert passes == []
+
+
+def test_a_batched_row_that_leaves_its_region_reruns_alone(monkeypatch):
+    models = _reference_models("plant-linear")
+    scenarios = _batch_scenarios()[:2]
+    lone = [solve(s, models) for s in scenarios]
+    batch = [(s, build_grids(s)) for s in scenarios]
+    solver_mod.induce(models, batch)
+    # leave out of the first row's slice-1 box the row its trajectory reads there
+    grids = batch[0][1]
+    i = nearest_index(grids.e_d, lone[0].e_traj[1])
+    top, bottom = grids.region[1, :2]
+    assert top <= i < bottom
+    grids.region[1, 0] = i + 1
+    kept = batch[1][1].region.copy()
+    batch_sizes = []
+    backward_pass = backend_mod.backward_pass
+    monkeypatch.setattr(
+        backend_mod, "backward_pass", lambda *a, **k: batch_sizes.append(a[0].shape[0]) or backward_pass(*a, **k)
+    )
+    sols = solver_mod.rollouts(models, batch)
+    assert batch_sizes == [1]  # the row that left reran alone, over every cell
+    assert np.array_equal(grids.region, _whole_grid(scenarios[0].grid.n_intervals, *grids.shape[:2]))
+    assert np.array_equal(batch[1][1].region, kept)
+    for sol, ref in zip(sols, lone):
+        for name in ("p_star", "e_traj", "theta_traj", "j_e_steps", "j_d_steps"):
+            assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert (sol.cost, sol.feasible, sol.notes) == (ref.cost, ref.feasible, ref.notes)
 
 
 def test_mode_ii_iii_objective_ordering():

@@ -5,9 +5,12 @@ benchmark's per-layer numbers divide by keep their counts: on the NumPy
 path of MLP training one mlp_gradients call per minibatch, and on the
 compiled path one epoch call per epoch and none of mlp_gradients; one
 energy_step call per interval of a validation, whatever the number of
-models, and one thermal.step and one lookup_arrays call per interval of a
-mode comparison, for its three rollouts together. Every compiled kernel's
-source compiles without a warning."""
+models, one thermal.step and one lookup_arrays call per interval of a
+mode comparison, for its three rollouts together, and one backward_pass and
+one reachable_region call per mode comparison, for Modes II and III
+together. The benchmark's kernel annotation reads (M, K, N) from a
+backward_pass call. Every compiled kernel's source compiles without a
+warning."""
 
 import importlib
 import inspect
@@ -24,6 +27,8 @@ import pytest
 from chargeopt import electrical, evaluation, learning, tariff, thermal
 from chargeopt.aging import default_params
 from chargeopt.optimizer import BatteryModels, build_grids, build_transition_table
+from chargeopt.optimizer import backend as backend_mod
+from chargeopt.optimizer import solver as solver_mod
 from conftest import extensions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,15 +119,45 @@ def test_validate_models_calls_energy_step_once_per_interval_and_once_for_local_
     assert len(calls) == max(ev.grid.n_intervals for ev in events) + 1
 
 
-@pytest.mark.parametrize("module, name", [(thermal, "step"), (electrical, "lookup_arrays")])
-def test_compare_modes_steps_its_three_rollouts_with_one_call_per_interval(monkeypatch, module, name):
+def _mode_comparison_instance():
+    """An event, its coarse scenario, plant-linear models and their table."""
     tables = electrical.default_tables()
     plant = thermal.ThermalPlant()
     models = BatteryModels(tables=tables, thermal=thermal.plant_linear_model(plant), aging=default_params())
     event = evaluation.eligible_events(thermal.generate_synthetic_events(plant, tables, 2, seed=11))[0]
     s = evaluation.scenario_for_event(event, tariff.default_profiles()[0], e_step=1.6, theta_step=2.0, p_step=2.0)
-    table = build_transition_table(s, models, build_grids(s))
+    return event, s, models, build_transition_table(s, models, build_grids(s))
+
+
+@pytest.mark.parametrize("module, name", [(thermal, "step"), (electrical, "lookup_arrays")])
+def test_compare_modes_steps_its_three_rollouts_with_one_call_per_interval(monkeypatch, module, name):
+    event, s, models, table = _mode_comparison_instance()
     calls = _counting(monkeypatch, module, name)
     cmp_ = evaluation.compare_modes(event, s, models, table=table)
     assert not any(note.startswith("interval") for sol in (cmp_.mode_i, cmp_.mode_ii, cmp_.mode_iii) for note in sol.notes)
     assert len(calls) == s.grid.n_intervals
+
+
+@pytest.mark.parametrize("module, name", [(backend_mod, "backward_pass"), (solver_mod, "reachable_region")])
+def test_compare_modes_solves_modes_ii_and_iii_in_one_pass(monkeypatch, module, name):
+    event, s, models, table = _mode_comparison_instance()
+    calls = _counting(monkeypatch, module, name)
+    evaluation.compare_modes(event, s, models, table=table)
+    assert len(calls) == 1
+
+
+def test_perfbench_kernel_note_reads_a_compare_modes_pass(monkeypatch):
+    # perfbench's per-layer kernel numbers annotate each backend.backward_pass
+    # call with (M, K, N) from its arguments; an annotation that raises fails
+    # every op of a traced run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    event, s, models, table = _mode_comparison_instance()
+    calls = []
+    backward_pass = backend_mod.backward_pass
+    monkeypatch.setattr(backend_mod, "backward_pass", lambda *a, **k: calls.append((a, k)) or backward_pass(*a, **k))
+    evaluation.compare_modes(event, s, models, table=table)
+    (args, kwargs), = calls
+    grids = build_grids(s)
+    m, k = len(grids.e_d) * len(grids.theta_d), len(grids.p_d)
+    assert workloads._kernel_note(args, kwargs, None) == {"m": m, "k": k, "n": s.grid.n_intervals}
