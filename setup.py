@@ -2,7 +2,8 @@
 
 The package is fully functional without the extensions (NumPy fallbacks with
 the same bits are selected at import time); building them just makes
-backward induction, MLP training and prediction faster.
+backward induction, MLP training and prediction, and the per-interval step
+of the circuit model and the thermal predictor faster. Aging stays in NumPy.
 -ffp-contract=off stops the compiler from fusing a * b + c into one
 multiply-add, which rounds once instead of twice and would make the compiled
 results differ from NumPy's in the last bit on targets with FMA. -pthread
@@ -25,7 +26,7 @@ EXTENSIONS = [
         "chargeopt._mlp_kernel",
         ["src/chargeopt/_mlp_kernel.c"],
         extra_compile_args=["-O3", "-ffp-contract=off", "-fno-trapping-math"],
-        optional=True,  # fall back to the NumPy definition in thermal.py if the build fails
+        optional=True,  # fall back to the NumPy definitions in electrical.py and thermal.py if the build fails
     ),
 ]
 

@@ -7,6 +7,8 @@ API boundary and is converted to W in exactly one place (battery_current).
 
 All functions broadcast over NumPy arrays and are pure; EcmTables is
 immutable after load, so everything here is safe for concurrent use.
+energy_step runs in the compiled module _mlp_kernel when it is built, with
+the bits of the NumPy definition here.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ import numpy as np
 
 from .errors import InfeasiblePowerError, InvalidParameterError
 
+try:
+    from . import _mlp_kernel  # type: ignore[attr-defined]
+except ImportError:  # not built: the NumPy definition below runs, with the same bits
+    _mlp_kernel = None
+
 
 @dataclass(frozen=True)
 class EcmTables:
@@ -25,7 +32,8 @@ class EcmTables:
 
     Axes must be strictly increasing; u_ocv and r_i have shape
     (len(e_axis), len(theta_axis)) with r_i > 0 and u_ocv > 0 everywhere;
-    axes and grids are finite.
+    axes and grids are finite. All four are kept as C-contiguous float64
+    arrays, which the compiled energy_step reads as they are.
     Queries outside the hull clamp to the nearest grid edge.
     """
 
@@ -35,8 +43,9 @@ class EcmTables:
     r_i: np.ndarray
 
     def __post_init__(self):
+        for label in ("e_axis", "theta_axis", "u_ocv", "r_i"):
+            object.__setattr__(self, label, np.ascontiguousarray(getattr(self, label), float))
         for label, ax in (("e_axis", self.e_axis), ("theta_axis", self.theta_axis)):
-            ax = np.asarray(ax, float)
             if ax.ndim != 1 or ax.size < 2 or np.any(np.diff(ax) <= 0):
                 raise InvalidParameterError(f"{label} must be 1-D, strictly increasing, length >= 2")
             if not np.all(np.isfinite(ax)):
@@ -119,13 +128,23 @@ def battery_current(u_ocv, r_i, p_kw):
     r = np.asarray(r_i, float)
     p_w = np.asarray(p_kw, float) * 1000.0
     disc = u * u + 4.0 * r * p_w
-    if np.any(disc < 0):
-        raise InfeasiblePowerError(
-            "requested discharge power exceeds maximum deliverable "
-            f"({np.min(max_discharge_power(u, r)):.3f} kW)"
-        )
+    bad = disc < 0
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        u_k, r_k = (np.broadcast_to(v, bad.shape).flat[k] for v in (u, r))
+        raise _infeasible(bad.shape, k, max_discharge_power(u_k, r_k))
     i = (-u + np.sqrt(disc)) / (2.0 * r)
     return i if i.ndim else float(i)
+
+
+def _infeasible(shape, index: int, limit_kw) -> InfeasiblePowerError:
+    """The error for the first element, at flat index `index` in C order of
+    the broadcast shape, whose discharge exceeds its own limit_kw."""
+    at = ""
+    if shape:
+        where = tuple(int(i) for i in np.unravel_index(index, shape))
+        at = f" at index {where[0] if len(where) == 1 else where}"
+    return InfeasiblePowerError(f"requested discharge power{at} exceeds maximum deliverable ({limit_kw:.3f} kW)")
 
 
 def ohmic_loss(r_i, i_bat):
@@ -137,15 +156,35 @@ def ohmic_loss(r_i, i_bat):
 def energy_step(tables: EcmTables, e, theta, p_kw, dt_min: float):
     """(delta_e in kWh, q_loss in kW) over one interval at constant power.
 
-    e, theta and p_kw broadcast elementwise; 0-d inputs give floats. U_OCV
-    and R_i are looked up at the interval-start state and held fixed within
-    the interval. Losses reduce the stored energy gain while charging and
-    increase the drawn energy while discharging.
+    e, theta, p_kw and dt_min broadcast elementwise; 0-d inputs give floats,
+    and q_loss keeps the shape of (e, theta, p_kw). U_OCV and R_i are looked
+    up at the interval-start state and held fixed within the interval.
+    Losses reduce the stored energy gain while charging and increase the
+    drawn energy while discharging. The compiled module _mlp_kernel runs this
+    definition when it is built, and the NumPy code below otherwise, with the
+    same bits; every NaN result is np.nan. InfeasiblePowerError names the
+    first element, in C order, whose discharge cannot be delivered.
     """
-    u, r = lookup_arrays(tables, e, theta)
-    q = ohmic_loss(r, battery_current(u, r, p_kw))
-    delta_e = (dt_min / 60.0) * (np.asarray(p_kw, float) - q)
-    return (delta_e if np.ndim(delta_e) else float(delta_e)), q
+    e, theta, p = np.asarray(e, float), np.asarray(theta, float), np.asarray(p_kw, float)
+    dt = np.asarray(dt_min, float)
+    shape = np.broadcast(e, theta, p).shape
+    # the compiled step writes q_loss at every element of delta_e, so it runs
+    # where dt spans no axis that the state does not
+    if _mlp_kernel is not None and (dt.ndim == 0 or np.broadcast(e, theta, p, dt).shape == shape):
+        delta_e, q = np.empty(shape), np.empty(shape)
+        bad = _mlp_kernel.energy_step(
+            tables.e_axis, tables.theta_axis, tables.u_ocv, tables.r_i, e, theta, p, dt, delta_e, q
+        )
+        if bad is not None:
+            raise _infeasible(shape, *bad)
+    else:
+        u, r = lookup_arrays(tables, e, theta)
+        q = np.asarray(ohmic_loss(r, battery_current(u, r, p)))
+        delta_e = np.asarray((dt / 60.0) * (p - q))
+        # one NaN: IEEE leaves open which NaN operand an operation returns
+        delta_e[np.isnan(delta_e)] = np.nan
+        q[np.isnan(q)] = np.nan
+    return (delta_e if delta_e.ndim else float(delta_e)), (q if q.ndim else float(q))
 
 
 ECM_CSV_HEADER = ["e_kwh", "theta_c", "u_ocv_v", "r_i_ohm"]

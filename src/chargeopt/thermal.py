@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,9 @@ class ThermalModel:
     consumes; means/stds are the normalization applied before the linear or
     MLP map. layers holds (weights, bias) pairs; hidden activations are
     sigmoid, the output unit is linear. The constant variant has no layers
-    and predicts exactly 0.
+    and predicts exactly 0. means, stds and every weight and bias are kept
+    as C-contiguous float64 arrays, which the compiled module reads as they
+    are.
     """
 
     variant: str
@@ -64,6 +67,10 @@ class ThermalModel:
     layers: tuple = ()
 
     def __post_init__(self):
+        for name in ("means", "stds"):
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), float))
+        layers = tuple((np.ascontiguousarray(w, float), np.ascontiguousarray(b, float)) for w, b in self.layers)
+        object.__setattr__(self, "layers", layers)
         if self.variant not in (VARIANT_CONSTANT, VARIANT_LINEAR, VARIANT_MLP):
             raise InvalidParameterError(f"unknown thermal model variant {self.variant!r}")
         if self.variant != VARIANT_CONSTANT:
@@ -76,6 +83,14 @@ class ThermalModel:
                 raise InvalidParameterError(f"{self.variant} model needs at least one layer")
             if self.layers[0][0].shape[0] != f:
                 raise InvalidParameterError("first layer width does not match feature count")
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The positions in FEATURE_NAMES of the features the model reads, as
+        a read-only int64 array; ValueError for a name not among them."""
+        cols = np.array([FEATURE_NAMES.index(name) for name in self.feature_names], np.int64)
+        cols.flags.writeable = False
+        return cols
 
 
 def constant_model() -> ThermalModel:
@@ -170,18 +185,9 @@ def predict_batch(model: ThermalModel, x_full: np.ndarray) -> np.ndarray:
     out = np.zeros(x_full.shape[0])
     if model.variant == VARIANT_CONSTANT:
         return out
-    cols = [FEATURE_NAMES.index(name) for name in model.feature_names]
+    cols = model.columns
     if _mlp_kernel is not None:
-        params, widths = _flat_parameters(model.layers)
-        _mlp_kernel.predict(
-            np.ascontiguousarray(x_full),
-            np.array(cols, np.int64),
-            np.ascontiguousarray(model.means, float),
-            np.ascontiguousarray(model.stds, float),
-            params,
-            widths,
-            out,
-        )
+        _mlp_kernel.predict(np.ascontiguousarray(x_full), cols, model.means, model.stds, model.layers, out)
         return out
     for start in range(0, len(out), PREDICT_PIECE_ROWS):
         piece = slice(start, start + PREDICT_PIECE_ROWS)
@@ -190,15 +196,6 @@ def predict_batch(model: ThermalModel, x_full: np.ndarray) -> np.ndarray:
         out[piece] = _forward(model.layers, a)[-1][0]
     out[np.isnan(out)] = np.nan  # one NaN: IEEE leaves open which NaN operand an operation returns
     return out
-
-
-def _flat_parameters(layers) -> tuple[np.ndarray, np.ndarray]:
-    """The (weights, bias) layers as the flat float64 parameter vector that
-    _mlp_kernel reads (each layer's weights, row-major, then its bias) and
-    the int64 layer widths, inputs first."""
-    params = np.concatenate([np.ravel(a) for w, b in layers for a in (w, b)]).astype(float, copy=False)
-    widths = np.array([layers[0][0].shape[0]] + [w.shape[1] for w, _ in layers], np.int64)
-    return params, widths
 
 
 def fold(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -237,11 +234,21 @@ def temperature_change(model: ThermalModel, p_kw, q_loss_kw, delta_e_kwh, theta)
     """Predicted temperature change in K over one interval, given its power,
     Ohmic loss and energy throughput from the circuit model and its
     start temperature. The inputs broadcast elementwise; the predictor sees
-    them flattened in C order in one predict_batch call. 0-d inputs give a
-    float."""
-    p, q, de, th = np.broadcast_arrays(p_kw, q_loss_kw, delta_e_kwh, theta)
-    x = feature_matrix(p.ravel(), q.ravel(), de.ravel(), th.ravel())
-    d_theta = predict_batch(model, x).reshape(p.shape)
+    them flattened in C order, as one predict_batch call. 0-d inputs give a
+    float. The compiled module _mlp_kernel forms the features and predicts
+    in one call when it is built, with predict_batch's bits.
+    """
+    p, q = np.asarray(p_kw, float), np.asarray(q_loss_kw, float)
+    de, th = np.asarray(delta_e_kwh, float), np.asarray(theta, float)
+    shape = np.broadcast(p, q, de, th).shape
+    if model.variant == VARIANT_CONSTANT:
+        d_theta = np.zeros(shape)  # predict_batch's exact 0
+    elif _mlp_kernel is not None:
+        d_theta = np.empty(shape)
+        _mlp_kernel.temperature_change(p, q, de, th, model.columns, model.means, model.stds, model.layers, d_theta)
+    else:
+        x = feature_matrix(*(np.broadcast_to(v, shape).ravel() for v in (p, q, de, th)))
+        d_theta = predict_batch(model, x).reshape(shape)
     return d_theta if d_theta.ndim else float(d_theta)
 
 

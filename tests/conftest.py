@@ -7,9 +7,11 @@ leaves a module missing or out of date fails the session: setup.py builds
 the extensions as optional, so a kernel that does not compile would
 otherwise pass as a skip of every test of its compiled path.
 
-The mlp_path fixture runs a test once on the NumPy definition of the MLP's
-arithmetic and once on the compiled module _mlp_kernel (skipped when it is
-not built)."""
+The mlp_path fixture runs a test once on the NumPy definitions of the MLP's
+arithmetic and of the circuit step and once on the compiled module
+_mlp_kernel (skipped when it is not built). numpy_reference runs a function
+on the NumPy definitions alone, whatever path the test is on, and same_bits
+compares its result with a test's."""
 
 import importlib.util
 import shlex
@@ -19,6 +21,7 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,12 +65,38 @@ def pytest_sessionstart(session):
         pytest.exit(f"a C compiler is on PATH, but the build left {', '.join(stale())} missing or out of date", 1)
 
 
+def _kernel_users():
+    from chargeopt import electrical, thermal
+
+    return electrical, thermal
+
+
 @pytest.fixture(params=["numpy", "compiled"])
 def mlp_path(request, monkeypatch):
-    from chargeopt import thermal
-
     if request.param == "numpy":
-        monkeypatch.setattr(thermal, "_mlp_kernel", None)
-    elif thermal._mlp_kernel is None:
+        for module in _kernel_users():
+            monkeypatch.setattr(module, "_mlp_kernel", None)
+    elif any(module._mlp_kernel is None for module in _kernel_users()):
         pytest.skip("MLP kernel not built")
     return request.param
+
+
+def same_bits(got, want):
+    """Equal types, shapes and bytes, element by element, of a value or a
+    tuple of values (floats and arrays)."""
+    assert type(got) is type(want)
+    if isinstance(got, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            same_bits(g, w)
+    else:
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def numpy_reference(run):
+    """run() on the NumPy definitions of the circuit step and the MLP."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in _kernel_users():
+            patch.setattr(module, "_mlp_kernel", None)
+        return run()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import numpy_reference, same_bits
 
 from chargeopt.electrical import (
     EcmTables,
@@ -234,3 +235,88 @@ def test_a_row_of_any_batch_equals_its_one_row_call(rows):
         for v, b, b2 in zip(one, batch, batch_2d):
             bits = np.float64(v).tobytes()
             assert bits == b[i].tobytes() == b2[0, position[i]].tobytes() == b2[1, rows - 1 - i].tobytes(), f"row {i}"
+
+
+def _state_draws(t, rows, seed):
+    """States beyond and on the table hull and on its nodes, powers either way."""
+    rng = np.random.default_rng(seed)
+    e = rng.uniform(-5.0, 85.0, rows)
+    e[::4] = rng.choice(t.e_axis, len(e[::4]))
+    theta = rng.uniform(-30.0, 65.0, rows)
+    theta[1::4] = rng.choice(t.theta_axis, len(theta[1::4]))
+    return e, theta, rng.uniform(-60.0, 60.0, rows), rng.choice([1.0, 5.0, 15.0], rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_energy_step_has_the_bits_of_the_numpy_definition_on_random_draws(mlp_path, seed):
+    t = _random_tables(seed)
+    e, theta, p, dt = _state_draws(t, 2000, seed)
+    for args in ((e, theta, p, dt), (e, theta, p, 5.0)):
+        same_bits(energy_step(t, *args), numpy_reference(lambda: energy_step(t, *args)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_energy_step_has_the_bits_of_the_numpy_definition_at_special_values(mlp_path):
+    t = default_tables()
+    specials = [0.0, -0.0, 80.0, -5.0, 85.0, 25.0, -25.0, 60.0, np.inf, -np.inf, np.nan, -np.nan]
+    grid = np.array(np.meshgrid(specials, specials, [0.0, -0.0, 11.0, -11.0, np.nan], indexing="ij"))
+    e, theta, p = (a.ravel() for a in grid)
+    got = energy_step(t, e, theta, p, 5.0)
+    same_bits(got, numpy_reference(lambda: energy_step(t, e, theta, p, 5.0)))
+    # every NaN is np.nan, and states on and beyond the hull give finite steps
+    assert np.isnan(got[0]).any() and np.isfinite(got[0]).any()
+    assert {v.tobytes() for v in got[0][np.isnan(got[0])]} == {np.float64(np.nan).tobytes()}
+    for row in range(len(e)):
+        same_bits(energy_step(t, e[row], theta[row], p[row], 5.0), (float(got[0][row]), float(got[1][row])))
+    nan_dt = (t, 0.0, 25.0, 11.0, np.nan)
+    same_bits(energy_step(*nan_dt), numpy_reference(lambda: energy_step(*nan_dt)))
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        ((), (), (), ()),  # 0-d: floats
+        ((3, 1), (3, 1), (1, 4), ()),  # the transition table's (cells, actions)
+        ((2, 5), (5,), (5,), (5,)),  # validate_models' lockstep rollouts, per-event dt
+        ((5,), (2, 1, 5), (1,), (1, 1)),
+        ((), (6,), (6,), ()),  # one energy, many temperatures: each element looks its own state up
+        ((3,), (3,), (3,), (2, 3)),  # dt spans an axis of its own: q_loss keeps the state's shape
+        ((0,), (0,), (0,), ()),
+    ],
+    ids=str,
+)
+def test_energy_step_broadcasts_as_the_numpy_definition(mlp_path, shapes):
+    t = _random_tables(4)
+    size = max(int(np.prod(s)) for s in shapes)
+    e, theta, p, dt = (draw[:int(np.prod(s))].reshape(s) for draw, s in zip(_state_draws(t, size, 4), shapes))
+    got = energy_step(t, e, theta, p, dt)
+    same_bits(got, numpy_reference(lambda: energy_step(t, e, theta, p, dt)))
+    if not any(shapes):
+        assert all(isinstance(v, float) for v in got)
+    # inputs with gaps between their elements and with negative strides read the same elements
+    p_strided = np.repeat(p[..., None], 2, axis=-1)[..., 0]
+    e_reversed = e[::-1].copy()[::-1] if e.ndim == 1 else e
+    same_bits(energy_step(t, e_reversed, theta, p_strided, dt), got)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_an_infeasible_discharge_names_its_first_row_and_that_rows_limit(mlp_path, shape):
+    t = default_tables()
+    e = np.full(shape, 40.0)
+    theta = np.linspace(-25.0, 60.0, e.size).reshape(shape)  # R_i, and so the limit, differ by row
+    u, r = lookup_arrays(t, e, theta)
+    limit = max_discharge_power(u, r)
+    p = np.asarray(limit * 0.5)
+    first = np.unravel_index(min(1, e.size - 1), shape)  # a cold row, whose limit is not the lowest
+    p[first] = limit[first] * 1.01
+    if e.size > 1:
+        p.flat[-1] = limit.flat[-1] * 2.0  # a later row, with the lowest limit, beyond it too
+    with pytest.raises(InfeasiblePowerError) as compiled:
+        energy_step(t, e, theta, p, 5.0)
+    with pytest.raises(InfeasiblePowerError) as reference:
+        numpy_reference(lambda: energy_step(t, e, theta, p, 5.0))
+    assert str(compiled.value) == str(reference.value)
+    where = "" if shape == () else f" at index {first[0] if len(shape) == 1 else tuple(int(i) for i in first)}"
+    assert str(compiled.value) == (
+        f"requested discharge power{where} exceeds maximum deliverable ({limit[first]:.3f} kW)"
+    )

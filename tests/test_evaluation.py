@@ -1,12 +1,14 @@
 """Validation protocol, mode comparison, sweeps, gamma-star."""
 
+import hashlib
 import math
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from conftest import numpy_reference
 
-from chargeopt import electrical, evaluation
+from chargeopt import electrical, evaluation, learning
 from chargeopt.aging import default_params
 from chargeopt.core import TimeGrid
 from chargeopt.errors import InfeasiblePowerError, InvalidParameterError
@@ -36,6 +38,7 @@ from chargeopt.optimizer import (
     solve,
 )
 from chargeopt.optimizer import backend as backend_mod
+from chargeopt.optimizer import build_transition_table, transitions
 from chargeopt.optimizer.solver import induce
 from chargeopt.tariff import PriceProfile, default_profiles, profile_for_time
 from chargeopt.thermal import (
@@ -465,3 +468,38 @@ def test_report_csvs(tmp_path, tables, default_corpus):
     assert vrows[0] == "model,local_rmse,global_mae"
     assert vrows[1].startswith("electrical_ecm,")
     assert vrows[2].startswith("constant,")
+
+
+def _pipeline_digests():
+    """Digests of every stage that steps the circuit model and the thermal
+    predictor: the synthetic corpus, the training set, a validation report,
+    a transition table and a solve, on an MLP trained on that corpus."""
+    tables = electrical.default_tables()
+    plant = ThermalPlant()
+    events = generate_synthetic_events(plant, tables, 6, seed=21)
+    ds = learning.build_dataset(events, tables)
+    nrm = learning.fit_normalizer(ds)
+    arch = learning.MlpArchitecture(2, 5, epochs=30)
+    mlp = learning.fit_mlp(learning.apply_normalizer(ds, nrm), arch, normalization=nrm)
+    thermal_models = {"constant": constant_model(), "linear": plant_linear_model(plant), "mlp": mlp}
+    report = validate_models(events, tables, thermal_models)
+    s = scenario_for_event(eligible_events(events)[0], default_profiles()[0], e_step=1.6, theta_step=2.0, p_step=2.0)
+    models = BatteryModels(tables=tables, thermal=mlp, aging=default_params())
+    transitions._last_table = None  # build, do not reuse the other path's table
+    table = build_transition_table(s, models, build_grids(s))
+    sol = solve(s, models)
+
+    def digest(*arrays):
+        return hashlib.sha256(b"".join(np.ascontiguousarray(a, float).tobytes() for a in arrays)).hexdigest()
+
+    return {
+        "events": digest(*(v for ev in events for v in (ev.p, ev.e, ev.theta, ev.u_bat))),
+        "dataset": digest(ds.x, ds.y),
+        "report": repr(report),
+        "table": digest(table.valid, table.corner00, table.frac_e, table.frac_theta, table.cyc_fade, table.succ_box),
+        "solve": (digest(sol.p_star, sol.e_traj, sol.theta_traj), astuple(sol.cost), sol.notes),
+    }
+
+
+def test_pipelines_have_the_bits_of_the_numpy_definitions(mlp_path):
+    assert _pipeline_digests() == numpy_reference(_pipeline_digests)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import numpy_reference, same_bits
 
 from chargeopt import electrical, thermal
 from chargeopt.core import BatteryState
@@ -269,10 +270,34 @@ def test_predict_batch_compiled_equals_numpy_where_exp_overflows_and_on_inf_and_
     assert compiled.tobytes() == numpy_path.tobytes()
 
 
+def _flat_parameters(layers):
+    """The flat parameter vector and int64 widths that sgd_epoch reads."""
+    params = np.concatenate([a.ravel() for layer in layers for a in layer])
+    return params, np.array([layers[0][0].shape[0]] + [w.shape[1] for w, _ in layers], np.int64)
+
+
+def _bad_layers(layers):
+    """(error, message, layers) that the compiled network entry points refuse."""
+    (w0, b0), (w1, b1), (w2, b2) = layers
+    return [
+        (TypeError, r"layers\[0\] weights has item format 'f'", ((w0.astype(np.float32), b0), (w1, b1), (w2, b2))),
+        (ValueError, r"layers\[0\] weights has 3 dimensions", ((w0[:, :, None], b0), (w1, b1), (w2, b2))),
+        (ValueError, r"layers\[0\] weights is not C-contiguous", ((np.asfortranarray(w0), b0), (w1, b1), (w2, b2))),
+        (ValueError, r"layers\[0\] bias has 9 entries", ((w0, b0[:-1]), (w1, b1), (w2, b2))),
+        (ValueError, r"layers\[1\] weights has 9 entries", ((w0, b0), (w1[:-1], b1), (w2, b2))),
+        (ValueError, "the last layer has 10 outputs", ((w0, b0), (w1, b1))),
+        (ValueError, "expected no empty axis", ((w0[:, :0], b0[:0]), (w1, b1), (w2, b2))),
+        (ValueError, "at least 1 layer", ()),
+        (ValueError, r"layers\[0\] is not a \(weights, bias\) pair", ((w0, b0, b0), (w1, b1), (w2, b2))),
+        (TypeError, "sequence of", 3),
+    ]
+
+
 @needs_mlp_kernel
 def test_mlp_kernel_checks_every_buffer_before_it_runs():
     kernel = thermal._mlp_kernel
-    params, widths = thermal._flat_parameters(_random_model("mlp", seed=2).layers)
+    layers = _random_model("mlp", seed=2).layers
+    params, widths = _flat_parameters(layers)
     x, y, perm, pred = np.zeros((5, 4)), np.zeros(5), np.arange(5), np.zeros(5)
     good = dict(params=params, widths=widths, x=x, y=y, perm=perm, pred=pred, learning_rate=0.1, batch_size=2)
     bad_epochs = [
@@ -299,17 +324,80 @@ def test_mlp_kernel_checks_every_buffer_before_it_runs():
         kernel.sgd_epoch(*dict(good, pred=read_only).values())
     assert params.tobytes() == before.tobytes()
     x_full = np.zeros((3, 4))
-    good = dict(x=x_full, cols=np.arange(4), means=np.zeros(4), stds=np.ones(4), params=params, widths=widths, out=np.zeros(3))
+    good = dict(x=x_full, cols=np.arange(4), means=np.zeros(4), stds=np.ones(4), layers=layers, out=np.zeros(3))
     bad_predicts = [
-        (ValueError, "cols", np.array([0, 1, 2, 4])),
-        (ValueError, "cols", np.array([0, 1, 2])),
-        (ValueError, "means", np.zeros(3)),
-        (ValueError, "out", np.zeros(2)),
-        (TypeError, "x", np.zeros((3, 4), np.float32)),
-    ]
-    for error, name, value in bad_predicts:
-        with pytest.raises(error):
+        (ValueError, "not a column", "cols", np.array([0, 1, 2, 4])),
+        (ValueError, "cols has 3 entries", "cols", np.array([0, 1, 2])),
+        (ValueError, "means has 3 entries", "means", np.zeros(3)),
+        (ValueError, "out has 2 entries", "out", np.zeros(2)),
+        (TypeError, "x has item format 'f'", "x", np.zeros((3, 4), np.float32)),
+    ] + [(error, match, "layers", value) for error, match, value in _bad_layers(layers)]
+    for error, match, name, value in bad_predicts:
+        with pytest.raises(error, match=match):
             kernel.predict(*dict(good, **{name: value}).values())
+
+
+@needs_mlp_kernel
+def test_step_kernels_check_every_buffer_before_they_run():
+    kernel = thermal._mlp_kernel
+    t = electrical.default_tables()
+    state = np.full((2, 3), 40.0)
+    good = dict(
+        e_axis=t.e_axis, theta_axis=t.theta_axis, u_ocv=t.u_ocv, r_i=t.r_i,
+        e=state, theta=state[:, :1], p=state[0], dt=np.array(5.0), delta_e=np.zeros((2, 3)), q=np.zeros((2, 3)),
+    )
+    read_only = np.zeros((2, 3))
+    read_only.flags.writeable = False
+    bad_steps = [
+        (TypeError, "e_axis has item format 'f'", "e_axis", t.e_axis.astype(np.float32)),
+        (TypeError, "e has item format 'l'", "e", state.astype(np.int64)),
+        (ValueError, "u_ocv has 1 dimensions", "u_ocv", t.u_ocv.ravel()),
+        (ValueError, "r_i is not C-contiguous", "r_i", np.asfortranarray(t.r_i)),
+        (ValueError, "u_ocv has 2 entries along axis 1, expected 3", "u_ocv", np.ascontiguousarray(t.u_ocv[:, :2])),
+        (ValueError, "r_i has 1 entries along axis 0, expected 2", "r_i", t.r_i[:1]),
+        (ValueError, "the axes have 1 and 3 nodes", "e_axis", t.e_axis[:1]),
+        (ValueError, "the axes have 2 and 1 nodes", "theta_axis", t.theta_axis[:1]),
+        (ValueError, "theta has 2 entries along axis 1, which do not broadcast to 3", "theta", state[:, :2]),
+        (ValueError, "p has 4 entries along axis 0", "p", np.zeros(4)),
+        (ValueError, "dt has 3 dimensions, more than the output's 2", "dt", np.zeros((1, 2, 3))),
+        (ValueError, "delta_e is not C-contiguous", "delta_e", np.zeros((2, 3))[:, ::2]),
+        (ValueError, "q does not have the shape of delta_e", "q", np.zeros((3, 2))),
+        (ValueError, "q is read-only", "q", read_only),
+        (TypeError, "delta_e has item format 'f'", "delta_e", np.zeros((2, 3), np.float32)),
+    ]
+    for error, match, name, value in bad_steps:
+        with pytest.raises(error, match=match):
+            kernel.energy_step(*dict(good, **{name: value}).values())
+    assert kernel.energy_step(*good.values()) is None
+    # the first element in C order that cannot be delivered, and its own limit, to the bit
+    rng = np.random.default_rng(3)
+    t = electrical.EcmTables(t.e_axis, t.theta_axis, rng.uniform(300.0, 420.0, (2, 3)), rng.uniform(0.05, 0.3, (2, 3)))
+    e, theta = rng.uniform(0.0, 80.0, (2, 50)), rng.uniform(-25.0, 60.0, (2, 50))
+    limit = electrical.max_discharge_power(*electrical.lookup_arrays(t, e, theta))
+    p = np.array([0.0, -1e4, -2e4])
+    for k in range(e.shape[1]):
+        tables = dict(e_axis=t.e_axis, theta_axis=t.theta_axis, u_ocv=t.u_ocv, r_i=t.r_i)
+        call = dict(good, **tables, e=e[:, k : k + 1], theta=theta[:, k : k + 1], p=p)
+        assert kernel.energy_step(*call.values()) == (1, limit[0, k])
+    layers = _random_model("mlp", seed=2).layers
+    good = dict(
+        p=state, q_loss=state[:, :1], delta_e=state[0], theta=np.array(20.0),
+        cols=np.arange(4), means=np.zeros(4), stds=np.ones(4), layers=layers, out=np.zeros((2, 3)),
+    )
+    bad_changes = [
+        (TypeError, "p has item format 'f'", "p", state.astype(np.float32)),
+        (ValueError, "q_loss has 2 entries along axis 1", "q_loss", state[:, :2]),
+        (ValueError, "theta has 3 dimensions", "theta", np.zeros((1, 2, 3))),
+        (ValueError, "not a column", "cols", np.array([0, 1, 2, 4])),
+        (ValueError, "cols has 3 entries", "cols", np.array([0, 1, 2])),
+        (ValueError, "stds has 5 entries", "stds", np.ones(5)),
+        (ValueError, "out is not C-contiguous", "out", np.zeros((2, 3))[:, ::2]),
+        (ValueError, "out is read-only", "out", read_only),
+    ] + [(error, match, "layers", value) for error, match, value in _bad_layers(layers)]
+    for error, match, name, value in bad_changes:
+        with pytest.raises(error, match=match):
+            kernel.temperature_change(*dict(good, **{name: value}).values())
+    assert kernel.temperature_change(*good.values()) is None
 
 
 def test_explicit_exp_is_within_one_ulp_of_numpys_exp():
@@ -373,3 +461,72 @@ def test_step_broadcast_matches_one_state_at_a_time():
                 one = step(tables, model, e[i, 0], theta[i, 0], p[k], 5.0)
                 assert all(isinstance(v, float) for v in one)
                 assert one == (de[i, k], q[i, k], dth[i, k])
+
+
+def _step_models():
+    return {
+        "constant": constant_model(),
+        "linear": plant_linear_model(ThermalPlant(fan_gain=0.0)),
+        "linear_random": _random_model("linear", 6),
+        "mlp": _random_model("mlp", 6),
+        # reads three features, in another order
+        "mlp_subset": ThermalModel(
+            variant="mlp",
+            feature_names=("theta", "q_loss", "p_abs"),
+            means=np.array([20.0, 0.5, 10.0]),
+            stds=np.array([10.0, 0.5, 20.0]),
+            layers=(
+                (np.random.default_rng(7).normal(size=(3, 5)), np.zeros(5)),
+                (np.random.default_rng(8).normal(size=(5, 1)), np.ones(1)),
+            ),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_step_models()))
+def test_step_and_temperature_change_have_the_bits_of_the_numpy_definition(mlp_path, name):
+    model = _step_models()[name]
+    tables = electrical.default_tables()
+    rng = np.random.default_rng(len(name))
+    rows = 1500  # more than a compiled block of 128 rows
+    e, theta, p = rng.uniform(-5.0, 85.0, rows), rng.uniform(-30.0, 65.0, rows), rng.uniform(-60.0, 60.0, rows)
+    e[::5], theta[1::5], p[2::5] = 0.0, 25.0, -0.0
+    dt = rng.choice([1.0, 5.0, 15.0], rows)
+    cases = [
+        (e, theta, p, dt),  # per-row dt, as validate_models passes
+        (e, theta, p, 5.0),
+        (e[:12, None], theta[:12, None], p[None, :7], 5.0),  # the transition table's (cells, actions)
+        (e[:6].reshape(2, 3), theta[:3], p[0], dt[:3]),
+        (float(e[0]), float(theta[0]), float(p[0]), 5.0),  # 0-d: floats
+        (np.float64(e[1]), theta[1], p[1], 15.0),
+        (e[:0], theta[:0], p[:0], 5.0),
+    ]
+    for args in cases:
+        got = step(tables, model, *args)
+        same_bits(got, numpy_reference(lambda: step(tables, model, *args)))
+        if np.ndim(args[0]) == 0:
+            assert all(isinstance(v, float) for v in got)
+        # temperature_change on its own, with its inputs broadcast against each other
+        q, de = got[1], got[0]
+        for inputs in ((args[2], q, de, args[1]), (-7.5, q, de, 21.0)):
+            same_bits(
+                thermal.temperature_change(model, *inputs),
+                numpy_reference(lambda: thermal.temperature_change(model, *inputs)),
+            )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
+@pytest.mark.parametrize("name", ["linear", "mlp"])
+def test_temperature_change_writes_np_nan_for_a_nan_input_on_both_paths(mlp_path, name):
+    model = _step_models()[name]
+    specials = np.array([0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan, 3.0])
+    p, q, de, theta = np.meshgrid(specials, specials, specials, specials, indexing="ij")
+    got = thermal.temperature_change(model, p, q, de, theta)
+    same_bits(got, numpy_reference(lambda: thermal.temperature_change(model, p, q, de, theta)))
+    assert np.isnan(got).any() and np.isfinite(got).any()
+    assert {v.tobytes() for v in got[np.isnan(got)]} == {np.float64(np.nan).tobytes()}
+    tables = electrical.default_tables()
+    same_bits(
+        step(tables, model, np.nan, 20.0, 11.0, 5.0),
+        numpy_reference(lambda: step(tables, model, np.nan, 20.0, 11.0, 5.0)),
+    )

@@ -119,6 +119,25 @@ def test_validate_models_calls_energy_step_once_per_interval_and_once_for_local_
     assert len(calls) == max(ev.grid.n_intervals for ev in events) + 1
 
 
+@pytest.mark.skipif(electrical._mlp_kernel is None, reason="MLP kernel not built")
+@pytest.mark.parametrize("n_models", [0, 1, 3])
+def test_validate_models_makes_one_compiled_circuit_call_per_interval_and_no_lookup(monkeypatch, n_models):
+    tables = electrical.default_tables()
+    events = thermal.generate_synthetic_events(thermal.ThermalPlant(), tables, 3, seed=5)
+    mlp = thermal.ThermalModel(
+        variant="mlp", layers=((np.full((4, 3), 0.01), np.zeros(3)), (np.full((3, 1), 0.01), np.zeros(1)))
+    )
+    models = dict([("constant", thermal.constant_model()), ("mlp", mlp), ("mlp_again", mlp)][:n_models])
+    circuit = _counting(monkeypatch, electrical._mlp_kernel, "energy_step")
+    predictor = _counting(monkeypatch, thermal._mlp_kernel, "temperature_change")
+    lookups = _counting(monkeypatch, electrical, "lookup_arrays")
+    evaluation.validate_models(events, tables, models)
+    n = max(ev.grid.n_intervals for ev in events)
+    # the constant model predicts zeros in Python; each other model is one compiled call per interval and one local
+    n_learned = sum(model.variant != "constant" for model in models.values())
+    assert (len(circuit), len(predictor), len(lookups)) == (n + 1, n_learned * (n + 1), 0)
+
+
 def _mode_comparison_instance():
     """An event, its coarse scenario, plant-linear models and their table."""
     tables = electrical.default_tables()
@@ -131,6 +150,8 @@ def _mode_comparison_instance():
 
 @pytest.mark.parametrize("module, name", [(thermal, "step"), (electrical, "lookup_arrays")])
 def test_compare_modes_steps_its_three_rollouts_with_one_call_per_interval(monkeypatch, module, name):
+    if module is electrical:  # the compiled circuit step looks nothing up in Python
+        monkeypatch.setattr(electrical, "_mlp_kernel", None)
     event, s, models, table = _mode_comparison_instance()
     calls = _counting(monkeypatch, module, name)
     cmp_ = evaluation.compare_modes(event, s, models, table=table)
