@@ -7,8 +7,8 @@ API boundary and is converted to W in exactly one place (battery_current).
 
 All functions broadcast over NumPy arrays and are pure; EcmTables is
 immutable after load, so everything here is safe for concurrent use.
-energy_step runs in the compiled module _mlp_kernel when it is built, with
-the bits of the NumPy definition here.
+energy_step runs in the compiled module _kernel when it is built, with the
+bits of the NumPy definition here.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 from .errors import InfeasiblePowerError, InvalidParameterError
 
 try:
-    from . import _mlp_kernel  # type: ignore[attr-defined]
+    from . import _kernel  # type: ignore[attr-defined]
 except ImportError:  # not built: the NumPy definition below runs, with the same bits
-    _mlp_kernel = None
+    _kernel = None
 
 
 @dataclass(frozen=True)
@@ -156,30 +156,29 @@ def ohmic_loss(r_i, i_bat):
 def energy_step(tables: EcmTables, e, theta, p_kw, dt_min: float):
     """(delta_e in kWh, q_loss in kW) over one interval at constant power.
 
-    e, theta, p_kw and dt_min broadcast elementwise; 0-d inputs give floats,
-    and q_loss keeps the shape of (e, theta, p_kw). U_OCV and R_i are looked
+    e, theta, p_kw and dt_min broadcast elementwise, and both results take
+    the shape of all four; 0-d inputs give floats. U_OCV and R_i are looked
     up at the interval-start state and held fixed within the interval.
     Losses reduce the stored energy gain while charging and increase the
-    drawn energy while discharging. The compiled module _mlp_kernel runs this
+    drawn energy while discharging. The compiled module _kernel runs this
     definition when it is built, and the NumPy code below otherwise, with the
     same bits; every NaN result is np.nan. InfeasiblePowerError names the
     first element, in C order, whose discharge cannot be delivered.
     """
     e, theta, p = np.asarray(e, float), np.asarray(theta, float), np.asarray(p_kw, float)
     dt = np.asarray(dt_min, float)
-    shape = np.broadcast(e, theta, p).shape
-    # the compiled step writes q_loss at every element of delta_e, so it runs
-    # where dt spans no axis that the state does not
-    if _mlp_kernel is not None and (dt.ndim == 0 or np.broadcast(e, theta, p, dt).shape == shape):
+    shape = np.broadcast(e, theta, p, dt).shape
+    if _kernel is not None:
         delta_e, q = np.empty(shape), np.empty(shape)
-        bad = _mlp_kernel.energy_step(
+        bad = _kernel.energy_step(
             tables.e_axis, tables.theta_axis, tables.u_ocv, tables.r_i, e, theta, p, dt, delta_e, q
         )
         if bad is not None:
             raise _infeasible(shape, *bad)
     else:
         u, r = lookup_arrays(tables, e, theta)
-        q = np.asarray(ohmic_loss(r, battery_current(u, r, p)))
+        # p spans every axis of the result, so q and a failing index do too
+        q = np.asarray(ohmic_loss(r, battery_current(u, r, np.broadcast_to(p, shape))))
         delta_e = np.asarray((dt / 60.0) * (p - q))
         # one NaN: IEEE leaves open which NaN operand an operation returns
         delta_e[np.isnan(delta_e)] = np.nan

@@ -21,6 +21,11 @@ from .electrical import EcmTables
 from .errors import InvalidParameterError, TrainingFailureError, UndefinedCorrelationError
 from .thermal import FEATURE_NAMES, ThermalModel, mlp_forward
 
+try:
+    from . import _kernel  # type: ignore[attr-defined]
+except ImportError:  # not built: fit_mlp's NumPy loop runs, with the same bits
+    _kernel = None
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -202,7 +207,7 @@ def mlp_gradients(layers, x: np.ndarray, y: np.ndarray, out=None):
     sum is a left fold: over the rows, in row order, for the gradients, and
     over a layer's outputs for the backpropagated error, as the forward
     pass folds over its inputs (thermal.mlp_forward). No BLAS call takes
-    part, and _mlp_kernel's SGD epoch performs the same operations.
+    part, and _kernel's SGD epoch performs the same operations.
     """
     pred, acts = mlp_forward(layers, x)
     delta = ((2.0 / len(y)) * (pred - y))[None, :]  # d(mse)/d(out), (outputs, rows)
@@ -231,9 +236,10 @@ def fit_mlp(
     samples in a fresh random order, BATCH_SIZE rows per step, and each
     step subtracts LEARNING_RATE times mlp_gradients from every weight and
     bias. All weights and biases live in one flat vector (the layers are
-    views into it), so a step updates them with one operation. An epoch
-    runs in the compiled module _mlp_kernel when it is built, and through
-    mlp_gradients otherwise, with the same bits either way; the weights and
+    views into it), so a NumPy step updates them with one operation. An
+    epoch runs in the compiled module _kernel when it is built, which
+    updates the same views layer by layer, and through mlp_gradients
+    otherwise, with the same bits either way; the weights and
     permutations come from NumPy's Generator on both paths. The dataset is
     expected to be normalized already; pass the normalizer so prediction
     applies the same transform. Divergence (non-finite loss) raises
@@ -246,10 +252,8 @@ def fit_mlp(
     for w, _ in layers:
         limit = np.sqrt(6.0 / sum(w.shape))
         w[...] = rng.uniform(-limit, limit, size=w.shape)
-    kernel = thermal._mlp_kernel
     x_all = np.ascontiguousarray(ds.x, float)
     y_all = np.ascontiguousarray(ds.y, float)
-    widths = np.array(sizes, np.int64)
     grads = np.empty_like(params)
     grad_layers = _layer_views(grads, sizes)
     n = ds.n_samples
@@ -257,8 +261,8 @@ def fit_mlp(
     for epoch in range(arch.epochs):
         perm = rng.permutation(n)
         y = y_all[perm]
-        if kernel is not None:
-            kernel.sgd_epoch(params, widths, x_all, y_all, perm, pred, LEARNING_RATE, BATCH_SIZE)
+        if _kernel is not None:
+            _kernel.sgd_epoch(layers, x_all, y_all, perm, pred, LEARNING_RATE, BATCH_SIZE)
         else:
             x = x_all[perm]
             for start in range(0, n, BATCH_SIZE):

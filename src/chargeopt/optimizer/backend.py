@@ -12,12 +12,11 @@ from ..errors import InvalidParameterError
 from . import _kernel_py
 
 try:
-    from . import _ddp_kernel  # type: ignore[attr-defined]
+    from .. import _kernel  # type: ignore[attr-defined]
+except ImportError:  # not built: the NumPy kernel runs, with the same bits
+    _kernel = None
 
-    HAVE_COMPILED = True
-except ImportError:
-    _ddp_kernel = None
-    HAVE_COMPILED = False
+HAVE_COMPILED = _kernel is not None
 
 
 def normalize_backend(name: str | None) -> str:
@@ -86,6 +85,6 @@ def backward_pass(
         np.ascontiguousarray(region, dtype=np.int64),
     )
     if normalize_backend(backend) == "compiled":
-        _ddp_kernel.backward_pass(*args)
+        _kernel.backward_pass(*args)
     else:
         _kernel_py.backward_pass(*args)

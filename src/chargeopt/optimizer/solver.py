@@ -278,10 +278,8 @@ def _simulate(models: BatteryModels, runs) -> list:
             stepping.append(k)
         if not stepping:
             break
-        # a lone row steps on floats, which NumPy takes faster than 1-element arrays, with the same bits
-        state = [x[stepping[0]] if len(stepping) == 1 else np.array([x[k] for k in stepping]) for x in (e, th, p)]
         try:
-            steps = _model_steps(models, s, *state)
+            steps = _model_steps(models, s, *(np.array([x[k] for k in stepping]) for x in (e, th, p)))
         except (InfeasiblePowerError, InvalidParameterError):
             steps = []
             for k in stepping:

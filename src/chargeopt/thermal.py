@@ -29,9 +29,9 @@ from .electrical import EcmTables
 from .errors import InvalidParameterError
 
 try:
-    from . import _mlp_kernel  # type: ignore[attr-defined]
+    from . import _kernel  # type: ignore[attr-defined]
 except ImportError:  # not built: the NumPy definition below runs, with the same bits
-    _mlp_kernel = None
+    _kernel = None
 
 FEATURE_NAMES = ("p_abs", "q_loss", "delta_e_abs", "theta")
 
@@ -98,7 +98,7 @@ def constant_model() -> ThermalModel:
 
 
 # The sigmoid's exp, defined once here as element-wise operations and
-# mirrored operation for operation in _mlp_kernel.c, so that the MLP's bits
+# mirrored operation for operation in _kernel.c, so that the MLP's bits
 # depend on neither libm nor NumPy's exp (which differ in the last bit):
 # - clamp z to [EXP_Z_MIN, EXP_Z_MAX], beyond which exp is 0 or inf in
 #   double precision anyway; NaN passes through the clamps;
@@ -176,19 +176,16 @@ def predict_batch(model: ThermalModel, x_full: np.ndarray) -> np.ndarray:
     sits in, at whatever position, and whatever the BLAS thread count.
     Each affine layer is the left fold ((x0*w0 + x1*w1) + ...) + b over its
     inputs in a fixed order, and the sigmoid uses explicit_exp, so neither
-    BLAS nor libm takes part. The compiled module _mlp_kernel runs this
-    definition when it is built, and the NumPy code below otherwise, with
-    the same bits; every NaN result is np.nan. Callers may therefore stack
-    the rows of many states, events or steps into one call.
+    BLAS nor libm takes part; every NaN result is np.nan. Callers may
+    therefore stack the rows of many states, events or steps into one call.
+    This is the NumPy definition of the network that the compiled
+    temperature_change evaluates.
     """
     x_full = np.atleast_2d(np.asarray(x_full, float))
     out = np.zeros(x_full.shape[0])
     if model.variant == VARIANT_CONSTANT:
         return out
     cols = model.columns
-    if _mlp_kernel is not None:
-        _mlp_kernel.predict(np.ascontiguousarray(x_full), cols, model.means, model.stds, model.layers, out)
-        return out
     for start in range(0, len(out), PREDICT_PIECE_ROWS):
         piece = slice(start, start + PREDICT_PIECE_ROWS)
         # activations are (features, rows): each input of a layer is one contiguous row
@@ -235,17 +232,17 @@ def temperature_change(model: ThermalModel, p_kw, q_loss_kw, delta_e_kwh, theta)
     Ohmic loss and energy throughput from the circuit model and its
     start temperature. The inputs broadcast elementwise; the predictor sees
     them flattened in C order, as one predict_batch call. 0-d inputs give a
-    float. The compiled module _mlp_kernel forms the features and predicts
-    in one call when it is built, with predict_batch's bits.
+    float. The compiled module _kernel forms the features and predicts in
+    one call when it is built, with predict_batch's bits.
     """
     p, q = np.asarray(p_kw, float), np.asarray(q_loss_kw, float)
     de, th = np.asarray(delta_e_kwh, float), np.asarray(theta, float)
     shape = np.broadcast(p, q, de, th).shape
     if model.variant == VARIANT_CONSTANT:
         d_theta = np.zeros(shape)  # predict_batch's exact 0
-    elif _mlp_kernel is not None:
+    elif _kernel is not None:
         d_theta = np.empty(shape)
-        _mlp_kernel.temperature_change(p, q, de, th, model.columns, model.means, model.stds, model.layers, d_theta)
+        _kernel.temperature_change(p, q, de, th, model.columns, model.means, model.stds, model.layers, d_theta)
     else:
         x = feature_matrix(*(np.broadcast_to(v, shape).ravel() for v in (p, q, de, th)))
         d_theta = predict_batch(model, x).reshape(shape)

@@ -1,17 +1,18 @@
 """Builds the compiled kernels in place before the tests import chargeopt, so
-that both the compiled and the NumPy paths are tested. Every extension that
-setup.py lists is rebuilt when its module is older than one of its C
-sources or than setup.py, which holds the compile flags. Without a C
-compiler the tests run on the NumPy paths alone. With one, a build that
-leaves a module missing or out of date fails the session: setup.py builds
-the extensions as optional, so a kernel that does not compile would
-otherwise pass as a skip of every test of its compiled path.
+that both the compiled and the NumPy paths are tested. The extension that
+setup.py lists is rebuilt when its module is older than its C source or
+than setup.py, which holds the compile flags. Without a C compiler the
+tests run on the NumPy paths alone. With one, a build that leaves the
+module missing or out of date fails the session: setup.py builds the
+extension as optional, so a kernel that does not compile would otherwise
+pass as a skip of every test of its compiled path.
 
 The mlp_path fixture runs a test once on the NumPy definitions of the MLP's
-arithmetic and of the circuit step and once on the compiled module
-_mlp_kernel (skipped when it is not built). numpy_reference runs a function
-on the NumPy definitions alone, whatever path the test is on, and same_bits
-compares its result with a test's."""
+arithmetic and of the circuit step and once on the compiled module _kernel
+(skipped when it is not built). numpy_reference runs a function on the
+NumPy definitions alone, whatever path the test is on, and same_bits
+compares its result with a test's. Neither touches the backward pass,
+which solver.backward_induction's backend argument selects."""
 
 import importlib.util
 import shlex
@@ -66,18 +67,18 @@ def pytest_sessionstart(session):
 
 
 def _kernel_users():
-    from chargeopt import electrical, thermal
+    from chargeopt import electrical, learning, thermal
 
-    return electrical, thermal
+    return electrical, learning, thermal
 
 
 @pytest.fixture(params=["numpy", "compiled"])
 def mlp_path(request, monkeypatch):
     if request.param == "numpy":
         for module in _kernel_users():
-            monkeypatch.setattr(module, "_mlp_kernel", None)
-    elif any(module._mlp_kernel is None for module in _kernel_users()):
-        pytest.skip("MLP kernel not built")
+            monkeypatch.setattr(module, "_kernel", None)
+    elif any(module._kernel is None for module in _kernel_users()):
+        pytest.skip("compiled kernel not built")
     return request.param
 
 
@@ -98,5 +99,5 @@ def numpy_reference(run):
     """run() on the NumPy definitions of the circuit step and the MLP."""
     with pytest.MonkeyPatch.context() as patch:
         for module in _kernel_users():
-            patch.setattr(module, "_mlp_kernel", None)
+            patch.setattr(module, "_kernel", None)
         return run()

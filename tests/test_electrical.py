@@ -280,7 +280,8 @@ def test_energy_step_has_the_bits_of_the_numpy_definition_at_special_values(mlp_
         ((2, 5), (5,), (5,), (5,)),  # validate_models' lockstep rollouts, per-event dt
         ((5,), (2, 1, 5), (1,), (1, 1)),
         ((), (6,), (6,), ()),  # one energy, many temperatures: each element looks its own state up
-        ((3,), (3,), (3,), (2, 3)),  # dt spans an axis of its own: q_loss keeps the state's shape
+        ((3,), (3,), (3,), (2, 3)),  # dt spans an axis of its own: so do both results
+        ((2, 1), (2, 1), (1,), (3, 1, 4)),  # dt spans a leading axis and widens one of the state's
         ((0,), (0,), (0,), ()),
     ],
     ids=str,
@@ -291,6 +292,7 @@ def test_energy_step_broadcasts_as_the_numpy_definition(mlp_path, shapes):
     e, theta, p, dt = (draw[:int(np.prod(s))].reshape(s) for draw, s in zip(_state_draws(t, size, 4), shapes))
     got = energy_step(t, e, theta, p, dt)
     same_bits(got, numpy_reference(lambda: energy_step(t, e, theta, p, dt)))
+    assert np.shape(got[0]) == np.shape(got[1]) == np.broadcast_shapes(*shapes)
     if not any(shapes):
         assert all(isinstance(v, float) for v in got)
     # inputs with gaps between their elements and with negative strides read the same elements
@@ -316,6 +318,13 @@ def test_an_infeasible_discharge_names_its_first_row_and_that_rows_limit(mlp_pat
     with pytest.raises(InfeasiblePowerError) as reference:
         numpy_reference(lambda: energy_step(t, e, theta, p, 5.0))
     assert str(compiled.value) == str(reference.value)
+    # a dt with an axis of its own: both paths name the element in the shape of all four inputs
+    dt = np.full((2,) + shape, 5.0)
+    with pytest.raises(InfeasiblePowerError) as compiled_dt:
+        energy_step(t, e, theta, p, dt)
+    with pytest.raises(InfeasiblePowerError) as reference_dt:
+        numpy_reference(lambda: energy_step(t, e, theta, p, dt))
+    assert str(compiled_dt.value) == str(reference_dt.value)
     where = "" if shape == () else f" at index {first[0] if len(shape) == 1 else tuple(int(i) for i in first)}"
     assert str(compiled.value) == (
         f"requested discharge power{where} exceeds maximum deliverable ({limit[first]:.3f} kW)"

@@ -267,7 +267,7 @@ def test_fit_mlp_weights_do_not_depend_on_the_blas_thread_count_or_the_path(tmp_
         "ds = learning.Dataset(np.load(sys.argv[1]), np.load(sys.argv[2]), ('a', 'b', 'c', 'd')); "
         "arch = learning.MlpArchitecture(2, 10, epochs=30); "
         "digest = lambda m: hashlib.sha256(b''.join(a.tobytes() for layer in m.layers for a in layer)).hexdigest(); "
-        "print(digest(learning.fit_mlp(ds, arch, seed=4))); thermal._mlp_kernel = None; "
+        "print(digest(learning.fit_mlp(ds, arch, seed=4))); learning._kernel = None; "
         "print(digest(learning.fit_mlp(ds, arch, seed=4)))"
     )
     src = str(Path(thermal.__file__).resolve().parents[1])

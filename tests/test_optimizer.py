@@ -574,7 +574,7 @@ def test_the_tables_int32_corners_reach_the_kernel_without_a_copy(monkeypatch, b
     s, models, grids = _cache_instance()
     table = build_transition_table(s, models, grids)
     assert table.corner00.dtype == np.int32
-    kernel = backend_mod._ddp_kernel if backend == "compiled" else _kernel_py
+    kernel = backend_mod._kernel if backend == "compiled" else _kernel_py
     corners = []
     backward_pass = kernel.backward_pass
     monkeypatch.setattr(kernel, "backward_pass", lambda *args: corners.append(args[3]) or backward_pass(*args))
@@ -615,7 +615,7 @@ def test_a_zero_scale_and_cal_add_what_a_zero_aging_array_added(kernel, n_scen):
     args["cal"][:] = 0.0
     zero = copy.deepcopy(args)
     zero["cyc_fade"] = np.zeros_like(args["cyc_fade"])
-    run = backend_mod._ddp_kernel.backward_pass if kernel == "compiled" else _kernel_py.backward_pass
+    run = backend_mod._kernel.backward_pass if kernel == "compiled" else _kernel_py.backward_pass
     run(*args.values())
     run(*zero.values())
     assert args["cost"].tobytes() == zero["cost"].tobytes()
@@ -699,7 +699,7 @@ def test_compiled_kernel_matches_numpy_kernel(int64_format, n_scen):
     _kernel_py.backward_pass(**ref)
     args = _kernel_args(n_scen)
     args["boxes"] = args["boxes"].astype(int64_format)
-    backend_mod._ddp_kernel.backward_pass(*args.values())
+    backend_mod._kernel.backward_pass(*args.values())
     assert args["cost"].tobytes() == ref["cost"].tobytes()
     assert args["action_kw"].tobytes() == ref["action_kw"].tobytes()
 
@@ -758,7 +758,7 @@ def _run_both_kernels(args):
     ref = copy.deepcopy(args)
     _kernel_py.backward_pass(**ref)
     out = copy.deepcopy(args)
-    backend_mod._ddp_kernel.backward_pass(*out.values())
+    backend_mod._kernel.backward_pass(*out.values())
     assert out["cost"].tobytes() == ref["cost"].tobytes()
     assert out["action_kw"].tobytes() == ref["action_kw"].tobytes()
     return ref
@@ -948,7 +948,7 @@ def test_compiled_kernel_runs_alone_when_no_thread_can_start():
         _kernel_py.backward_pass(**ref)
         mapped = re.search(r"VmSize:\s+(\d+) kB", open("/proc/self/status").read())
         resource.setrlimit(resource.RLIMIT_AS, (1024 * int(mapped.group(1)) + 2**20, resource.RLIM_INFINITY))
-        backend._ddp_kernel.backward_pass(*args.values())
+        backend._kernel.backward_pass(*args.values())
         try:
             threading.Thread(target=print).start()
             print("a thread started")
@@ -1014,7 +1014,7 @@ def test_numpy_kernel_memory_does_not_grow_with_the_region(monkeypatch, n_scen):
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 def test_compiled_kernel_uses_lanes_where_the_cpu_has_avx512f():
-    lanes = backend_mod._ddp_kernel.LANES
+    lanes = backend_mod._kernel.LANES
     if sys.platform == "linux" and platform.machine() == "x86_64":
         cpuinfo = Path("/proc/cpuinfo").read_text()
         has_avx512f = re.search(r"^flags\s*:.*\bavx512f\b", cpuinfo, re.MULTILINE) is not None
@@ -1049,17 +1049,17 @@ def test_compiled_kernel_rejects_malformed_buffers(name, misuse, error, match, n
         # one element is C-contiguous whatever its stride, so the kernel takes it
         ref = _kernel_args(n_scen)
         _kernel_py.backward_pass(**ref)
-        backend_mod._ddp_kernel.backward_pass(*args.values())
+        backend_mod._kernel.backward_pass(*args.values())
         assert args["cost"].tobytes() == ref["cost"].tobytes()
         return
     with pytest.raises(error, match=match.format(name=name)):
-        backend_mod._ddp_kernel.backward_pass(*args.values())
+        backend_mod._kernel.backward_pass(*args.values())
 
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 @BATCHES
 def test_compiled_kernel_rejects_bad_corners_and_outputs(n_scen):
-    kernel = backend_mod._ddp_kernel.backward_pass
+    kernel = backend_mod._kernel.backward_pass
     m = _kernel_args(n_scen)["valid"].shape[0]
     # m - 1: its upper corners lie past the slice; the others lie outside it
     for corner in (m - 1, m, -1, -m - 1, 2**31 - 1, -(2**31 - 1)):
@@ -1078,7 +1078,7 @@ def test_compiled_kernel_rejects_bad_corners_and_outputs(n_scen):
 @pytest.mark.parametrize("kernel", BACKENDS)
 def test_kernels_reject_an_empty_batch(kernel):
     args = _kernel_args(0)
-    run = backend_mod._ddp_kernel.backward_pass if kernel == "compiled" else _kernel_py.backward_pass
+    run = backend_mod._kernel.backward_pass if kernel == "compiled" else _kernel_py.backward_pass
     with pytest.raises(ValueError, match=r"no scenarios \(B=0\)"):
         run(*args.values())
 
@@ -1147,7 +1147,7 @@ def _bad_box_args(change, n_scen):
 @BATCHES
 def test_compiled_kernel_rejects_bad_region_rows(change, match, n_scen):
     with pytest.raises(ValueError, match=match):
-        backend_mod._ddp_kernel.backward_pass(*_bad_box_args(change, n_scen).values())
+        backend_mod._kernel.backward_pass(*_bad_box_args(change, n_scen).values())
 
 
 @BAD_BOXES

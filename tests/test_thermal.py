@@ -185,8 +185,6 @@ def _random_model(variant, seed):
 @pytest.mark.parametrize("variant", ["linear", "mlp"])
 @pytest.mark.parametrize("rows", [24, 41, 701])
 def test_predict_batch_in_pieces_is_bit_identical(monkeypatch, variant, rows):
-    # pieces and the two fold forms are the NumPy path's
-    monkeypatch.setattr(thermal, "_mlp_kernel", None)
     m = _random_model(variant, seed=11)
     x = np.abs(np.random.default_rng(11).normal(size=(rows, 4)))
     whole = predict_batch(m, x)
@@ -209,7 +207,7 @@ def test_a_row_of_any_batch_equals_its_one_row_call(mlp_path, variant, rows):
     m = _random_model(variant, seed=rows)
     rng = np.random.default_rng(rows)
     x = feature_matrix(*(rng.uniform(lo, hi, rows) for lo, hi in ((-50, 50), (0, 3), (-4, 4), (-25, 60))))
-    batch = predict_batch(m, x)
+    batch = thermal.temperature_change(m, *x.T)
     piece = thermal.PREDICT_PIECE_ROWS
     checked = (
         set(range(min(rows, 16)))
@@ -218,21 +216,19 @@ def test_a_row_of_any_batch_equals_its_one_row_call(mlp_path, variant, rows):
         | set(rng.choice(rows, size=min(rows, 64), replace=False).tolist())
     )
     for i in sorted(checked):
-        assert predict_batch(m, x[i : i + 1]).tobytes() == batch[i : i + 1].tobytes(), f"row {i}"
+        assert thermal.temperature_change(m, *x[i : i + 1].T).tobytes() == batch[i : i + 1].tobytes(), f"row {i}"
 
 
-def _predict_on_both_paths(monkeypatch, model, x):
-    compiled = predict_batch(model, x)
-    monkeypatch.setattr(thermal, "_mlp_kernel", None)
-    numpy_path = predict_batch(model, x)
-    monkeypatch.undo()
-    return compiled, numpy_path
+def _temperature_change_on_both_paths(model, x):
+    """temperature_change for the feature rows x, compiled and in NumPy."""
+    compiled = thermal.temperature_change(model, *x.T)
+    return compiled, numpy_reference(lambda: thermal.temperature_change(model, *x.T))
 
 
-needs_mlp_kernel = pytest.mark.skipif(thermal._mlp_kernel is None, reason="MLP kernel not built")
+needs_kernel = pytest.mark.skipif(thermal._kernel is None, reason="compiled kernel not built")
 
 
-@needs_mlp_kernel
+@needs_kernel
 @pytest.mark.parametrize("variant", ["linear", "mlp"])
 @pytest.mark.parametrize(
     # one row, fewer rows than a compiled block (128) or a NumPy fold loop (64),
@@ -240,19 +236,19 @@ needs_mlp_kernel = pytest.mark.skipif(thermal._mlp_kernel is None, reason="MLP k
     "rows",
     [1, 2, 17, 63, 64, 127, 129, thermal.PREDICT_PIECE_ROWS - 1, thermal.PREDICT_PIECE_ROWS + 5],
 )
-def test_predict_batch_compiled_equals_numpy(monkeypatch, variant, rows):
+def test_predict_batch_compiled_equals_numpy(variant, rows):
     m = _random_model(variant, seed=rows)
     rng = np.random.default_rng(rows)
     x = feature_matrix(*(rng.uniform(lo, hi, rows) for lo, hi in ((-50, 50), (0, 3), (-4, 4), (-25, 60))))
-    compiled, numpy_path = _predict_on_both_paths(monkeypatch, m, x)
+    compiled, numpy_path = _temperature_change_on_both_paths(m, x)
     assert compiled.tobytes() == numpy_path.tobytes()
 
 
-@needs_mlp_kernel
+@needs_kernel
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("variant", ["linear", "mlp"])
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e300])
-def test_predict_batch_compiled_equals_numpy_where_exp_overflows_and_on_inf_and_nan(monkeypatch, variant, scale):
+def test_predict_batch_compiled_equals_numpy_where_exp_overflows_and_on_inf_and_nan(variant, scale):
     # scaled weights drive the hidden units' exp far past both clamps
     m = _random_model(variant, seed=4)
     m = ThermalModel(
@@ -265,15 +261,9 @@ def test_predict_batch_compiled_equals_numpy_where_exp_overflows_and_on_inf_and_
     rng = np.random.default_rng(4)
     x = rng.choice(specials, size=(400, 4))
     x[:100] = rng.normal(scale=50.0, size=(100, 4))
-    compiled, numpy_path = _predict_on_both_paths(monkeypatch, m, x)
+    compiled, numpy_path = _temperature_change_on_both_paths(m, x)
     assert np.isnan(compiled).any() and np.isfinite(compiled).any()
     assert compiled.tobytes() == numpy_path.tobytes()
-
-
-def _flat_parameters(layers):
-    """The flat parameter vector and int64 widths that sgd_epoch reads."""
-    params = np.concatenate([a.ravel() for layer in layers for a in layer])
-    return params, np.array([layers[0][0].shape[0]] + [w.shape[1] for w, _ in layers], np.int64)
 
 
 def _bad_layers(layers):
@@ -293,53 +283,43 @@ def _bad_layers(layers):
     ]
 
 
-@needs_mlp_kernel
-def test_mlp_kernel_checks_every_buffer_before_it_runs():
-    kernel = thermal._mlp_kernel
-    layers = _random_model("mlp", seed=2).layers
-    params, widths = _flat_parameters(layers)
+@needs_kernel
+def test_sgd_epoch_checks_every_buffer_before_it_runs():
+    kernel = thermal._kernel
+    layers = tuple((w.copy(), b.copy()) for w, b in _random_model("mlp", seed=2).layers)
     x, y, perm, pred = np.zeros((5, 4)), np.zeros(5), np.arange(5), np.zeros(5)
-    good = dict(params=params, widths=widths, x=x, y=y, perm=perm, pred=pred, learning_rate=0.1, batch_size=2)
+    good = dict(layers=layers, x=x, y=y, perm=perm, pred=pred, learning_rate=0.1, batch_size=2)
     bad_epochs = [
-        (TypeError, "params", params.astype(np.float32)),
-        (ValueError, "params", params[:-1]),
-        (ValueError, "widths", np.array([4, 10, 10, 2])),
-        (ValueError, "widths", np.array([4])),
-        (ValueError, "x", np.zeros((5, 3))),
-        (ValueError, "x", np.zeros((8, 4))[::2]),
-        (ValueError, "y", np.zeros(4)),
-        (ValueError, "perm", np.array([0, 1, 2, 3, 5])),
-        (ValueError, "perm", np.array([0, 1, -1, 3, 4])),
-        (TypeError, "perm", np.arange(5, dtype=np.int32)),
-        (ValueError, "pred", np.zeros(5)[::-1]),
-        (ValueError, "batch_size", 0),
-    ]
-    for error, name, value in bad_epochs:
-        with pytest.raises(error):
+        (ValueError, "x has 3 entries along axis 1", "x", np.zeros((5, 3))),
+        (ValueError, "x is not C-contiguous", "x", np.zeros((8, 4))[::2]),
+        (ValueError, "y has 4 entries", "y", np.zeros(4)),
+        (ValueError, r"perm\[4\] = 5 is not a row", "perm", np.array([0, 1, 2, 3, 5])),
+        (ValueError, r"perm\[2\] = -1 is not a row", "perm", np.array([0, 1, -1, 3, 4])),
+        (TypeError, "perm has item format 'i'", "perm", np.arange(5, dtype=np.int32)),
+        (ValueError, "pred is not C-contiguous", "pred", np.zeros(5)[::-1]),
+        (ValueError, "batch_size 0", "batch_size", 0),
+    ] + [(error, match, "layers", value) for error, match, value in _bad_layers(layers)]
+    before = [a.tobytes() for layer in layers for a in layer]
+    for error, match, name, value in bad_epochs:
+        with pytest.raises(error, match=match):
             kernel.sgd_epoch(*dict(good, **{name: value}).values())
-    before = params.copy()
     read_only = np.zeros(5)
     read_only.flags.writeable = False
-    with pytest.raises(ValueError, match="read-only"):
+    with pytest.raises(ValueError, match="pred is read-only"):
         kernel.sgd_epoch(*dict(good, pred=read_only).values())
-    assert params.tobytes() == before.tobytes()
-    x_full = np.zeros((3, 4))
-    good = dict(x=x_full, cols=np.arange(4), means=np.zeros(4), stds=np.ones(4), layers=layers, out=np.zeros(3))
-    bad_predicts = [
-        (ValueError, "not a column", "cols", np.array([0, 1, 2, 4])),
-        (ValueError, "cols has 3 entries", "cols", np.array([0, 1, 2])),
-        (ValueError, "means has 3 entries", "means", np.zeros(3)),
-        (ValueError, "out has 2 entries", "out", np.zeros(2)),
-        (TypeError, "x has item format 'f'", "x", np.zeros((3, 4), np.float32)),
-    ] + [(error, match, "layers", value) for error, match, value in _bad_layers(layers)]
-    for error, match, name, value in bad_predicts:
-        with pytest.raises(error, match=match):
-            kernel.predict(*dict(good, **{name: value}).values())
+    # a layer the epoch would update in place must be writable
+    frozen = layers[2][1].copy()
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match=r"layers\[2\] bias is read-only"):
+        kernel.sgd_epoch(*dict(good, layers=(layers[0], layers[1], (layers[2][0], frozen))).values())
+    assert [a.tobytes() for layer in layers for a in layer] == before
+    assert kernel.sgd_epoch(*good.values()) is None
+    assert [a.tobytes() for layer in layers for a in layer] != before
 
 
-@needs_mlp_kernel
+@needs_kernel
 def test_step_kernels_check_every_buffer_before_they_run():
-    kernel = thermal._mlp_kernel
+    kernel = thermal._kernel
     t = electrical.default_tables()
     state = np.full((2, 3), 40.0)
     good = dict(

@@ -9,7 +9,7 @@ models, one thermal.step and one lookup_arrays call per interval of a
 mode comparison, for its three rollouts together, and one backward_pass and
 one reachable_region call per mode comparison, for Modes II and III
 together. The benchmark's kernel annotation reads (M, K, N) from a
-backward_pass call. Every compiled kernel's source compiles without a
+backward_pass call. The compiled module's source compiles without a
 warning."""
 
 import importlib
@@ -58,7 +58,7 @@ def test_kernels_name_the_same_parameters_in_the_same_order():
         pytest.skip("compiled kernel not built")
     from chargeopt.optimizer import _kernel_py
 
-    signature = re.match(r"backward_pass\(([^)]*)\)", backend._ddp_kernel.backward_pass.__doc__)
+    signature = re.match(r"backward_pass\(([^)]*)\)", backend._kernel.backward_pass.__doc__)
     assert signature is not None
     compiled = [name.strip() for name in signature.group(1).split(",")]
     assert compiled == list(inspect.signature(_kernel_py.backward_pass).parameters)
@@ -89,7 +89,7 @@ def _counting(monkeypatch, module, name):
 
 @pytest.mark.parametrize("n, epochs", [(5, 3), (32, 2), (33, 2), (100, 4)])
 def test_fit_mlp_calls_mlp_gradients_once_per_minibatch(monkeypatch, n, epochs):
-    monkeypatch.setattr(thermal, "_mlp_kernel", None)  # the compiled epoch does not call it
+    monkeypatch.setattr(learning, "_kernel", None)  # the compiled epoch does not call it
     calls = _counting(monkeypatch, learning, "mlp_gradients")
     rng = np.random.default_rng(n)
     ds = learning.Dataset(rng.normal(size=(n, 2)), rng.normal(size=n), ("a", "b"))
@@ -97,10 +97,10 @@ def test_fit_mlp_calls_mlp_gradients_once_per_minibatch(monkeypatch, n, epochs):
     assert len(calls) == epochs * math.ceil(n / learning.BATCH_SIZE)
 
 
-@pytest.mark.skipif(thermal._mlp_kernel is None, reason="MLP kernel not built")
+@pytest.mark.skipif(learning._kernel is None, reason="compiled kernel not built")
 @pytest.mark.parametrize("n, epochs", [(5, 3), (33, 2), (100, 4)])
 def test_fit_mlp_calls_the_compiled_epoch_once_per_epoch(monkeypatch, n, epochs):
-    epochs_run = _counting(monkeypatch, thermal._mlp_kernel, "sgd_epoch")
+    epochs_run = _counting(monkeypatch, learning._kernel, "sgd_epoch")
     minibatches = _counting(monkeypatch, learning, "mlp_gradients")
     rng = np.random.default_rng(n)
     ds = learning.Dataset(rng.normal(size=(n, 2)), rng.normal(size=n), ("a", "b"))
@@ -119,7 +119,7 @@ def test_validate_models_calls_energy_step_once_per_interval_and_once_for_local_
     assert len(calls) == max(ev.grid.n_intervals for ev in events) + 1
 
 
-@pytest.mark.skipif(electrical._mlp_kernel is None, reason="MLP kernel not built")
+@pytest.mark.skipif(electrical._kernel is None, reason="compiled kernel not built")
 @pytest.mark.parametrize("n_models", [0, 1, 3])
 def test_validate_models_makes_one_compiled_circuit_call_per_interval_and_no_lookup(monkeypatch, n_models):
     tables = electrical.default_tables()
@@ -128,8 +128,8 @@ def test_validate_models_makes_one_compiled_circuit_call_per_interval_and_no_loo
         variant="mlp", layers=((np.full((4, 3), 0.01), np.zeros(3)), (np.full((3, 1), 0.01), np.zeros(1)))
     )
     models = dict([("constant", thermal.constant_model()), ("mlp", mlp), ("mlp_again", mlp)][:n_models])
-    circuit = _counting(monkeypatch, electrical._mlp_kernel, "energy_step")
-    predictor = _counting(monkeypatch, thermal._mlp_kernel, "temperature_change")
+    circuit = _counting(monkeypatch, electrical._kernel, "energy_step")
+    predictor = _counting(monkeypatch, thermal._kernel, "temperature_change")
     lookups = _counting(monkeypatch, electrical, "lookup_arrays")
     evaluation.validate_models(events, tables, models)
     n = max(ev.grid.n_intervals for ev in events)
@@ -151,7 +151,7 @@ def _mode_comparison_instance():
 @pytest.mark.parametrize("module, name", [(thermal, "step"), (electrical, "lookup_arrays")])
 def test_compare_modes_steps_its_three_rollouts_with_one_call_per_interval(monkeypatch, module, name):
     if module is electrical:  # the compiled circuit step looks nothing up in Python
-        monkeypatch.setattr(electrical, "_mlp_kernel", None)
+        monkeypatch.setattr(electrical, "_kernel", None)
     event, s, models, table = _mode_comparison_instance()
     calls = _counting(monkeypatch, module, name)
     cmp_ = evaluation.compare_modes(event, s, models, table=table)
