@@ -9,42 +9,51 @@
  *
  * Backward induction. One pass fills the cost and action grids of B
  * scenarios that share a transition table, reading each (cell, action) of
- * the table once. Scenario b's candidate is
- *     (je_b[k] + (scale_b * cyc_fade[c, k] + cal_b[c])) + interpolated successor,
- * where the successor is read from scenario b's own cost slice. It mirrors
+ * the table once. Scenario b's candidate for cell c and action k is
+ *     (je_b[k] + (scale_b * cyc_fade(c, k) + cal_b[c])) + interpolated successor,
+ * where cyc_fade(c, k) is the table's entry for (c, k) and the successor is
+ * read from scenario b's own cost slice. It mirrors
  * _kernel_py.backward_pass: the same expression order and the same
  * first-minimum tie rule (strict <), so both kernels give bit-identical cost
  * and action grids. A scenario gets the same bits in a batch as alone:
  * nothing one scenario computes reads another's.
  *
+ * The (M, K) table arrays are in tile order (optimizer/transitions.py):
+ * each energy row is cut into tiles of TILE = 8 adjacent cells, the row's
+ * last Nj mod 8 cells forming one narrower tile of w cells, and action k of
+ * the tile's cell l is entry k * w + l of the tile. The pass computes a tile
+ * at a time, one cell per lane: lane l keeps the first strict-< minimum of
+ * its own cell over k = 0, ..., K - 1, which is the scalar loop's and
+ * np.argmin's minimum, so no rule across lanes or actions is needed.
+ *
  * On x86-64 CPUs with AVX-512F (checked once, when the module is imported),
- * scan_lanes evaluates the actions of a cell in whole blocks of 8, one
- * action per lane, and the scalar loop scan_actions takes the last K mod 8.
- * Each lane does the same IEEE multiplies and adds as the scalar loop, in the
- * same order and as separate instructions (no FMA), so a candidate has the
- * same bits in a lane as in the scalar loop. Each lane keeps the first
- * strict-< minimum of its own actions; the 8 lanes are then reduced to the
- * smallest value, equal values going to the lowest action index, and the
- * scalar loop goes on from that minimum, which gives the first minimum over
- * all K. Invalid transitions are masked out of the gathers, so their corners
- * are never read. The scalar loop runs alone for every K on other compilers
- * and CPUs, and when K < 8, which leaves no whole block.
+ * tile_lanes computes the lanes of a tile with one vector instruction per
+ * operation. Each lane does the same IEEE multiplies and adds as the scalar
+ * loop tile_cells, in the same order and as separate instructions (no FMA),
+ * so a candidate has the same bits in a lane as in the scalar loop. When the
+ * valid lanes of an action read consecutive corner00 (a run), the four
+ * corners of every lane are four masked loads from the successor slice;
+ * otherwise four masked gathers. Invalid transitions and lanes outside the
+ * box or the tile are masked out, so their corners are never read. The
+ * scalar loop runs on other compilers and CPUs.
  *
  * On Linux the pass runs on T threads, the calling thread and T - 1 threads
  * started for the call, where T is the number of CPUs in the process's
  * affinity mask (sched_getaffinity) capped at the n_rows energy rows. The
  * affinity mask is the only control; taskset or os.sched_setaffinity narrows
- * it. Thread id owns the energy rows i with i mod T == id: at every step it
- * fills its rows of every scenario with the penalty and p_d[0] and computes
- * the cells of its rows that lie in the box, one row at a time, so that the
- * same thread fills and computes each row. The threads then wait at a
- * barrier, because step n - 1 reads the whole of slice n. Each cell's minimum
- * comes from the same code and the same complete slice n + 1 whatever T is;
- * only the order in which the cells are computed changes, so the bits do not
- * depend on T. A thread that cannot be started leaves the pass to those that
- * were, down to the calling thread alone: the workers wait at a start gate
- * until the caller has published the final T. Elsewhere the calling thread
- * runs the pass alone.
+ * it. At every step the threads claim energy rows from the step's counter,
+ * one row at a time; the thread that claims a row fills it with the penalty
+ * and p_d[0] in every scenario and computes its cells that lie in the box,
+ * so that the same thread fills and computes each row, and a thread on a CPU
+ * that another process keeps busy claims fewer rows. The threads then wait
+ * at a barrier, because step n - 1 reads the whole of slice n. Each cell's
+ * minimum comes from the same code and the same complete slice n + 1
+ * whatever T is and whichever thread claims its row; only the order in
+ * which the cells are computed changes, so the bits do not depend on T. A
+ * thread that cannot be started leaves the pass to those that were, down to
+ * the calling thread alone: the workers wait at a start gate until the
+ * caller has published the final T. Elsewhere the calling thread runs the
+ * pass alone.
  *
  * Step n computes only the cells of its box, the energy rows [boxes[n, 0],
  * boxes[n, 1]) and temperature columns [boxes[n, 2], boxes[n, 3]) of the
@@ -97,8 +106,8 @@
  * is read through its own strides, which are 0 along the axes it is
  * broadcast over, so that no broadcast copy is made.
  *
- * The module constant LANES is 8 where PyInit finds AVX-512F, and 1
- * elsewhere.
+ * The module constant LANES, the cells (and network rows) an instruction
+ * computes, is 8 where PyInit finds AVX-512F, and 1 elsewhere.
  *
  * The loops do no bounds checks. The binding checks every buffer's item
  * type, dimensions, contiguity, shape and, for an output, writability, and
@@ -127,15 +136,19 @@
 
 /* Always inlined, so that each caller compiles its own copy: the baseline
  * and the AVX-512F variant of a network loop each vectorize theirs, and
- * scan_actions gets one per constant batch size. */
+ * tile_cells gets one per constant batch size. */
 #define INLINE static inline __attribute__((always_inline))
 
-/* Actions evaluated per instruction: 8 once PyInit finds AVX-512F, else 1. */
+/* Cells of a tile computed per instruction: 8 once PyInit finds AVX-512F,
+ * else 1. */
 static int lanes = 1;
 
 /* ---- backward induction ---- */
 
-/* The (M, K) transition arrays of one backward pass. */
+/* Cells per tile of the table's layout, whatever the CPU. */
+#define TILE 8
+
+/* The (M, K) transition arrays of one backward pass, in tile order. */
 typedef struct {
     const unsigned char *valid;
     const int32_t *corner00;
@@ -146,158 +159,6 @@ typedef struct {
     int64_t stride_t;
     double penalty;
 } Transitions;
-
-/* What one scenario's candidates of one cell at step n read besides the
- * table: its energy costs of the step per action, its aging cost per unit of
- * fade, its calendar cost of the cell and its cost slice n + 1. */
-typedef struct {
-    const double *je_n;
-    double scale;
-    double cal;
-    const double *nxt;
-} Scenario;
-
-/* First minimum over actions [k0, k1) of the cell whose row starts at row,
- * for each of the n_scen scenarios, continuing from best[b] and best_k[b].
- * Inlined into scan_actions once per batch size it is called with (see
- * scan_lanes). */
-INLINE void
-scan_actions_of(const Transitions *t, Py_ssize_t row, const Py_ssize_t n_scen,
-                const Scenario *sc, Py_ssize_t k0, Py_ssize_t k1, double *best,
-                Py_ssize_t *best_k)
-{
-    const int64_t stride_e = t->stride_e, stride_t = t->stride_t;
-    for (Py_ssize_t k = k0; k < k1; k++) {
-        if (!t->valid[row + k]) {
-            for (Py_ssize_t b = 0; b < n_scen; b++) {
-                if (t->penalty < best[b]) {
-                    best[b] = t->penalty;
-                    best_k[b] = k;
-                }
-            }
-            continue;
-        }
-        const int64_t c00 = t->corner00[row + k];
-        const double fe = t->frac_e[row + k];
-        const double ft = t->frac_theta[row + k];
-        const double cyc = t->cyc_fade[row + k];
-        for (Py_ssize_t b = 0; b < n_scen; b++) {
-            const double *nxt = sc[b].nxt;
-            const double lo = (1.0 - ft) * nxt[c00] + ft * nxt[c00 + stride_t];
-            const double hi = (1.0 - ft) * nxt[c00 + stride_e]
-                              + ft * nxt[c00 + stride_e + stride_t];
-            const double cand = (sc[b].je_n[k] + (sc[b].scale * cyc + sc[b].cal))
-                                + ((1.0 - fe) * lo + fe * hi);
-            if (cand < best[b]) {
-                best[b] = cand;
-                best_k[b] = k;
-            }
-        }
-    }
-}
-
-/* scan_actions_of, with the batch size a constant for B = 1 and 2. */
-static void
-scan_actions(const Transitions *t, Py_ssize_t row, Py_ssize_t n_scen,
-             const Scenario *sc, Py_ssize_t k0, Py_ssize_t k1, double *best,
-             Py_ssize_t *best_k)
-{
-    if (n_scen == 1)
-        scan_actions_of(t, row, 1, sc, k0, k1, best, best_k);
-    else if (n_scen == 2)
-        scan_actions_of(t, row, 2, sc, k0, k1, best, best_k);
-    else
-        scan_actions_of(t, row, n_scen, sc, k0, k1, best, best_k);
-}
-
-#ifdef HAVE_AVX512
-/* First minimum over actions [0, 8 * n_blocks) of the cell whose row starts
- * at row, 8 actions at a time, for each of the n_scen scenarios. Inlined
- * into scan_lanes once per batch size it is called with: a constant n_scen
- * unrolls the loops over the batch and keeps the lane minima in registers,
- * which made a full-scale pass of one scenario 6-12% faster. */
-__attribute__((target("avx512f"), always_inline)) static inline void
-scan_lanes_of(const Transitions *t, Py_ssize_t row, const Py_ssize_t n_scen,
-              const Scenario *sc, Py_ssize_t n_blocks, double *best,
-              Py_ssize_t *best_k)
-{
-    const __m512d one = _mm512_set1_pd(1.0);
-    const __m512d zero = _mm512_setzero_pd();
-    const __m512d penalty = _mm512_set1_pd(t->penalty);
-    const __m512i stride_e = _mm512_set1_epi64(t->stride_e);
-    const __m512i stride_t = _mm512_set1_epi64(t->stride_t);
-    __m512i k = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-    __m512d lane_min[n_scen];
-    __m512i lane_k[n_scen];
-    for (Py_ssize_t b = 0; b < n_scen; b++) {
-        lane_min[b] = _mm512_set1_pd(INFINITY);
-        lane_k[b] = _mm512_setzero_si512();
-    }
-    for (Py_ssize_t blk = 0; blk < n_blocks; blk++) {
-        const Py_ssize_t i = row + 8 * blk;
-        const __m512i flags = _mm512_cvtepu8_epi64(_mm_loadl_epi64((const __m128i *)(t->valid + i)));
-        const __mmask8 valid = _mm512_test_epi64_mask(flags, flags);
-        const __m512i c00 = _mm512_cvtepi32_epi64(_mm256_loadu_si256((const __m256i *)(t->corner00 + i)));
-        const __m512i c01 = _mm512_add_epi64(c00, stride_t);
-        const __m512i c10 = _mm512_add_epi64(c00, stride_e);
-        const __m512i c11 = _mm512_add_epi64(c10, stride_t);
-        const __m512d fe = _mm512_loadu_pd(t->frac_e + i);
-        const __m512d ft = _mm512_loadu_pd(t->frac_theta + i);
-        const __m512d ge = _mm512_sub_pd(one, fe);
-        const __m512d gt = _mm512_sub_pd(one, ft);
-        const __m512d cyc = _mm512_loadu_pd(t->cyc_fade + i);
-        for (Py_ssize_t b = 0; b < n_scen; b++) {
-            const double *nxt = sc[b].nxt;
-            const __m512d n00 = _mm512_mask_i64gather_pd(zero, valid, c00, nxt, 8);
-            const __m512d n01 = _mm512_mask_i64gather_pd(zero, valid, c01, nxt, 8);
-            const __m512d n10 = _mm512_mask_i64gather_pd(zero, valid, c10, nxt, 8);
-            const __m512d n11 = _mm512_mask_i64gather_pd(zero, valid, c11, nxt, 8);
-            const __m512d lo = _mm512_add_pd(_mm512_mul_pd(gt, n00), _mm512_mul_pd(ft, n01));
-            const __m512d hi = _mm512_add_pd(_mm512_mul_pd(gt, n10), _mm512_mul_pd(ft, n11));
-            const __m512d succ = _mm512_add_pd(_mm512_mul_pd(ge, lo), _mm512_mul_pd(fe, hi));
-            const __m512d aging = _mm512_add_pd(_mm512_mul_pd(_mm512_set1_pd(sc[b].scale), cyc),
-                                                _mm512_set1_pd(sc[b].cal));
-            const __m512d cost = _mm512_add_pd(
-                _mm512_add_pd(_mm512_loadu_pd(sc[b].je_n + 8 * blk), aging), succ);
-            const __m512d cand = _mm512_mask_blend_pd(valid, penalty, cost);
-            const __mmask8 lower = _mm512_cmp_pd_mask(cand, lane_min[b], _CMP_LT_OQ);
-            lane_min[b] = _mm512_mask_mov_pd(lane_min[b], lower, cand);
-            lane_k[b] = _mm512_mask_mov_epi64(lane_k[b], lower, k);
-        }
-        k = _mm512_add_epi64(k, _mm512_set1_epi64(8));
-    }
-    for (Py_ssize_t b = 0; b < n_scen; b++) {
-        double mins[8];
-        int64_t ks[8];
-        _mm512_storeu_pd(mins, lane_min[b]);
-        _mm512_storeu_si512(ks, lane_k[b]);
-        double min = mins[0];
-        int64_t min_k = ks[0];
-        for (int lane = 1; lane < 8; lane++) {
-            if (mins[lane] < min || (mins[lane] == min && ks[lane] < min_k)) {
-                min = mins[lane];
-                min_k = ks[lane];
-            }
-        }
-        best[b] = min;
-        best_k[b] = min_k;
-    }
-}
-
-/* scan_lanes_of, with the batch size a constant for B = 1 and 2. */
-__attribute__((target("avx512f"))) static void
-scan_lanes(const Transitions *t, Py_ssize_t row, Py_ssize_t n_scen,
-           const Scenario *sc, Py_ssize_t n_blocks, double *best,
-           Py_ssize_t *best_k)
-{
-    if (n_scen == 1)
-        scan_lanes_of(t, row, 1, sc, n_blocks, best, best_k);
-    else if (n_scen == 2)
-        scan_lanes_of(t, row, 2, sc, n_blocks, best, best_k);
-    else
-        scan_lanes_of(t, row, n_scen, sc, n_blocks, best, best_k);
-}
-#endif
 
 /* The arguments of one backward pass over n_scen scenarios. cost is
  * (n_scen, N + 1, M), action_kw (n_scen, N, M), je (N, n_scen, K), cal
@@ -310,50 +171,212 @@ typedef struct {
     const int64_t *boxes;
 } Pass;
 
+/* The cells [cell0 + lo, cell0 + hi) of step n, which lie in the tile of w
+ * cells that starts at cell0, in every scenario: lane l keeps the first
+ * strict-< minimum over the K actions of cell cell0 + l. Inlined into
+ * tile_cells once per batch size it is called with (see tile_lanes). */
+INLINE void
+tile_cells_of(const Pass *p, Py_ssize_t n, const Py_ssize_t n_scen, Py_ssize_t cell0,
+              Py_ssize_t w, Py_ssize_t lo, Py_ssize_t hi)
+{
+    const Transitions *t = p->t;
+    const Py_ssize_t m = p->m, n_actions = p->n_actions;
+    const int64_t stride_e = t->stride_e, stride_t = t->stride_t;
+    double best[n_scen][TILE];
+    Py_ssize_t best_k[n_scen][TILE];
+    for (Py_ssize_t b = 0; b < n_scen; b++) {
+        for (Py_ssize_t l = lo; l < hi; l++) {
+            best[b][l] = INFINITY;
+            best_k[b][l] = 0;
+        }
+    }
+    for (Py_ssize_t k = 0; k < n_actions; k++) {
+        const Py_ssize_t at = cell0 * n_actions + k * w; /* action k of lane 0 */
+        for (Py_ssize_t l = lo; l < hi; l++) {
+            if (!t->valid[at + l]) {
+                for (Py_ssize_t b = 0; b < n_scen; b++) {
+                    if (t->penalty < best[b][l]) {
+                        best[b][l] = t->penalty;
+                        best_k[b][l] = k;
+                    }
+                }
+                continue;
+            }
+            const int64_t c00 = t->corner00[at + l];
+            const double fe = t->frac_e[at + l];
+            const double ft = t->frac_theta[at + l];
+            const double cyc = t->cyc_fade[at + l];
+            for (Py_ssize_t b = 0; b < n_scen; b++) {
+                const double *nxt = p->cost + (b * (p->n_steps + 1) + n + 1) * m;
+                const double lo_cost = (1.0 - ft) * nxt[c00] + ft * nxt[c00 + stride_t];
+                const double hi_cost = (1.0 - ft) * nxt[c00 + stride_e]
+                                       + ft * nxt[c00 + stride_e + stride_t];
+                const double cand = (p->je[(n * n_scen + b) * n_actions + k]
+                                     + (p->scale[b] * cyc + p->cal[b * m + cell0 + l]))
+                                    + ((1.0 - fe) * lo_cost + fe * hi_cost);
+                if (cand < best[b][l]) {
+                    best[b][l] = cand;
+                    best_k[b][l] = k;
+                }
+            }
+        }
+    }
+    for (Py_ssize_t b = 0; b < n_scen; b++) {
+        double *cost_n = p->cost + (b * (p->n_steps + 1) + n) * m + cell0;
+        double *action_n = p->action_kw + (b * p->n_steps + n) * m + cell0;
+        for (Py_ssize_t l = lo; l < hi; l++) {
+            cost_n[l] = best[b][l];
+            action_n[l] = p->p_d[best_k[b][l]];
+        }
+    }
+}
+
+/* tile_cells_of, with the batch size a constant for B = 1 and 2. */
+static void
+tile_cells(const Pass *p, Py_ssize_t n, Py_ssize_t cell0, Py_ssize_t w, Py_ssize_t lo,
+           Py_ssize_t hi)
+{
+    if (p->n_scen == 1)
+        tile_cells_of(p, n, 1, cell0, w, lo, hi);
+    else if (p->n_scen == 2)
+        tile_cells_of(p, n, 2, cell0, w, lo, hi);
+    else
+        tile_cells_of(p, n, p->n_scen, cell0, w, lo, hi);
+}
+
+#ifdef HAVE_AVX512
+/* tile_cells_of with one cell per lane. The valid lanes of action k read
+ * their corners with four masked loads when their corner00 are consecutive
+ * (a run), as they are in most tiles of a table, and with four masked
+ * gathers otherwise; invalid lanes and lanes outside the box or the tile
+ * read nothing. A constant n_scen unrolls the loops over the batch and keeps
+ * the lane minima in registers. */
+__attribute__((target("avx512f"), always_inline)) static inline void
+tile_lanes_of(const Pass *p, Py_ssize_t n, const Py_ssize_t n_scen, Py_ssize_t cell0,
+              const Py_ssize_t w, Py_ssize_t lo, Py_ssize_t hi)
+{
+    const Transitions *t = p->t;
+    const Py_ssize_t m = p->m, n_actions = p->n_actions;
+    const __m512d one = _mm512_set1_pd(1.0);
+    const __m512d zero = _mm512_setzero_pd();
+    const __m512d penalty = _mm512_set1_pd(t->penalty);
+    const __m512i stride_e = _mm512_set1_epi64(t->stride_e);
+    const __m512i stride_t = _mm512_set1_epi64(t->stride_t);
+    const __mmask8 inside = (__mmask8)((1u << w) - 1);              /* the tile's lanes */
+    const __mmask8 box = (__mmask8)(((1u << hi) - 1) & ~((1u << lo) - 1)); /* those computed */
+    const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    const double *nxt[n_scen];
+    const double *je[n_scen];
+    __m512d scale[n_scen], cal[n_scen], lane_min[n_scen];
+    __m512i lane_k[n_scen];
+    for (Py_ssize_t b = 0; b < n_scen; b++) {
+        nxt[b] = p->cost + (b * (p->n_steps + 1) + n + 1) * m;
+        je[b] = p->je + (n * n_scen + b) * n_actions;
+        scale[b] = _mm512_set1_pd(p->scale[b]);
+        cal[b] = _mm512_maskz_loadu_pd(box, p->cal + b * m + cell0);
+        lane_min[b] = _mm512_set1_pd(INFINITY);
+        lane_k[b] = _mm512_setzero_si512();
+    }
+    __m512i k_vec = _mm512_setzero_si512();
+    for (Py_ssize_t k = 0; k < n_actions; k++) {
+        const Py_ssize_t at = cell0 * n_actions + k * w; /* action k of lane 0 */
+        uint64_t bytes = 0;
+        memcpy(&bytes, t->valid + at, (size_t)w);
+        const __m512i flags = _mm512_cvtepu8_epi64(_mm_cvtsi64_si128((long long)bytes));
+        const __mmask8 valid = _mm512_test_epi64_mask(flags, flags) & box;
+        const __m512i c00 = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(
+            _mm512_maskz_loadu_epi32((__mmask16)inside, t->corner00 + at)));
+        /* the valid lanes form a run when lane l reads corner00 base + l */
+        const int64_t base = (int64_t)t->corner00[at + lo] - lo;
+        const __m512i run = _mm512_add_epi64(lane, _mm512_set1_epi64(base));
+        const int loads = _mm512_mask_cmpeq_epi64_mask(valid, c00, run) == valid;
+        const __m512d fe = _mm512_maskz_loadu_pd(inside, t->frac_e + at);
+        const __m512d ft = _mm512_maskz_loadu_pd(inside, t->frac_theta + at);
+        const __m512d ge = _mm512_sub_pd(one, fe);
+        const __m512d gt = _mm512_sub_pd(one, ft);
+        const __m512d cyc = _mm512_maskz_loadu_pd(inside, t->cyc_fade + at);
+        for (Py_ssize_t b = 0; b < n_scen; b++) {
+            __m512d n00, n01, n10, n11;
+            if (loads) {
+                const double *q = nxt[b] + base;
+                n00 = _mm512_maskz_loadu_pd(valid, q);
+                n01 = _mm512_maskz_loadu_pd(valid, q + t->stride_t);
+                n10 = _mm512_maskz_loadu_pd(valid, q + t->stride_e);
+                n11 = _mm512_maskz_loadu_pd(valid, q + t->stride_e + t->stride_t);
+            } else {
+                const __m512i c01 = _mm512_add_epi64(c00, stride_t);
+                const __m512i c10 = _mm512_add_epi64(c00, stride_e);
+                const __m512i c11 = _mm512_add_epi64(c10, stride_t);
+                n00 = _mm512_mask_i64gather_pd(zero, valid, c00, nxt[b], 8);
+                n01 = _mm512_mask_i64gather_pd(zero, valid, c01, nxt[b], 8);
+                n10 = _mm512_mask_i64gather_pd(zero, valid, c10, nxt[b], 8);
+                n11 = _mm512_mask_i64gather_pd(zero, valid, c11, nxt[b], 8);
+            }
+            const __m512d lo_cost = _mm512_add_pd(_mm512_mul_pd(gt, n00), _mm512_mul_pd(ft, n01));
+            const __m512d hi_cost = _mm512_add_pd(_mm512_mul_pd(gt, n10), _mm512_mul_pd(ft, n11));
+            const __m512d succ = _mm512_add_pd(_mm512_mul_pd(ge, lo_cost), _mm512_mul_pd(fe, hi_cost));
+            const __m512d aging = _mm512_add_pd(_mm512_mul_pd(scale[b], cyc), cal[b]);
+            const __m512d cost = _mm512_add_pd(_mm512_add_pd(_mm512_set1_pd(je[b][k]), aging), succ);
+            const __m512d cand = _mm512_mask_blend_pd(valid, penalty, cost);
+            const __mmask8 lower = _mm512_cmp_pd_mask(cand, lane_min[b], _CMP_LT_OQ);
+            lane_min[b] = _mm512_mask_mov_pd(lane_min[b], lower, cand);
+            lane_k[b] = _mm512_mask_mov_epi64(lane_k[b], lower, k_vec);
+        }
+        k_vec = _mm512_add_epi64(k_vec, _mm512_set1_epi64(1));
+    }
+    for (Py_ssize_t b = 0; b < n_scen; b++) {
+        const __m512d action = _mm512_mask_i64gather_pd(zero, box, lane_k[b], p->p_d, 8);
+        _mm512_mask_storeu_pd(p->cost + (b * (p->n_steps + 1) + n) * m + cell0, box, lane_min[b]);
+        _mm512_mask_storeu_pd(p->action_kw + (b * p->n_steps + n) * m + cell0, box, action);
+    }
+}
+
+/* tile_lanes_of, with the tile width a constant for whole tiles and the
+ * batch size one for B = 1 and 2 of them. */
+__attribute__((target("avx512f"))) static void
+tile_lanes(const Pass *p, Py_ssize_t n, Py_ssize_t cell0, Py_ssize_t w, Py_ssize_t lo,
+           Py_ssize_t hi)
+{
+    if (w < TILE)
+        tile_lanes_of(p, n, p->n_scen, cell0, w, lo, hi);
+    else if (p->n_scen == 1)
+        tile_lanes_of(p, n, 1, cell0, TILE, lo, hi);
+    else if (p->n_scen == 2)
+        tile_lanes_of(p, n, 2, cell0, TILE, lo, hi);
+    else
+        tile_lanes_of(p, n, p->n_scen, cell0, TILE, lo, hi);
+}
+#endif
+
 /* Row i of slice n of every scenario: the penalty and p_d[0] in every cell,
- * then the cells of the box computed from slice n + 1. */
+ * then the cells of the box computed from slice n + 1, one tile at a time. */
 static void
 step_row(const Pass *p, Py_ssize_t n, Py_ssize_t i)
 {
-    const Transitions *t = p->t;
-    const Py_ssize_t m = p->m, n_cols = m / p->n_rows, n_actions = p->n_actions;
-    const Py_ssize_t n_scen = p->n_scen;
-    Scenario sc[n_scen];
-    for (Py_ssize_t b = 0; b < n_scen; b++) {
+    const Py_ssize_t m = p->m, n_cols = m / p->n_rows;
+    for (Py_ssize_t b = 0; b < p->n_scen; b++) {
         double *cost_i = p->cost + (b * (p->n_steps + 1) + n) * m + i * n_cols;
         double *action_i = p->action_kw + (b * p->n_steps + n) * m + i * n_cols;
         for (Py_ssize_t j = 0; j < n_cols; j++) {
-            cost_i[j] = t->penalty;
+            cost_i[j] = p->t->penalty;
             action_i[j] = p->p_d[0];
         }
-        sc[b].je_n = p->je + (n * n_scen + b) * n_actions;
-        sc[b].scale = p->scale[b];
-        sc[b].nxt = p->cost + (b * (p->n_steps + 1) + n + 1) * m;
     }
     const int64_t *box = p->boxes + 4 * n;
     if (i < box[0] || i >= box[1])
         return;
-    double best[n_scen];
-    Py_ssize_t best_k[n_scen];
-    for (Py_ssize_t j = box[2]; j < box[3]; j++) {
-        const Py_ssize_t cell = i * n_cols + j, row = cell * n_actions;
-        for (Py_ssize_t b = 0; b < n_scen; b++) {
-            sc[b].cal = p->cal[b * m + cell];
-            best[b] = INFINITY;
-            best_k[b] = 0;
-        }
-        Py_ssize_t k0 = 0;
+    const Py_ssize_t left = box[2], right = box[3];
+    for (Py_ssize_t j0 = left - left % TILE; j0 < right; j0 += TILE) {
+        const Py_ssize_t w = n_cols - j0 < TILE ? n_cols - j0 : TILE;
+        const Py_ssize_t lo = left > j0 ? left - j0 : 0;
+        const Py_ssize_t hi = right - j0 < w ? right - j0 : w;
 #ifdef HAVE_AVX512
-        if (lanes == 8 && n_actions >= 8) {
-            scan_lanes(t, row, n_scen, sc, n_actions / 8, best, best_k);
-            k0 = n_actions - n_actions % 8;
+        if (lanes == 8) {
+            tile_lanes(p, n, i * n_cols + j0, w, lo, hi);
+            continue;
         }
 #endif
-        scan_actions(t, row, n_scen, sc, k0, n_actions, best, best_k);
-        for (Py_ssize_t b = 0; b < n_scen; b++) {
-            p->cost[(b * (p->n_steps + 1) + n) * m + cell] = best[b];
-            p->action_kw[(b * p->n_steps + n) * m + cell] = p->p_d[best_k[b]];
-        }
+        tile_cells(p, n, i * n_cols + j0, w, lo, hi);
     }
 }
 
@@ -367,13 +390,15 @@ backward_loop(const Pass *p)
 }
 
 #ifdef HAVE_THREADS
-/* The threads of one pass. n_threads is 0 until the caller publishes it. */
+/* The threads of one pass. n_threads is 0 until the caller publishes it;
+ * next_row[n] is the next row of step n that no thread has claimed. */
 typedef struct {
     const Pass *pass;
     pthread_mutex_t lock;
     pthread_cond_t published;
     int n_threads;
     pthread_barrier_t step_done;
+    Py_ssize_t *next_row;
 } Team;
 
 typedef struct {
@@ -381,14 +406,15 @@ typedef struct {
     int id;
 } Worker;
 
-/* backward_loop over the rows i with i mod n_threads == id; the n_threads
- * threads meet at team->step_done after each step but the last. */
+/* backward_loop over the rows this thread claims; the n_threads threads
+ * meet at team->step_done after each step but the last. */
 static void
-backward_rows(Team *team, int id, int n_threads)
+backward_rows(Team *team, int n_threads)
 {
     const Pass *p = team->pass;
     for (Py_ssize_t n = p->n_steps - 1; n >= 0; n--) {
-        for (Py_ssize_t i = id; i < p->n_rows; i += n_threads)
+        Py_ssize_t i;
+        while ((i = __atomic_fetch_add(&team->next_row[n], 1, __ATOMIC_RELAXED)) < p->n_rows)
             step_row(p, n, i);
         if (n_threads > 1 && n > 0)
             pthread_barrier_wait(&team->step_done);
@@ -406,7 +432,7 @@ worker_main(void *arg)
     const int n_threads = team->n_threads;
     pthread_mutex_unlock(&team->lock);
     if (w->id < n_threads)
-        backward_rows(team, w->id, n_threads);
+        backward_rows(team, n_threads);
     return NULL;
 }
 
@@ -423,16 +449,22 @@ wanted_threads(Py_ssize_t n_rows)
 }
 
 /* backward_loop on the calling thread and as many of the wanted - 1 other
- * threads as start; -1, with nothing computed, when the start gate cannot be
- * set up. */
+ * threads as start; -1, with nothing computed, when the start gate or the
+ * row counters cannot be set up. */
 static int
 backward_threads(const Pass *p, int wanted)
 {
     Team team = {.pass = p, .n_threads = 0};
-    if (pthread_mutex_init(&team.lock, NULL) != 0)
+    team.next_row = PyMem_RawCalloc((size_t)p->n_steps, sizeof(Py_ssize_t));
+    if (team.next_row == NULL)
         return -1;
+    if (pthread_mutex_init(&team.lock, NULL) != 0) {
+        PyMem_RawFree(team.next_row);
+        return -1;
+    }
     if (pthread_cond_init(&team.published, NULL) != 0) {
         pthread_mutex_destroy(&team.lock);
+        PyMem_RawFree(team.next_row);
         return -1;
     }
     pthread_t threads[wanted];
@@ -450,13 +482,14 @@ backward_threads(const Pass *p, int wanted)
     team.n_threads = n_threads;
     pthread_cond_broadcast(&team.published);
     pthread_mutex_unlock(&team.lock);
-    backward_rows(&team, 0, n_threads);
+    backward_rows(&team, n_threads);
     for (int w = 1; w < started; w++)
         pthread_join(threads[w], NULL);
     if (n_threads > 1)
         pthread_barrier_destroy(&team.step_done);
     pthread_cond_destroy(&team.published);
     pthread_mutex_destroy(&team.lock);
+    PyMem_RawFree(team.next_row);
     return 0;
 }
 #endif
@@ -1220,8 +1253,8 @@ PyDoc_STRVAR(backward_pass_doc,
 "the others get penalty and p_d[0]. Arguments as in _kernel_py.backward_pass:\n"
 "C-contiguous float64 cost (B, N+1, M) and action_kw (B, N, M); uint8\n"
 "valid, int32 corner00 and float64 frac_e, frac_theta and cyc_fade, each\n"
-"(M, K); float64 je (N, B, K), cal (B, M), scale (B,) and p_d (K,); int64\n"
-"boxes (N, 4).");
+"(M, K) in a TransitionTable's tile order; float64 je (N, B, K), cal (B, M),\n"
+"scale (B,) and p_d (K,); int64 boxes (N, 4).");
 
 static PyObject *
 py_backward_pass(PyObject *self, PyObject *args)

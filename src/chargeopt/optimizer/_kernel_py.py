@@ -2,20 +2,25 @@
 
 One pass fills the grids of B scenarios that share a transition table.
 Scenario b's candidate for cell c and action k is
-(je_b[k] + (scale_b * cyc_fade[c, k] + cal_b[c])) + interpolated successor,
-read from its own cost slice. Semantics match the compiled kernel exactly,
+(je_b[k] + (scale_b * cyc_fade(c, k) + cal_b[c])) + interpolated successor,
+cyc_fade(c, k) the table's entry for (c, k), read from its own cost slice. Semantics match the compiled kernel exactly,
 including this expression structure and the first-minimum tie rule, so both
 backends produce bit-identical cost and action grids, and a scenario gets the
 same bits in a batch as alone. Mode II passes scale 0.0 and a zero cal, so
 its aging term is 0.0 * cyc + 0.0 = +0.0 for every finite cyc_fade, the term
 a zero aging array would give.
 
-The compiled kernel evaluates 8 actions at a time on CPUs with AVX-512F
-(its LANES constant is then 8): each lane does the same IEEE multiplies and
-adds as this code, in the same order and without fused multiply-adds, and
-the lanes' minima are combined with ties going to the lowest action index,
-the index np.argmin returns. So the lanes change nothing here; this module
-stays the reference the tests compare both kernels against.
+The (M, K) table arrays come in a TransitionTable's tile order: each energy
+row's cells in tiles of TILE adjacent cells (the row's last Nj mod TILE
+cells one narrower tile), and within a tile action k of every cell before
+action k + 1. The compiled kernel computes a tile's cells at once, one per
+vector lane, on CPUs with AVX-512F (its LANES constant is then 8): each lane
+does the same IEEE multiplies and adds as this code, in the same order and
+without fused multiply-adds, and keeps the first minimum of its own cell
+over the actions, the index np.argmin returns. Since a cell's actions never
+meet another lane's, ties need no rule across lanes, and the lanes change
+nothing here; this module stays the reference the tests compare both
+kernels against.
 
 Both kernels compute at step n only the cells of its box, the energy rows
 [boxes[n, 0], boxes[n, 1]) and temperature columns [boxes[n, 2],
@@ -25,12 +30,12 @@ valid transition gets. Both work out the strides to a successor's other
 corners from that shape: Nj cells to the next energy row and 1 to the next
 temperature column, or 0 along an axis of a single node.
 Here a step walks its box in blocks of BLOCK_CELLS // Nj rows (at least
-one), each block a box of slice views of the (M, K) arrays, read once for
-all scenarios: the ufuncs work element by element, so a cell gets the same
-bits in any block. The temporaries are then at most one block by K per
-scenario, whatever the size of the box, so the kernel's memory does not
-depend on the region. Invalid transitions read corner 0 instead of their own
-corners, as the compiled kernel reads none of them, so both accept the same
+one). For each block it un-tiles the tiles that hold the box's columns
+(transitions.untile) and reads them once for all scenarios: the ufuncs work
+element by element, so a cell gets the same bits in any block. The
+temporaries are then at most one block of whole tiles by K per scenario,
+whatever the size of the box, so the kernel's memory does not depend on the
+region. Invalid transitions read corner 0 instead of their own corners, as the compiled kernel reads none of them, so both accept the same
 inputs, and both raise ValueError for a box outside the grid, a row count
 that does not divide M or an empty batch.
 """
@@ -39,13 +44,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .transitions import TILE, untile
+
 BLOCK_CELLS = 1024  # cells per row block, which bounds the (cells, K) temporaries
 
 
 def backward_pass(
     cost: np.ndarray,  # (B, N+1, M), slices N..0; slice N pre-initialized
     action_kw: np.ndarray,  # (B, N, M) out
-    valid: np.ndarray,  # (M, K) uint8
+    valid: np.ndarray,  # (M, K) uint8, as all (M, K) arrays in tile order
     corner00: np.ndarray,  # (M, K) int32 flat lower-corner cell of the successor
     frac_e: np.ndarray,  # (M, K)
     frac_theta: np.ndarray,  # (M, K)
@@ -76,28 +83,37 @@ def backward_pass(
             f"backward_pass: box [{top}, {bottom}) x [{left}, {right}) of step {n} "
             f"is not within [0, Ni={shape[0]}] x [0, Nj={shape[1]}]"
         )
-    mask = valid.astype(bool).reshape(shape)
-    c00 = np.where(mask, corner00.reshape(shape), 0)
-    frac_e, frac_theta, cyc_fade = (a.reshape(shape) for a in (frac_e, frac_theta, cyc_fade))
     cal = cal.reshape(n_scen, *shape[:2])
     block = max(1, BLOCK_CELLS // shape[1])
     for n in range(n_steps - 1, -1, -1):
         cost[:, n] = penalty
         action_kw[:, n] = p_d[0]
         top, bottom, left, right = boxes[n]
+        if left == right:
+            continue
+        # the box's columns, widened to whole tiles: [lo, hi) starts a tile, and ends one or the row
+        lo, hi = left - left % TILE, min(right + -right % TILE, shape[1])
         # views of step n's slices: a 1-D row reshapes without a copy, whatever its stride
         cost_n, action_n = ([a[b, n].reshape(shape[:2]) for b in range(n_scen)] for a in (cost, action_kw))
         for r0 in range(top, bottom, block):
             box = np.s_[r0 : min(r0 + block, bottom), left:right]
-            fe, ft, c, cyc = frac_e[box], frac_theta[box], c00[box], cyc_fade[box]
+
+            def cells(a):
+                """The box's rows of table array a, in cell order."""
+                tiles = a.reshape(shape[0], -1)[box[0], lo * shape[2] : hi * shape[2]]
+                return untile(tiles, hi - lo)[:, left - lo : right - lo]
+
+            mask = cells(valid) != 0
+            c = np.where(mask, cells(corner00), 0)
+            fe, ft, cyc = cells(frac_e), cells(frac_theta), cells(cyc_fade)
             ge, gt = 1.0 - fe, 1.0 - ft
             for b in range(n_scen):
                 nxt = cost[b, n + 1]
-                lo = gt * nxt[c] + ft * nxt[c + stride_t]
-                hi = gt * nxt[c + stride_e] + ft * nxt[c + stride_e + stride_t]
-                succ_cost = ge * lo + fe * hi
+                lo_cost = gt * nxt[c] + ft * nxt[c + stride_t]
+                hi_cost = gt * nxt[c + stride_e] + ft * nxt[c + stride_e + stride_t]
+                succ_cost = ge * lo_cost + fe * hi_cost
                 cand = (je[n, b] + (scale[b] * cyc + cal[b][box][..., None])) + succ_cost
-                cand = np.where(mask[box], cand, penalty)
+                cand = np.where(mask, cand, penalty)
                 k_best = np.argmin(cand, axis=2)
                 cost_n[b][box] = np.take_along_axis(cand, k_best[..., None], axis=2)[..., 0]
                 action_n[b][box] = p_d[k_best]

@@ -54,17 +54,22 @@ def backward_pass(
     scenarios that share a transition table.
 
     cost is the (B, N+1, Ni, Nj) cost grid and action the (B, N, Ni, Nj)
-    action grid of the B scenarios; both are filled in place. Successor
-    costs are read by bilinear interpolation from corner00 (int32) with
-    weights (frac_e, frac_theta). Scenario b's candidate for cell c and
-    action k is (je[n, b, k] + (scale[b] * cyc_fade[c, k] + cal[b, c])) +
-    successor cost: je is (N, B, K), cal (B, M) the calendar cost per cell
-    and scale (B,) the cost per unit of fade, 0.0 with a zero cal to leave
-    aging out of the objective. The table's arrays are read once per
+    action grid of the B scenarios; both are filled in place. valid,
+    corner00 (int32), frac_e, frac_theta and cyc_fade are a
+    TransitionTable's (M, K) arrays, in its tile order. Successor costs are
+    read by bilinear interpolation from corner00 with weights (frac_e,
+    frac_theta). Scenario b's candidate for cell c and action k is
+    (je[n, b, k] + (scale[b] * cyc_fade(c, k) + cal[b, c])) + successor
+    cost, where cyc_fade(c, k) is the table's entry for (c, k), je is
+    (N, B, K), cal (B, M) the calendar cost per cell and scale (B,) the cost
+    per unit of fade, 0.0 with a zero cal to leave aging out of the
+    objective. The table's arrays are read once per
     (cell, action) for all B. region, an (N, 4) int array of half-open
     boxes, limits step n to the cells [region[n, 0], region[n, 1]) x
     [region[n, 2], region[n, 3]) of every scenario, and the other cells get
     penalty and p_d[0]. The table's arrays reach the kernel without a copy.
+    Both kernels keep one first minimum per cell, so ties need no rule
+    across the compiled kernel's lanes, each of which computes one cell.
     backend names the kernel; None takes active_backend().
     """
     n_scen, n_plus_1, ni, nj = cost.shape

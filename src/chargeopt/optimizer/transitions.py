@@ -25,8 +25,16 @@ from .scenario import BatteryModels, DdpGrids, Scenario
 class TransitionTable:
     """Precomputed one-step transitions on the state/action grid.
 
-    Arrays are indexed by flattened cell (i * n_theta + j) and action k.
-    The successor cost is read by bilinear interpolation of the next cost
+    The (M, K) arrays hold one entry per cell (i, j), flattened as i * Nj +
+    j, and action k, in tile order: each energy row's Nj * K entries are
+    tiles of TILE adjacent cells, the row's last Nj mod TILE cells one
+    narrower tile, with no padding, and within a tile of w cells action k
+    of its cell l is entry k * w + l. So a row's cells and a tile's actions
+    follow one another as in cell order, but a tile's cells lie side by
+    side for each action: the compiled kernel computes one cell per vector
+    lane and reads the lanes' entries, and, in a run of successors, their
+    corners, with plain loads. untile gives the cell order back. The
+    successor cost is read by bilinear interpolation of the next cost
     slice: corner00 is the flattened lower-left grid corner enclosing the
     continuous successor state and (frac_e, frac_theta) its interpolation
     weights. valid marks transitions that satisfy the power bounds, the
@@ -48,7 +56,7 @@ class TransitionTable:
     them; a solve takes them from its scenario and grids.
     """
 
-    valid: np.ndarray  # (M, K) uint8
+    valid: np.ndarray  # (M, K) uint8, as every (M, K) array in tile order
     corner00: np.ndarray  # (M, K) int32, flat index i*Nj + j of the lower corner
     frac_e: np.ndarray  # (M, K) in [0, 1]
     frac_theta: np.ndarray  # (M, K) in [0, 1]
@@ -63,6 +71,41 @@ class TransitionTable:
             raise InvalidParameterError(
                 "transition table was built for other battery models, grids, state and power bounds or dt"
             )
+
+
+TILE = 8  # cells per tile of a table's (M, K) arrays: the compiled kernel's vector lanes
+TILE_BLOCK_CELLS = 1024  # cells _build rewrites in tile order at a time
+
+
+def untile(rows: np.ndarray, width: int) -> np.ndarray:
+    """The cell order of tile-ordered entries of a table's (M, K) array.
+
+    rows is (R, width * K): each row the entries of width adjacent cells of
+    one energy row, in tile order from a tile's first cell, such as
+    a.reshape(Ni, Nj * K) for a whole table array a, or a slice of its
+    columns at a multiple of TILE * K. Returns the (R, width, K) array of
+    each cell's actions, a copy.
+    """
+    n_rows, n_actions = rows.shape[0], rows.shape[1] // width
+    full = width - width % TILE  # cells in whole tiles
+    cells = np.empty((n_rows, width, n_actions), rows.dtype)
+    cells[:, :full].reshape(n_rows, full // TILE, TILE, n_actions)[...] = (
+        rows[:, : full * n_actions].reshape(n_rows, full // TILE, n_actions, TILE).transpose(0, 1, 3, 2)
+    )
+    cells[:, full:] = rows[:, full * n_actions :].reshape(n_rows, n_actions, width - full).transpose(0, 2, 1)
+    return cells
+
+
+def _tile(a: np.ndarray, nj: int) -> None:
+    """Rewrite the (M, K) array a from cell order into tile order, in place,
+    a block of energy rows at a time, so that no second full-size copy is
+    alive."""
+    rows = a.reshape(-1, nj * a.shape[1])
+    # order[c] is the position in tile order of a row's entry c in cell order
+    order = untile(np.arange(rows.shape[1]).reshape(1, -1), nj).reshape(-1)
+    block = max(1, TILE_BLOCK_CELLS // nj)
+    for r0 in range(0, len(rows), block):
+        rows[r0 : r0 + block, order] = rows[r0 : r0 + block].copy()
 
 
 def table_fingerprint(s: Scenario, models: BatteryModels, grids: DdpGrids) -> str:
@@ -180,12 +223,15 @@ def _build(s: Scenario, models: BatteryModels, grids: DdpGrids, fingerprint: str
     if np.any(~np.isfinite(delta_e[valid.astype(bool)])):
         raise InvalidParameterError("transition table produced non-finite energy steps")
 
+    cyc_fade = aging_mod.cyclic_fade(models.aging, delta_e)
+    for a in (valid, corner00, frac_e, frac_theta, cyc_fade):
+        _tile(a, len(theta_d))
     table = TransitionTable(
         valid=valid,
         corner00=corner00,
         frac_e=frac_e,
         frac_theta=frac_theta,
-        cyc_fade=aging_mod.cyclic_fade(models.aging, delta_e),
+        cyc_fade=cyc_fade,
         succ_box=succ_box,
         fingerprint=fingerprint,
     )

@@ -43,6 +43,7 @@ from chargeopt.optimizer import _kernel_py
 from chargeopt.optimizer import backend as backend_mod
 from chargeopt.optimizer import solver as solver_mod
 from chargeopt.optimizer.scenario import _SCENARIO_SCALARS
+from chargeopt.optimizer.transitions import TILE, _tile, untile
 from chargeopt.tariff import PriceProfile, default_profiles
 from oracles import brute_force_optimum, chain_transitions, random_tiny_instance
 
@@ -569,6 +570,47 @@ def test_table_arrays_are_read_only():
             a.flat[0] = a.flat[0]
 
 
+@pytest.mark.parametrize("nj", [1, 7, 8, 9, 17, 86])
+@pytest.mark.parametrize("k", [1, 9, 101])
+def test_untile_inverts_the_tile_order(nj, k):
+    # in tile order, action k of cell (i, j) follows the entries of the cells
+    # before its tile, j0 = j - j mod 8, at k * w + (j - j0), w its tile's width
+    ni = 3
+    cells = np.arange(ni * nj * k).reshape(ni * nj, k)
+    tiled = cells.copy()
+    _tile(tiled, nj)
+    i, j, a = np.meshgrid(np.arange(ni), np.arange(nj), np.arange(k), indexing="ij")
+    j0 = j - j % TILE
+    position = (i * nj + j0) * k + a * np.minimum(TILE, nj - j0) + (j - j0)
+    assert np.array_equal(tiled.reshape(-1)[position], cells.reshape(ni, nj, k))
+    assert np.array_equal(untile(tiled.reshape(ni, -1), nj), cells.reshape(ni, nj, k))
+    # the columns [lo, hi) untile alone when they start a tile and end one or the row
+    rows = tiled.reshape(ni, -1)
+    for lo in range(0, nj, TILE):
+        for hi in {min(lo + TILE, nj), nj}:
+            assert np.array_equal(untile(rows[:, lo * k : hi * k], hi - lo), cells.reshape(ni, nj, k)[:, lo:hi])
+
+
+def test_table_arrays_hold_each_cells_transitions_in_tile_order():
+    # the chain oracle steps the models cell by cell; 17 temperature nodes
+    # make two whole tiles and a narrower one per energy row
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        s, models = random_tiny_instance(rng)
+        s = replace(s, theta_hi=s.theta_lo + 16.0)
+        grids = build_grids(s)
+        ni, nj = len(grids.e_d), len(grids.theta_d)
+        assert nj == 17
+        table = build_transition_table(s, models, grids)
+        valid, corner00 = (untile(a.reshape(ni, -1), nj) for a in (table.valid, table.corner00))
+        for (i, j, k), step in chain_transitions(s, grids, models).items():
+            assert valid[i, j, k] == (step is not None)
+            if step is not None:
+                # the nearest node of a successor on the grid is one of its corners
+                si, sj, _ = step
+                assert 0 <= si - corner00[i, j, k] // nj <= 1 and 0 <= sj - corner00[i, j, k] % nj <= 1
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_the_tables_int32_corners_reach_the_kernel_without_a_copy(monkeypatch, backend):
     s, models, grids = _cache_instance()
@@ -704,15 +746,24 @@ def test_compiled_kernel_matches_numpy_kernel(int64_format, n_scen):
     assert args["action_kw"].tobytes() == ref["action_kw"].tobytes()
 
 
-def _lane_case(k, ni, nj, ties, n_steps=3, n_scen=1):
+def _lane_case(k, ni, nj, ties, n_steps=3, n_scen=1, corners="random"):
     """backward_pass arguments for n_scen scenarios with K = k actions on
     an ni x nj grid over n_steps steps, every cell in every step's box. With
     ties, costs, weights, fades and prices take a few exact values, so that
     equal candidates sit at different k, some candidates equal the penalty
     and -0.0 meets 0.0, and every other scenario has scale 0.0 (Mode II's);
-    without, they are random, so that rounding shows. Every third cell has
-    all transitions valid, the next one none; invalid transitions carry NaN
-    weights and fades and int32 corners far outside the cost slice."""
+    without, they are random, so that rounding shows. Invalid transitions
+    carry NaN weights and fades and int32 corners far outside the cost
+    slice. The table arrays are built in cell order and passed in tile
+    order, as a TransitionTable holds them.
+
+    corners picks the transitions. "random": random corners, which never
+    form a run (consecutive corner00 along a tile's cells), every third cell
+    with all transitions valid and the next with none. The others are all
+    valid, with the corners of each action a run along the cells that breaks
+    only where it wraps inside the slice, and one lane of each tile and
+    action changed: "runs" changes none, "broken-runs" moves its corner on
+    by one, and "invalid-in-run" makes it invalid."""
     rng = np.random.default_rng(1000 * k + 10 * ni + nj)
 
     def draw(shape, exact_values):
@@ -720,18 +771,34 @@ def _lane_case(k, ni, nj, ties, n_steps=3, n_scen=1):
 
     m, penalty = ni * nj, 8.0
     stride_e, stride_t = (nj if ni > 1 else 0), (1 if nj > 1 else 0)  # what both kernels derive
+    n_corners = m - stride_e - stride_t  # corner00 values whose four corners lie in the slice
     cost = np.zeros((n_scen, n_steps + 1, m))
     cost[:, -1] = draw((n_scen, m), [0.0, -0.0, -0.0, 1.0, penalty])
-    valid = (rng.uniform(size=(m, k)) < 0.6).astype(np.uint8)
-    valid[0::3] = 1
-    valid[1::3] = 0
+    if corners == "random":
+        valid = (rng.uniform(size=(m, k)) < 0.6).astype(np.uint8)
+        valid[0::3] = 1
+        valid[1::3] = 0
+        corner00 = rng.integers(0, n_corners, size=(m, k)).astype(np.int32)
+    else:
+        valid = np.ones((m, k), np.uint8)
+        corner00 = ((rng.integers(0, n_corners, size=k) + np.arange(m)[:, None]) % n_corners).astype(np.int32)
+        # one lane of each tile and action, (Ni, tiles, K), as a cell-order mask
+        widths = np.minimum(TILE, nj - np.arange(0, nj, TILE))
+        lane = rng.integers(0, TILE, size=(ni, len(widths), k)) % widths[:, None]
+        j = np.arange(nj)
+        changed = ((j % TILE)[None, :, None] == lane[:, j // TILE]).reshape(m, k)
+        if corners == "broken-runs":
+            corner00[changed] = (corner00[changed] + 1) % n_corners
+        elif corners == "invalid-in-run":
+            valid[changed] = 0
     invalid = valid == 0
-    corner00 = rng.integers(0, m - stride_e - stride_t, size=(m, k)).astype(np.int32)
     corner00[invalid] = rng.choice([-(2**31 - 1), -m - 1, m, 2**31 - 1], invalid.sum())
     frac_e, frac_theta = draw((2, m, k), [0.0, 0.5, 1.0])
     cyc_fade = draw((m, k), [0.0, -0.0, -0.0, 0.5])
     for a in (frac_e, frac_theta, cyc_fade):
         a[invalid] = np.nan
+    for a in (valid, corner00, frac_e, frac_theta, cyc_fade):
+        _tile(a, nj)
     scale = draw(n_scen, [0.5, 2.0])
     if ties:
         scale[::2] = 0.0
@@ -771,6 +838,26 @@ def _run_both_kernels(args):
 @BATCHES
 def test_compiled_lanes_match_numpy_kernel(k, ni, nj, ties, n_scen):
     _run_both_kernels(_lane_case(k, ni, nj, ties, n_scen=n_scen))
+
+
+@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+@pytest.mark.parametrize("corners", ["runs", "broken-runs", "invalid-in-run"])
+@pytest.mark.parametrize("k", [1, 9, 101])
+@pytest.mark.parametrize("nj", [1, 7, 8, 9, 17, 86])
+@pytest.mark.parametrize("ni", [1, 3])
+@pytest.mark.parametrize("columns", ["whole-rows", "mid-tile"])
+@BATCHES
+def test_compiled_tiles_match_numpy_kernel(corners, k, nj, ni, columns, n_scen):
+    # runs take the compiled kernel's loads, broken runs its gathers, and an
+    # invalid lane leaves a run of the others; nj mod 8 cells form a narrower
+    # tile, and a box whose columns start and end inside a tile computes only
+    # some of its lanes
+    args = _lane_case(k, ni, nj, ties=(k + nj) % 2 == 0, n_scen=n_scen, corners=corners)
+    if columns == "mid-tile":
+        rng = np.random.default_rng(k + nj)
+        left = rng.integers(0, nj, size=len(args["je"]))
+        args["boxes"][:, 2:] = np.stack([left, left + 1 + rng.integers(0, nj - left)], axis=1)
+    _run_both_kernels(args)
 
 
 def _random_span(rng, n_steps, n):
@@ -1256,14 +1343,18 @@ def test_region_holds_every_corner_its_cells_read(model, largest_share):
     nj = len(grids.theta_d)
     computed = _region_mask(grids).reshape(s.grid.n_intervals, -1)
     assert 0 < computed.mean() < largest_share
+    valid, corner00, frac_e, frac_theta = (
+        untile(a.reshape(len(grids.e_d), -1), nj).reshape(a.shape)
+        for a in (table.valid, table.corner00, table.frac_e, table.frac_theta)
+    )
     src, dst = [], []
     for di in (0, 1):
         for dj in (0, 1):
-            weight_e = table.frac_e > 0 if di else table.frac_e < 1
-            weight_t = table.frac_theta > 0 if dj else table.frac_theta < 1
-            cell, k = np.nonzero(table.valid.astype(bool) & weight_e & weight_t)
+            weight_e = frac_e > 0 if di else frac_e < 1
+            weight_t = frac_theta > 0 if dj else frac_theta < 1
+            cell, k = np.nonzero(valid.astype(bool) & weight_e & weight_t)
             src.append(cell)
-            dst.append(table.corner00[cell, k] + di * nj + dj)
+            dst.append(corner00[cell, k] + di * nj + dj)
     src, dst = np.concatenate(src), np.concatenate(dst)
     for n in range(s.grid.n_intervals - 1):
         assert not np.any(computed[n, src] & ~computed[n + 1, dst]), f"step {n}"
