@@ -286,8 +286,10 @@ tile_lanes_of(const Pass *p, Py_ssize_t n, const Py_ssize_t n_scen, Py_ssize_t c
         const __mmask8 valid = _mm512_test_epi64_mask(flags, flags) & box;
         const __m512i c00 = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(
             _mm512_maskz_loadu_epi32((__mmask16)inside, t->corner00 + at)));
-        /* the valid lanes form a run when lane l reads corner00 base + l */
-        const int64_t base = (int64_t)t->corner00[at + lo] - lo;
+        /* the valid lanes form a run when lane l reads corner00 base + l;
+         * base is 0 when no lane is valid, so that nxt + base stays in the
+         * slice whatever an invalid lane's corner00 holds */
+        const int64_t base = valid ? (int64_t)t->corner00[at + lo] - lo : 0;
         const __m512i run = _mm512_add_epi64(lane, _mm512_set1_epi64(base));
         const int loads = _mm512_mask_cmpeq_epi64_mask(valid, c00, run) == valid;
         const __m512d fe = _mm512_maskz_loadu_pd(inside, t->frac_e + at);

@@ -32,9 +32,9 @@ class TransitionTable:
     of its cell l is entry k * w + l. So a row's cells and a tile's actions
     follow one another as in cell order, but a tile's cells lie side by
     side for each action: the compiled kernel computes one cell per vector
-    lane and reads the lanes' entries, and, in a run of successors, their
-    corners, with plain loads. untile gives the cell order back. The
-    successor cost is read by bilinear interpolation of the next cost
+    lane and reads each array's entries for the lanes with one load, and,
+    where the lanes' successors are consecutive cells, their corners too.
+    untile gives the cell order back. The successor cost is read by bilinear interpolation of the next cost
     slice: corner00 is the flattened lower-left grid corner enclosing the
     continuous successor state and (frac_e, frac_theta) its interpolation
     weights. valid marks transitions that satisfy the power bounds, the
@@ -74,7 +74,6 @@ class TransitionTable:
 
 
 TILE = 8  # cells per tile of a table's (M, K) arrays: the compiled kernel's vector lanes
-TILE_BLOCK_CELLS = 1024  # cells _build rewrites in tile order at a time
 
 
 def untile(rows: np.ndarray, width: int) -> np.ndarray:
@@ -97,15 +96,14 @@ def untile(rows: np.ndarray, width: int) -> np.ndarray:
 
 
 def _tile(a: np.ndarray, nj: int) -> None:
-    """Rewrite the (M, K) array a from cell order into tile order, in place,
-    a block of energy rows at a time, so that no second full-size copy is
-    alive."""
+    """Rewrite the C-contiguous (M, K) array a from cell order into tile
+    order, in place, one energy row at a time, so that no second full-size
+    copy is alive."""
     rows = a.reshape(-1, nj * a.shape[1])
     # order[c] is the position in tile order of a row's entry c in cell order
     order = untile(np.arange(rows.shape[1]).reshape(1, -1), nj).reshape(-1)
-    block = max(1, TILE_BLOCK_CELLS // nj)
-    for r0 in range(0, len(rows), block):
-        rows[r0 : r0 + block, order] = rows[r0 : r0 + block].copy()
+    for row in rows:
+        row[order] = row.copy()
 
 
 def table_fingerprint(s: Scenario, models: BatteryModels, grids: DdpGrids) -> str:
