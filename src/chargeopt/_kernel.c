@@ -1335,10 +1335,17 @@ py_backward_pass(PyObject *self, PyObject *args)
     }
     Py_END_ALLOW_THREADS
     if (bad_corner >= 0) {
+        /* the cell and action of the entry, whose tile starts at column j0 */
+        const Py_ssize_t i = bad_corner / (n_cols * n_actions);
+        const Py_ssize_t in_row = bad_corner % (n_cols * n_actions);
+        const Py_ssize_t j0 = in_row / (TILE * n_actions) * TILE;
+        const Py_ssize_t w = n_cols - j0 < TILE ? n_cols - j0 : TILE;
+        const Py_ssize_t in_tile = in_row - j0 * n_actions;
         PyErr_Format(PyExc_ValueError,
-                     "%s: corner00[%zd, %zd] = %ld puts a successor corner outside the %zd cells",
+                     "%s: corner00[%zd, %zd] = %ld (cell %zd, action %zd) puts a successor "
+                     "corner outside the %zd cells",
                      func, bad_corner / n_actions, bad_corner % n_actions,
-                     (long)corner00[bad_corner], m);
+                     (long)corner00[bad_corner], i * n_cols + j0 + in_tile % w, in_tile / w, m);
         goto done;
     }
     if (bad_box >= 0) {

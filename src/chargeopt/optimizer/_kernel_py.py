@@ -3,7 +3,8 @@
 One pass fills the grids of B scenarios that share a transition table.
 Scenario b's candidate for cell c and action k is
 (je_b[k] + (scale_b * cyc_fade(c, k) + cal_b[c])) + interpolated successor,
-cyc_fade(c, k) the table's entry for (c, k), read from its own cost slice. Semantics match the compiled kernel exactly,
+where cyc_fade(c, k) is the table's entry for (c, k) and the successor is
+read from b's own cost slice. Semantics match the compiled kernel exactly,
 including this expression structure and the first-minimum tie rule, so both
 backends produce bit-identical cost and action grids, and a scenario gets the
 same bits in a batch as alone. Mode II passes scale 0.0 and a zero cal, so
@@ -35,9 +36,10 @@ one). For each block it un-tiles the tiles that hold the box's columns
 element by element, so a cell gets the same bits in any block. The
 temporaries are then at most one block of whole tiles by K per scenario,
 whatever the size of the box, so the kernel's memory does not depend on the
-region. Invalid transitions read corner 0 instead of their own corners, as the compiled kernel reads none of them, so both accept the same
-inputs, and both raise ValueError for a box outside the grid, a row count
-that does not divide M or an empty batch.
+region. Invalid transitions read corner 0 instead of their own corners, as
+the compiled kernel reads none of them, so both accept the same inputs, and
+both raise ValueError for a box outside the grid, a row count that does not
+divide M or an empty batch.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def backward_pass(
         cost[:, n] = penalty
         action_kw[:, n] = p_d[0]
         top, bottom, left, right = boxes[n]
-        if left == right:
+        if left == right:  # no column, so no tile to read
             continue
         # the box's columns, widened to whole tiles: [lo, hi) starts a tile, and ends one or the row
         lo, hi = left - left % TILE, min(right + -right % TILE, shape[1])

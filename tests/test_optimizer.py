@@ -1148,18 +1148,34 @@ def test_compiled_kernel_rejects_malformed_buffers(name, misuse, error, match, n
 def test_compiled_kernel_rejects_bad_corners_and_outputs(n_scen):
     kernel = backend_mod._kernel.backward_pass
     m = _kernel_args(n_scen)["valid"].shape[0]
-    # m - 1: its upper corners lie past the slice; the others lie outside it
+    # m - 1: its upper corners lie past the slice; the others lie outside it.
+    # In tile order, entry 9 of the first row's one tile of 3 cells is action 3 of cell 0
     for corner in (m - 1, m, -1, -m - 1, 2**31 - 1, -(2**31 - 1)):
         args = _kernel_args(n_scen)
         args["valid"][2, 1] = 1
         args["corner00"][2, 1] = corner
-        with pytest.raises(ValueError, match=rf"corner00\[2, 1\] = {corner} "):
+        with pytest.raises(ValueError, match=rf"corner00\[2, 1\] = {corner} \(cell 0, action 3\) "):
             kernel(*args.values())
     for name in ("cost", "action_kw"):
         args = _kernel_args(n_scen)
         args[name].flags.writeable = False
         with pytest.raises(ValueError, match=f"{name} is read-only"):
             kernel(*args.values())
+
+
+@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
+def test_a_bad_corner_is_reported_with_its_cell_and_action():
+    # Nj = 11: a whole tile and a narrower one of 3 cells in each of 2 rows
+    ni, nj, k = 2, 11, 3
+    entry_of = untile(np.arange(ni * nj * k).reshape(ni, -1), nj).reshape(ni * nj, k)
+    for cell in range(ni * nj):
+        for action in range(k):
+            args = _lane_case(k, ni, nj, ties=False, corners="runs")  # every transition valid
+            entry = entry_of[cell, action]
+            args["corner00"].flat[entry] = -1
+            match = rf"corner00\[{entry // k}, {entry % k}\] = -1 \(cell {cell}, action {action}\) "
+            with pytest.raises(ValueError, match=match):
+                backend_mod._kernel.backward_pass(*args.values())
 
 
 @pytest.mark.parametrize("kernel", BACKENDS)
