@@ -9,7 +9,8 @@
  *
  * Backward induction. One pass fills the cost and action grids of B
  * scenarios that share a transition table, reading each (cell, action) of
- * the table once. Scenario b's candidate for cell c and action k is
+ * the table once; the action grid holds the index k of each cell's minimum,
+ * as int32. Scenario b's candidate for cell c and action k is
  *     (je_b[k] + (scale_b * cyc_fade(c, k) + cal_b[c])) + interpolated successor,
  * where cyc_fade(c, k) is the table's entry for (c, k) and the successor is
  * read from scenario b's own cost slice. It mirrors
@@ -43,7 +44,7 @@
  * affinity mask is the only control; taskset or os.sched_setaffinity narrows
  * it. At every step the threads claim energy rows from the step's counter,
  * one row at a time; the thread that claims a row fills it with the penalty
- * and p_d[0] in every scenario and computes its cells that lie in the box,
+ * and action 0 in every scenario and computes its cells that lie in the box,
  * so that the same thread fills and computes each row, and a thread on a CPU
  * that another process keeps busy claims fewer rows. The threads then wait
  * at a barrier, because step n - 1 reads the whole of slice n. Each cell's
@@ -58,7 +59,7 @@
  * Step n computes only the cells of its box, the energy rows [boxes[n, 0],
  * boxes[n, 1]) and temperature columns [boxes[n, 2], boxes[n, 3]) of the
  * n_rows x (M / n_rows) grid, in every scenario. Every other cell gets the
- * penalty and the action p_d[0], what a cell without a valid transition gets.
+ * penalty and action 0, what a cell without a valid transition gets.
  * The caller chooses boxes closed under the corners the computed cells read,
  * so that no computed cell reads a cell left out (solver.reachable_region);
  * with the whole grid in every box, this is the plain pass over all M cells.
@@ -92,10 +93,11 @@
  * that each inner loop runs along the rows, or along a layer's outputs, with
  * one independent element per iteration; GCC vectorizes such a loop without
  * changing the operations of any element. -fno-trapping-math lets it turn the
- * clamps of explicit_exp into selects; it changes no value. The network loops
- * are compiled twice, for the baseline target and for AVX-512F, and the second
- * runs where PyInit finds AVX-512F. Neither uses libm's exp, BLAS or threads,
- * so the bits depend on neither the CPU nor the BLAS thread count.
+ * clamps of explicit_exp into selects; it changes no value. On x86-64 Linux
+ * the network loops are compiled twice, for the baseline target and for
+ * AVX-512F (GCC's target_clones), and the loader picks the second on CPUs
+ * with AVX-512F. Neither uses libm's exp, BLAS or threads, so the bits depend
+ * on neither the CPU nor the BLAS thread count.
  *
  * sgd_epoch and temperature_change take a network as its sequence of
  * (weights, bias) pairs, the arrays a ThermalModel holds or learning.fit_mlp
@@ -106,8 +108,8 @@
  * is read through its own strides, which are 0 along the axes it is
  * broadcast over, so that no broadcast copy is made.
  *
- * The module constant LANES, the cells (and network rows) an instruction
- * computes, is 8 where PyInit finds AVX-512F, and 1 elsewhere.
+ * The module constant LANES, the cells an instruction computes, is 8 where
+ * PyInit finds AVX-512F, and 1 elsewhere.
  *
  * The loops do no bounds checks. The binding checks every buffer's item
  * type, dimensions, contiguity, shape and, for an output, writability, and
@@ -134,10 +136,18 @@
 #define HAVE_THREADS 1
 #endif
 
-/* Always inlined, so that each caller compiles its own copy: the baseline
- * and the AVX-512F variant of a network loop each vectorize theirs, and
- * tile_cells gets one per constant batch size. */
+/* Always inlined, so that each caller compiles its own copy: each clone of
+ * a network loop vectorizes its own, and tile_cells gets one per constant
+ * batch size. */
 #define INLINE static inline __attribute__((always_inline))
+
+/* A network loop, compiled once per target; the loader picks the clone the
+ * CPU runs (an ELF ifunc, so Linux only). */
+#if defined(HAVE_AVX512) && defined(__linux__)
+#define CLONES __attribute__((target_clones("avx512f", "default")))
+#else
+#define CLONES
+#endif
 
 /* Cells of a tile computed per instruction: 8 once PyInit finds AVX-512F,
  * else 1. */
@@ -161,13 +171,14 @@ typedef struct {
 } Transitions;
 
 /* The arguments of one backward pass over n_scen scenarios. cost is
- * (n_scen, N + 1, M), action_kw (n_scen, N, M), je (N, n_scen, K), cal
+ * (n_scen, N + 1, M), action (n_scen, N, M), je (N, n_scen, K), cal
  * (n_scen, M) and scale (n_scen,). */
 typedef struct {
     Py_ssize_t n_steps, n_scen, m, n_actions, n_rows;
-    double *cost, *action_kw;
+    double *cost;
+    int32_t *action;
     const Transitions *t;
-    const double *je, *cal, *scale, *p_d;
+    const double *je, *cal, *scale;
     const int64_t *boxes;
 } Pass;
 
@@ -225,10 +236,10 @@ tile_cells_of(const Pass *p, Py_ssize_t n, const Py_ssize_t n_scen, Py_ssize_t c
     }
     for (Py_ssize_t b = 0; b < n_scen; b++) {
         double *cost_n = p->cost + (b * (p->n_steps + 1) + n) * m + cell0;
-        double *action_n = p->action_kw + (b * p->n_steps + n) * m + cell0;
+        int32_t *action_n = p->action + (b * p->n_steps + n) * m + cell0;
         for (Py_ssize_t l = lo; l < hi; l++) {
             cost_n[l] = best[b][l];
-            action_n[l] = p->p_d[best_k[b][l]];
+            action_n[l] = (int32_t)best_k[b][l];
         }
     }
 }
@@ -334,9 +345,9 @@ tile_lanes_of(const Pass *p, Py_ssize_t n, const Py_ssize_t n_scen, Py_ssize_t c
         k_vec = _mm512_add_epi64(k_vec, _mm512_set1_epi64(1));
     }
     for (Py_ssize_t b = 0; b < n_scen; b++) {
-        const __m512d action = _mm512_mask_i64gather_pd(zero, box, lane_k[b], p->p_d, 8);
         _mm512_mask_storeu_pd(p->cost + (b * (p->n_steps + 1) + n) * m + cell0, box, lane_min[b]);
-        _mm512_mask_storeu_pd(p->action_kw + (b * p->n_steps + n) * m + cell0, box, action);
+        _mm512_mask_cvtepi64_storeu_epi32(p->action + (b * p->n_steps + n) * m + cell0, box,
+                                          lane_k[b]);
     }
 }
 
@@ -357,7 +368,7 @@ tile_lanes(const Pass *p, Py_ssize_t n, Py_ssize_t cell0, Py_ssize_t w, Py_ssize
 }
 #endif
 
-/* Row i of slice n of every scenario: the penalty and p_d[0] in every cell,
+/* Row i of slice n of every scenario: the penalty and action 0 in every cell,
  * then the cells of the box computed from slice n + 1, one tile at a time. */
 static void
 step_row(const Pass *p, Py_ssize_t n, Py_ssize_t i)
@@ -365,10 +376,10 @@ step_row(const Pass *p, Py_ssize_t n, Py_ssize_t i)
     const Py_ssize_t m = p->m, n_cols = m / p->n_rows;
     for (Py_ssize_t b = 0; b < p->n_scen; b++) {
         double *cost_i = p->cost + (b * (p->n_steps + 1) + n) * m + i * n_cols;
-        double *action_i = p->action_kw + (b * p->n_steps + n) * m + i * n_cols;
+        int32_t *action_i = p->action + (b * p->n_steps + n) * m + i * n_cols;
         for (Py_ssize_t j = 0; j < n_cols; j++) {
             cost_i[j] = p->t->penalty;
-            action_i[j] = p->p_d[0];
+            action_i[j] = 0;
         }
     }
     const int64_t *box = p->boxes + 4 * n;
@@ -635,7 +646,7 @@ typedef struct {
  * perm[s] that its step computed before updating. Layer l is updated once
  * its gradients and the error it passes down are computed, which is the
  * last time the step reads it. */
-INLINE void
+CLONES static void
 epoch_body(const Epoch *e)
 {
     const Net *net = &e->net;
@@ -866,7 +877,7 @@ typedef struct {
 /* thermal.temperature_change: the features |p|, q_loss, |delta_e| and theta
  * of each element (thermal.feature_matrix), normalized, then the network's
  * output (thermal.predict_batch). */
-INLINE void
+CLONES static void
 thermal_body(const Thermal *t)
 {
     const Py_ssize_t f = t->net.widths[0], size = t->shape.size;
@@ -891,36 +902,6 @@ thermal_body(const Thermal *t)
             t->out[start + r] = y[r] != y[r] ? quiet_nan() : y[r];
     }
 }
-
-static void
-epoch_base(const Epoch *e)
-{
-    epoch_body(e);
-}
-
-static void
-thermal_base(const Thermal *t)
-{
-    thermal_body(t);
-}
-
-#ifdef HAVE_AVX512
-__attribute__((target("avx512f"))) static void
-epoch_avx512(const Epoch *e)
-{
-    epoch_body(e);
-}
-
-__attribute__((target("avx512f"))) static void
-thermal_avx512(const Thermal *t)
-{
-    thermal_body(t);
-}
-#endif
-
-/* The variants PyInit picks: AVX-512F where the CPU has it. */
-static void (*run_epoch)(const Epoch *) = epoch_base;
-static void (*run_thermal)(const Thermal *) = thermal_base;
 
 /* ---- binding ---- */
 
@@ -1232,13 +1213,13 @@ alloc_doubles(Py_ssize_t n)
 }
 
 enum {
-    COST, ACTION, VALID, CORNER00, FRAC_E, FRAC_THETA, CYC_FADE, JE, CAL, SCALE, P_D, BOXES,
+    COST, ACTION, VALID, CORNER00, FRAC_E, FRAC_THETA, CYC_FADE, JE, CAL, SCALE, BOXES,
     N_ARRAYS
 };
 
 static const Spec PASS_SPECS[N_ARRAYS] = {
     [COST] = {"cost", 'd', 3, 1},
-    [ACTION] = {"action_kw", 'd', 3, 1},
+    [ACTION] = {"action", 'i', 3, 1},
     [VALID] = {"valid", 'B', 2, 0},
     [CORNER00] = {"corner00", 'i', 2, 0},
     [FRAC_E] = {"frac_e", 'd', 2, 0},
@@ -1247,23 +1228,23 @@ static const Spec PASS_SPECS[N_ARRAYS] = {
     [JE] = {"je", 'd', 3, 0},
     [CAL] = {"cal", 'd', 2, 0},
     [SCALE] = {"scale", 'd', 1, 0},
-    [P_D] = {"p_d", 'd', 1, 0},
     [BOXES] = {"boxes", 'q', 2, 0},
 };
 
 PyDoc_STRVAR(backward_pass_doc,
-"backward_pass(cost, action_kw, valid, corner00, frac_e, frac_theta,\n"
-"              cyc_fade, je, cal, scale, p_d, penalty, n_rows, boxes)\n"
+"backward_pass(cost, action, valid, corner00, frac_e, frac_theta,\n"
+"              cyc_fade, je, cal, scale, penalty, n_rows, boxes)\n"
 "\n"
 "Backward induction over flattened state cells for B scenarios that share\n"
-"the transition table; fills cost[b, N-1..0] and action_kw[b] in place from\n"
+"the transition table; fills cost[b, N-1..0] and action[b] in place from\n"
 "cost[b, N], computing at step n only the rows [boxes[n, 0], boxes[n, 1])\n"
 "and columns [boxes[n, 2], boxes[n, 3]) of the n_rows x (M / n_rows) grid;\n"
-"the others get penalty and p_d[0]. Arguments as in _kernel_py.backward_pass:\n"
-"C-contiguous float64 cost (B, N+1, M) and action_kw (B, N, M); uint8\n"
+"the others get penalty and action 0. action gets the index of each cell's\n"
+"minimum over the K actions. Arguments as in _kernel_py.backward_pass:\n"
+"C-contiguous float64 cost (B, N+1, M) and int32 action (B, N, M); uint8\n"
 "valid, int32 corner00 and float64 frac_e, frac_theta and cyc_fade, each\n"
-"(M, K) in a TransitionTable's tile order; float64 je (N, B, K), cal (B, M),\n"
-"scale (B,) and p_d (K,); int64 boxes (N, 4).");
+"(M, K) in a TransitionTable's tile order; float64 je (N, B, K), cal (B, M)\n"
+"and scale (B,); int64 boxes (N, 4).");
 
 static PyObject *
 py_backward_pass(PyObject *self, PyObject *args)
@@ -1273,11 +1254,10 @@ py_backward_pass(PyObject *self, PyObject *args)
     PyObject *objs[N_ARRAYS];
     double penalty;
     Py_ssize_t n_rows;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOdnO:backward_pass", &objs[COST],
-                          &objs[ACTION], &objs[VALID], &objs[CORNER00],
-                          &objs[FRAC_E], &objs[FRAC_THETA], &objs[CYC_FADE],
-                          &objs[JE], &objs[CAL], &objs[SCALE], &objs[P_D],
-                          &penalty, &n_rows, &objs[BOXES]))
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOdnO:backward_pass", &objs[COST], &objs[ACTION],
+                          &objs[VALID], &objs[CORNER00], &objs[FRAC_E], &objs[FRAC_THETA],
+                          &objs[CYC_FADE], &objs[JE], &objs[CAL], &objs[SCALE], &penalty,
+                          &n_rows, &objs[BOXES]))
         return NULL;
     Py_buffer views[N_ARRAYS];
     memset(views, 0, sizeof(views));
@@ -1304,7 +1284,6 @@ py_backward_pass(PyObject *self, PyObject *args)
         [JE] = {n_steps, n_scen, n_actions},
         [CAL] = {n_scen, m},
         [SCALE] = {n_scen},
-        [P_D] = {n_actions},
         [BOXES] = {n_steps, 4},
     };
     for (int i = 0; i < N_ARRAYS; i++) {
@@ -1337,7 +1316,7 @@ py_backward_pass(PyObject *self, PyObject *args)
                                views[CYC_FADE].buf, stride_e, stride_t, penalty};
         const Pass pass = {n_steps, n_scen, m, n_actions, n_rows, views[COST].buf,
                            views[ACTION].buf, &t, views[JE].buf, views[CAL].buf,
-                           views[SCALE].buf, views[P_D].buf, boxes};
+                           views[SCALE].buf, boxes};
         backward_pass(&pass);
     }
     Py_END_ALLOW_THREADS
@@ -1460,7 +1439,7 @@ py_sgd_epoch(PyObject *self, PyObject *args)
         .delta_t = scratch + n_grads + 3 * n_acts,
     };
     Py_BEGIN_ALLOW_THREADS
-    run_epoch(&epoch);
+    epoch_body(&epoch);
     Py_END_ALLOW_THREADS
     result = Py_NewRef(Py_None);
 
@@ -1628,7 +1607,7 @@ py_temperature_change(PyObject *self, PyObject *args)
     t.acts = scratch;
     t.features = scratch + n_acts;
     Py_BEGIN_ALLOW_THREADS
-    run_thermal(&t);
+    thermal_body(&t);
     Py_END_ALLOW_THREADS
     result = Py_NewRef(Py_None);
 
@@ -1661,11 +1640,8 @@ PyMODINIT_FUNC
 PyInit__kernel(void)
 {
 #ifdef HAVE_AVX512
-    if (__builtin_cpu_supports("avx512f")) {
+    if (__builtin_cpu_supports("avx512f"))
         lanes = 8;
-        run_epoch = epoch_avx512;
-        run_thermal = thermal_avx512;
-    }
 #endif
     PyObject *mod = PyModule_Create(&module);
     if (mod != NULL && PyModule_AddIntConstant(mod, "LANES", lanes) < 0)

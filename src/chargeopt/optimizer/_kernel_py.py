@@ -1,7 +1,8 @@
 """NumPy fallback for the backward-induction hot loop.
 
-One pass fills the grids of B scenarios that share a transition table.
-Scenario b's candidate for cell c and action k is
+One pass fills the grids of B scenarios that share a transition table: the
+cost of each cell, and in the int32 action grid the index k of the action
+that attains it. Scenario b's candidate for cell c and action k is
 (je_b[k] + (scale_b * cyc_fade(c, k) + cal_b[c])) + interpolated successor,
 where cyc_fade(c, k) is the table's entry for (c, k) and the successor is
 read from b's own cost slice. Semantics match the compiled kernel exactly,
@@ -26,8 +27,8 @@ kernels against.
 Both kernels compute at step n only the cells of its box, the energy rows
 [boxes[n, 0], boxes[n, 1]) and temperature columns [boxes[n, 2],
 boxes[n, 3]) of the n_rows x (M / n_rows) grid, in every scenario; every
-other cell gets the penalty and the action p_d[0], what a cell without a
-valid transition gets. Both work out the strides to a successor's other
+other cell gets the penalty and action index 0, what a cell without a valid
+transition gets. Both work out the strides to a successor's other
 corners from that shape: Nj cells to the next energy row and 1 to the next
 temperature column, or 0 along an axis of a single node.
 Here a step walks its box in blocks of BLOCK_CELLS // Nj rows (at least
@@ -53,7 +54,7 @@ BLOCK_CELLS = 1024  # cells per row block, which bounds the (cells, K) temporari
 
 def backward_pass(
     cost: np.ndarray,  # (B, N+1, M), slices N..0; slice N pre-initialized
-    action_kw: np.ndarray,  # (B, N, M) out
+    action: np.ndarray,  # (B, N, M) int32 out, the index of each cell's minimum
     valid: np.ndarray,  # (M, K) uint8, as all (M, K) arrays in tile order
     corner00: np.ndarray,  # (M, K) int32 flat lower-corner cell of the successor
     frac_e: np.ndarray,  # (M, K)
@@ -62,7 +63,6 @@ def backward_pass(
     je: np.ndarray,  # (N, B, K) energy cost per action and interval, EUR
     cal: np.ndarray,  # (B, M) calendar aging cost per cell, EUR
     scale: np.ndarray,  # (B,) aging cost per unit of fade, EUR
-    p_d: np.ndarray,  # (K,)
     penalty: float,
     n_rows: int,  # Ni, energy rows of Nj = M / Ni cells
     boxes: np.ndarray,  # (N, 4) int64 row range and column range [lo, hi) per step
@@ -72,7 +72,7 @@ def backward_pass(
         raise ValueError("backward_pass: no scenarios (B=0)")
     if n_rows < 1 or valid.shape[0] % n_rows:
         raise ValueError(f"backward_pass: {n_rows} rows, which do not divide M={valid.shape[0]} cells")
-    shape = (n_rows, valid.shape[0] // n_rows, len(p_d))  # (Ni, Nj, K) views of the (M, K) arrays
+    shape = (n_rows, valid.shape[0] // n_rows, je.shape[2])  # (Ni, Nj, K) views of the (M, K) arrays
     stride_e = shape[1] if shape[0] > 1 else 0
     stride_t = 1 if shape[1] > 1 else 0
     if boxes.shape != (n_steps, 4):
@@ -89,14 +89,14 @@ def backward_pass(
     block = max(1, BLOCK_CELLS // shape[1])
     for n in range(n_steps - 1, -1, -1):
         cost[:, n] = penalty
-        action_kw[:, n] = p_d[0]
+        action[:, n] = 0
         top, bottom, left, right = boxes[n]
         if left == right:  # no column, so no tile to read
             continue
         # the box's columns, widened to whole tiles: [lo, hi) starts a tile, and ends one or the row
         lo, hi = left - left % TILE, min(right + -right % TILE, shape[1])
         # views of step n's slices: a 1-D row reshapes without a copy, whatever its stride
-        cost_n, action_n = ([a[b, n].reshape(shape[:2]) for b in range(n_scen)] for a in (cost, action_kw))
+        cost_n, action_n = ([a[b, n].reshape(shape[:2]) for b in range(n_scen)] for a in (cost, action))
         for r0 in range(top, bottom, block):
             box = np.s_[r0 : min(r0 + block, bottom), left:right]
 
@@ -118,4 +118,4 @@ def backward_pass(
                 cand = np.where(mask, cand, penalty)
                 k_best = np.argmin(cand, axis=2)
                 cost_n[b][box] = np.take_along_axis(cand, k_best[..., None], axis=2)[..., 0]
-                action_n[b][box] = p_d[k_best]
+                action_n[b][box] = k_best

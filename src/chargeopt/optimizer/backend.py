@@ -45,7 +45,6 @@ def backward_pass(
     je,
     cal,
     scale,
-    p_d,
     penalty,
     region,
     backend: str | None = None,
@@ -53,8 +52,9 @@ def backward_pass(
     """Run one backward induction over flattened state cells for B
     scenarios that share a transition table.
 
-    cost is the (B, N+1, Ni, Nj) cost grid and action the (B, N, Ni, Nj)
-    action grid of the B scenarios; both are filled in place. valid,
+    cost is the (B, N+1, Ni, Nj) float64 cost grid and action the (B, N,
+    Ni, Nj) int32 action grid of the B scenarios; both are filled in place,
+    action with the index k of each cell's minimum over the K actions. valid,
     corner00 (int32), frac_e, frac_theta and cyc_fade are a
     TransitionTable's (M, K) arrays, in its tile order. Successor costs are
     read by bilinear interpolation from corner00 with weights (frac_e,
@@ -67,7 +67,7 @@ def backward_pass(
     (cell, action) for all B. region, an (N, 4) int array of half-open
     boxes, limits step n to the cells [region[n, 0], region[n, 1]) x
     [region[n, 2], region[n, 3]) of every scenario, and the other cells get
-    penalty and p_d[0]. The table's arrays reach the kernel without a copy.
+    penalty and action 0. The table's arrays reach the kernel without a copy.
     Both kernels keep one first minimum per cell, so ties need no rule
     across the compiled kernel's lanes, each of which computes one cell.
     backend names the kernel; None takes active_backend().
@@ -84,7 +84,6 @@ def backward_pass(
         np.ascontiguousarray(je, dtype=np.float64),
         np.ascontiguousarray(cal, dtype=np.float64),
         np.ascontiguousarray(scale, dtype=np.float64),
-        np.ascontiguousarray(p_d, dtype=np.float64),
         float(penalty),
         ni,
         np.ascontiguousarray(region, dtype=np.int64),

@@ -97,14 +97,15 @@ def nearest_index(grid: np.ndarray, x: float) -> int:
 class DdpGrids:
     """Discretized state/action axes plus the cost and action grids.
 
-    cost has one slice per state instant (N+1 of them); action holds the
-    optimal power in kW for each time interval and state cell.
+    cost has one slice per state instant (N+1 of them); action holds, for
+    each time interval and state cell, the int32 index into p_d of the
+    optimal power (p_d[action[n, i, j]] is the power in kW).
 
     backward_induction computes only the cells the initial cell can reach
     and records them in region, an (N, 4) int64 array of half-open boxes:
     at slice n < N it computed the cells (i, j) with region[n, 0] <= i <
     region[n, 1] and region[n, 2] <= j < region[n, 3]. The other cells of
-    slices 0 to N-1 hold the penalty and the action p_d[0]. After a pass
+    slices 0 to N-1 hold the penalty and action index 0. After a pass
     over every cell, each box is the whole grid; region is None only
     before backward induction. Backward induction replaces cost and action
     with the arrays it fills; the grids solved in one pass (solver.induce)
@@ -142,7 +143,7 @@ def build_grids(s: Scenario) -> DdpGrids:
     cost[n, :, :] = s.penalty
     cost[0, nearest_index(e_d, s.e0), nearest_index(theta_d, s.theta0)] = 0.0
     cost[n, nearest_index(e_d, s.e_target), :] = 0.0
-    action = np.zeros((n, len(e_d), len(theta_d)))
+    action = np.zeros((n, len(e_d), len(theta_d)), np.int32)
     return DdpGrids(e_d=e_d, theta_d=theta_d, p_d=p_d, cost=cost, action=action)
 
 

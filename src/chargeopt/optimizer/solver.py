@@ -78,8 +78,8 @@ def backward_induction(
     nonzero weight. A region cell therefore reads only region cells of the
     next slice, or slice N, and gets the same bits as in a pass over every
     cell: a corner left out carries a zero weight and adds 0 * c = 0, every
-    cost being finite. Cells outside the region hold the penalty and the
-    action p_d[0], the values of a cell without a valid action.
+    cost being finite. Cells outside the region hold the penalty and action
+    index 0, the values of a cell without a valid action.
     grids.region records the region.
 
     This is the one-scenario case of induce, which solves several
@@ -166,7 +166,7 @@ def _backward_pass(models, runs, table, region, backend):
     sell_kwh = np.minimum(grids.p_d, 0.0) * s.grid.dt_h
     e_mesh, th_mesh = np.meshgrid(grids.e_d, grids.theta_d, indexing="ij")
     cost = np.empty((len(runs), *grids.cost.shape))
-    action = np.empty((len(runs), *grids.action.shape))
+    action = np.empty((len(runs), *grids.action.shape), np.int32)
     je = np.empty((s.grid.n_intervals, len(runs), len(grids.p_d)))
     cal = np.zeros((len(runs), e_mesh.size))
     scale = np.zeros(len(runs))
@@ -189,7 +189,6 @@ def _backward_pass(models, runs, table, region, backend):
         je,
         cal,
         scale,
-        grids.p_d,
         s.penalty,
         region,
         backend,
@@ -254,7 +253,7 @@ def _simulate(models: BatteryModels, runs) -> list:
                     continue
                 if grids.cost[n, i, j] >= s.penalty:
                     feasible[k] = False
-                p[k] = float(grids.action[n, i, j])
+                p[k] = float(grids.p_d[grids.action[n, i, j]])
         stepping = []
         for k in running:
             if is_policy[k]:

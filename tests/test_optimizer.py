@@ -100,7 +100,7 @@ def test_build_grids_full_scale_and_init():
     row_mask[i_tgt] = False
     assert np.all(g.cost[n][row_mask, :] == s.penalty)
     assert np.all(g.cost[1:n] == 0.0)
-    assert np.all(g.action == 0.0)
+    assert g.action.dtype == np.int32 and np.all(g.action == 0)
 
 
 def test_nearest_index_rules():
@@ -226,7 +226,7 @@ def test_stay_put_costs_only_calendar_aging():
     backward_induction(s, grids, models)
     i0 = nearest_index(grids.e_d, s.e0)
     j0 = nearest_index(grids.theta_d, s.theta0)
-    assert grids.action[0, i0, j0] == 0.0
+    assert grids.p_d[2] == 0.0 and grids.action[0, i0, j0] == 2
     expected = models.aging.cost_per_fade * calendar_fade(models.aging, 20.0, 3.0, 0.98, 60.0)
     assert grids.cost[0, i0, j0] == pytest.approx(expected, rel=1e-9)
     sol = forward_integration(s, grids, models)
@@ -661,7 +661,7 @@ def test_a_zero_scale_and_cal_add_what_a_zero_aging_array_added(kernel, n_scen):
     run(*args.values())
     run(*zero.values())
     assert args["cost"].tobytes() == zero["cost"].tobytes()
-    assert args["action_kw"].tobytes() == zero["action_kw"].tobytes()
+    assert args["action"].tobytes() == zero["action"].tobytes()
 
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
@@ -707,7 +707,7 @@ def _kernel_args(n_scen):
     cost[:, -1] = rng.uniform(0.0, 5.0, (n_scen, m))
     return dict(
         cost=cost,
-        action_kw=np.zeros((n_scen, n_steps, m)),
+        action=np.zeros((n_scen, n_steps, m), np.int32),
         valid=(rng.uniform(size=(m, k)) < 0.8).astype(np.uint8),
         corner00=rng.integers(0, (ni - 1) * nj - 1, size=(m, k)).astype(np.int32),
         frac_e=rng.uniform(size=(m, k)),
@@ -716,7 +716,6 @@ def _kernel_args(n_scen):
         je=rng.normal(size=(n_steps, n_scen, k)),
         cal=rng.uniform(size=(n_scen, m)),
         scale=rng.uniform(size=n_scen),
-        p_d=np.linspace(-1.0, 1.0, k),
         penalty=1e6,
         n_rows=ni,
         boxes=_whole_grid(n_steps, ni, nj),
@@ -743,7 +742,7 @@ def test_compiled_kernel_matches_numpy_kernel(int64_format, n_scen):
     args["boxes"] = args["boxes"].astype(int64_format)
     backend_mod._kernel.backward_pass(*args.values())
     assert args["cost"].tobytes() == ref["cost"].tobytes()
-    assert args["action_kw"].tobytes() == ref["action_kw"].tobytes()
+    assert args["action"].tobytes() == ref["action"].tobytes()
 
 
 def _lane_case(k, ni, nj, ties, n_steps=3, n_scen=1, corners="random"):
@@ -804,7 +803,7 @@ def _lane_case(k, ni, nj, ties, n_steps=3, n_scen=1, corners="random"):
         scale[::2] = 0.0
     return dict(
         cost=cost,
-        action_kw=np.zeros((n_scen, n_steps, m)),
+        action=np.zeros((n_scen, n_steps, m), np.int32),
         valid=valid,
         corner00=corner00,
         frac_e=frac_e,
@@ -813,7 +812,6 @@ def _lane_case(k, ni, nj, ties, n_steps=3, n_scen=1, corners="random"):
         je=draw((n_steps, n_scen, k), [0.0, -0.0, -0.0, 0.5]),
         cal=draw((n_scen, m), [0.0, -0.0, -0.0, 0.5]),
         scale=scale,
-        p_d=np.arange(k) - k / 2,
         penalty=penalty,
         n_rows=ni,
         boxes=_whole_grid(n_steps, ni, nj),
@@ -827,7 +825,7 @@ def _run_both_kernels(args):
     out = copy.deepcopy(args)
     backend_mod._kernel.backward_pass(*out.values())
     assert out["cost"].tobytes() == ref["cost"].tobytes()
-    assert out["action_kw"].tobytes() == ref["action_kw"].tobytes()
+    assert out["action"].tobytes() == ref["action"].tobytes()
     return ref
 
 
@@ -913,16 +911,16 @@ def test_compiled_kernel_matches_numpy_kernel_on_regions(kind, k, ni, nj, ties, 
     args["boxes"] = REGION_KINDS[kind](rng, len(args["je"]), ni, nj)
     full = _run_both_kernels(_lane_case(k, ni, nj, ties, n_scen=n_scen))
     ref = _run_both_kernels(args)
-    # cells outside the boxes get the penalty and p_d[0]; the last slice is the input
+    # cells outside the boxes get the penalty and action 0; the last slice is the input
     inside = _box_mask(args["boxes"], ni, nj).reshape(len(args["je"]), ni * nj)
     for b in range(n_scen):
         assert np.all(ref["cost"][b, :-1][~inside] == args["penalty"])
-        assert np.all(ref["action_kw"][b][~inside] == args["p_d"][0])
+        assert np.all(ref["action"][b][~inside] == 0)
         assert ref["cost"][b, -1].tobytes() == args["cost"][b, -1].tobytes()
         # the last step reads the whole boundary slice, so its box's cells equal a full pass
         last = inside[-1]
         assert ref["cost"][b, -2][last].tobytes() == full["cost"][b, -2][last].tobytes()
-        assert ref["action_kw"][b, -1][last].tobytes() == full["action_kw"][b, -1][last].tobytes()
+        assert ref["action"][b, -1][last].tobytes() == full["action"][b, -1][last].tobytes()
 
 
 def _boxes_of_both_parities(rng, n_steps, ni, nj):
@@ -1041,7 +1039,7 @@ def test_compiled_kernel_runs_alone_when_no_thread_can_start():
             print("a thread started")
         except RuntimeError:
             print("no thread started")
-        print(all(args[name].tobytes() == ref[name].tobytes() for name in ("cost", "action_kw")))
+        print(all(args[name].tobytes() == ref[name].tobytes() for name in ("cost", "action")))
         """,
         timeout=120,
     )
@@ -1061,7 +1059,7 @@ def test_numpy_kernel_block_size_keeps_every_bit(monkeypatch, kind, block_cells,
     monkeypatch.setattr(_kernel_py, "BLOCK_CELLS", block_cells)
     _kernel_py.backward_pass(**args)
     assert args["cost"].tobytes() == whole["cost"].tobytes()
-    assert args["action_kw"].tobytes() == whole["action_kw"].tobytes()
+    assert args["action"].tobytes() == whole["action"].tobytes()
 
 
 @BATCHES
@@ -1071,10 +1069,10 @@ def test_numpy_kernel_writes_through_non_contiguous_grids(n_scen):
     ref = _kernel_args(n_scen)
     _kernel_py.backward_pass(**ref)
     args = _kernel_args(n_scen)
-    args["cost"], args["action_kw"] = (_non_contiguous(args[name]) for name in ("cost", "action_kw"))
+    args["cost"], args["action"] = (_non_contiguous(args[name]) for name in ("cost", "action"))
     _kernel_py.backward_pass(**args)
     assert np.ascontiguousarray(args["cost"]).tobytes() == ref["cost"].tobytes()
-    assert np.ascontiguousarray(args["action_kw"]).tobytes() == ref["action_kw"].tobytes()
+    assert np.ascontiguousarray(args["action"]).tobytes() == ref["action"].tobytes()
 
 
 @BATCHES
@@ -1113,20 +1111,22 @@ def test_compiled_kernel_uses_lanes_where_the_cpu_has_avx512f():
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 @pytest.mark.parametrize(
     "name",
-    ["cost", "action_kw", "valid", "corner00", "frac_e", "frac_theta", "cyc_fade", "je", "cal", "scale", "p_d", "boxes"],
+    ["cost", "action", "valid", "corner00", "frac_e", "frac_theta", "cyc_fade", "je", "cal", "scale", "boxes"],
 )
 @pytest.mark.parametrize(
     "misuse, error, match",
     [
         (lambda a: a.astype(np.int8 if a.dtype == np.uint8 else np.float32), TypeError, "{name} has item"),
         (lambda a: a.astype(np.int32 if a.dtype == np.int64 else np.int64), TypeError, "{name} has item"),
+        # among them a float64 action: powers in kW where the kernels write indices
+        (lambda a: a.astype(np.int32 if a.dtype == np.float64 else np.float64), TypeError, "{name} has item"),
         (_non_contiguous, ValueError, "{name} is not C-contiguous"),
         # N, B and K are read from je, so a short je is reported on the first array it
         # disagrees with
         (_short, ValueError, "entries along axis"),
         (lambda a: a[None], ValueError, "{name} has [234] dimensions"),
     ],
-    ids=["narrow-or-signed", "wrong-kind", "non-contiguous", "short", "extra-axis"],
+    ids=["narrow-or-signed", "wrong-kind", "float-or-int", "non-contiguous", "short", "extra-axis"],
 )
 @BATCHES
 def test_compiled_kernel_rejects_malformed_buffers(name, misuse, error, match, n_scen):
@@ -1156,7 +1156,7 @@ def test_compiled_kernel_rejects_bad_corners_and_outputs(n_scen):
         args["corner00"][2, 1] = corner
         with pytest.raises(ValueError, match=rf"corner00\[2, 1\] = {corner} \(cell 0, action 3\) "):
             kernel(*args.values())
-    for name in ("cost", "action_kw"):
+    for name in ("cost", "action"):
         args = _kernel_args(n_scen)
         args[name].flags.writeable = False
         with pytest.raises(ValueError, match=f"{name} is read-only"):
@@ -1299,9 +1299,10 @@ def _region_mask(grids):
 
 
 def test_bellman_consistency_post_hoc():
-    # computed cells satisfy the Bellman equation on the snapped chain, the
-    # others hold the penalty and p_d[0], and the computed cells include
-    # every cell the chain reaches from the initial cell
+    # computed cells satisfy the Bellman equation on the snapped chain, with
+    # their action index at a minimum; the others hold the penalty and action
+    # 0, and the computed cells include every cell the chain reaches from the
+    # initial cell
     from chargeopt.tariff import interval_prices
 
     rng = np.random.default_rng(55)
@@ -1326,19 +1327,19 @@ def test_bellman_consistency_post_hoc():
                 for j in range(len(grids.theta_d)):
                     if not computed[n, i, j]:
                         assert grids.cost[n, i, j] == s.penalty
-                        assert grids.action[n, i, j] == grids.p_d[0]
+                        assert grids.action[n, i, j] == 0
                         continue
-                    best = np.inf
+                    cands = []
                     for k, p in enumerate(grids.p_d):
                         tr = trans[i, j, k]
                         if tr is None:
-                            cand = s.penalty
+                            cands.append(s.penalty)
                         else:
                             si, sj, jd = tr
                             je = max(p, 0.0) * dt_h * eps_buy[n] + min(p, 0.0) * dt_h * eps_sell[n]
-                            cand = (je + jd) + grids.cost[n + 1, si, sj]
-                        best = min(best, cand)
-                    assert grids.cost[n, i, j] == pytest.approx(best, abs=1e-9)
+                            cands.append((je + jd) + grids.cost[n + 1, si, sj])
+                    assert grids.cost[n, i, j] == pytest.approx(min(cands), abs=1e-9)
+                    assert cands[grids.action[n, i, j]] == pytest.approx(min(cands), abs=1e-9)
     assert left_out > 0
 
 
@@ -1398,7 +1399,7 @@ def test_region_cells_equal_a_full_pass_at_full_scale(backend):
     assert grids.cost[:-1][computed].tobytes() == full.cost[:-1][computed].tobytes()
     assert grids.action[computed].tobytes() == full.action[computed].tobytes()
     assert np.all(grids.cost[:-1][~computed] == s.penalty)
-    assert np.all(grids.action[~computed] == grids.p_d[0])
+    assert np.all(grids.action[~computed] == 0)
     assert grids.cost[-1].tobytes() == full.cost[-1].tobytes()
 
 
