@@ -31,12 +31,14 @@
  * tile_lanes computes the lanes of a tile with one vector instruction per
  * operation. Each lane does the same IEEE multiplies and adds as the scalar
  * loop tile_cells, in the same order and as separate instructions (no FMA),
- * so a candidate has the same bits in a lane as in the scalar loop. When the
- * valid lanes of an action read consecutive corner00 (a run), the four
- * corners of every lane are four masked loads from the successor slice;
- * otherwise four masked gathers. Invalid transitions and lanes outside the
- * box or the tile are masked out, so their corners are never read. The
- * scalar loop runs on other compilers and CPUs.
+ * so a candidate has the same bits in a lane as in the scalar loop. An
+ * invalid transition has corner00 = -1, so the lanes that are valid are
+ * those whose corner00 is not negative, from one compare on the corners
+ * already loaded. When the valid lanes of an action read consecutive
+ * corner00 (a run), the four corners of every lane are four masked loads
+ * from the successor slice; otherwise four masked gathers. Invalid
+ * transitions and lanes outside the box or the tile are masked out, so their
+ * corners are never read. The scalar loop runs on other compilers and CPUs.
  *
  * On Linux the pass runs on T threads, the calling thread and T - 1 threads
  * started for the call, where T is the number of CPUs in the process's
@@ -113,9 +115,9 @@
  *
  * The loops do no bounds checks. The binding checks every buffer's item
  * type, dimensions, contiguity, shape and, for an output, writability, and
- * every index it reads (every valid successor corner, once per call whatever
- * B is, every box, the permutation and the feature columns) before it runs a
- * loop with the GIL released.
+ * every index it reads (every successor corner, once per call whatever B is,
+ * every box, the permutation and the feature columns) before it runs a loop
+ * with the GIL released.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -158,9 +160,9 @@ static int lanes = 1;
 /* Cells per tile of the table's layout, whatever the CPU. */
 #define TILE 8
 
-/* The (M, K) transition arrays of one backward pass, in tile order. */
+/* The (M, K) transition arrays of one backward pass, in tile order; an
+ * invalid transition has corner00 = -1. */
 typedef struct {
-    const unsigned char *valid;
     const int32_t *corner00;
     const double *frac_e;
     const double *frac_theta;
@@ -206,7 +208,8 @@ tile_cells_of(const Pass *p, Py_ssize_t n, const Py_ssize_t n_scen, Py_ssize_t c
     for (Py_ssize_t k = 0; k < n_actions; k++) {
         const Py_ssize_t at = cell0 * n_actions + k * w; /* action k of lane 0 */
         for (Py_ssize_t l = lo; l < hi; l++) {
-            if (!t->valid[at + l]) {
+            const int64_t c00 = t->corner00[at + l];
+            if (c00 < 0) {
                 for (Py_ssize_t b = 0; b < n_scen; b++) {
                     if (t->penalty < best[b][l]) {
                         best[b][l] = t->penalty;
@@ -215,7 +218,6 @@ tile_cells_of(const Pass *p, Py_ssize_t n, const Py_ssize_t n_scen, Py_ssize_t c
                 }
                 continue;
             }
-            const int64_t c00 = t->corner00[at + l];
             const double fe = t->frac_e[at + l];
             const double ft = t->frac_theta[at + l];
             const double cyc = t->cyc_fade[at + l];
@@ -258,13 +260,13 @@ tile_cells(const Pass *p, Py_ssize_t n, Py_ssize_t cell0, Py_ssize_t w, Py_ssize
 }
 
 #ifdef HAVE_AVX512
-/* tile_cells_of with one cell per lane. The valid lanes of action k read
- * their corners with four masked loads when their corner00 are consecutive
- * (a run), as they are in most tiles of a table, and with four masked
- * gathers otherwise (gathers alone made a full-scale pass 13-42% slower);
- * invalid lanes and lanes outside the box or the tile read nothing. A
- * constant n_scen unrolls the loops over the batch and keeps the lane minima
- * in registers. */
+/* tile_cells_of with one cell per lane. The valid lanes of action k, those
+ * of the box whose corner00 is not -1, read their corners with four masked
+ * loads when their corner00 are consecutive (a run), as they are in most
+ * tiles of a table, and with four masked gathers otherwise (gathers alone
+ * made a full-scale pass 13-42% slower); invalid lanes and lanes outside
+ * the box or the tile read nothing. A constant n_scen unrolls the loops
+ * over the batch and keeps the lane minima in registers. */
 __attribute__((target("avx512f"), always_inline)) static inline void
 tile_lanes_of(const Pass *p, Py_ssize_t n, const Py_ssize_t n_scen, Py_ssize_t cell0,
               const Py_ssize_t w, Py_ssize_t lo, Py_ssize_t hi)
@@ -274,6 +276,7 @@ tile_lanes_of(const Pass *p, Py_ssize_t n, const Py_ssize_t n_scen, Py_ssize_t c
     const __m512d one = _mm512_set1_pd(1.0);
     const __m512d zero = _mm512_setzero_pd();
     const __m512d penalty = _mm512_set1_pd(t->penalty);
+    const __m512i zero_i = _mm512_setzero_si512();
     const __m512i stride_e = _mm512_set1_epi64(t->stride_e);
     const __m512i stride_t = _mm512_set1_epi64(t->stride_t);
     const __mmask8 inside = (__mmask8)((1u << w) - 1);              /* the tile's lanes */
@@ -294,20 +297,16 @@ tile_lanes_of(const Pass *p, Py_ssize_t n, const Py_ssize_t n_scen, Py_ssize_t c
     __m512i k_vec = _mm512_setzero_si512();
     for (Py_ssize_t k = 0; k < n_actions; k++) {
         const Py_ssize_t at = cell0 * n_actions + k * w; /* action k of lane 0 */
-        uint64_t bytes = 0;
-        memcpy(&bytes, t->valid + at, (size_t)w);
-        /* one bit per nonzero byte, from 128-bit integer operations, which
-         * made a full-scale pass of one scenario 3-8% faster than widening
-         * the bytes to 512 bits */
-        const int zero_bytes = _mm_movemask_epi8(
-            _mm_cmpeq_epi8(_mm_cvtsi64_si128((long long)bytes), _mm_setzero_si128()));
-        const __mmask8 valid = (__mmask8)~zero_bytes & box;
         const __m512i c00 = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(
             _mm512_maskz_loadu_epi32((__mmask16)inside, t->corner00 + at)));
-        /* the valid lanes form a run when lane l reads corner00 base + l;
-         * base is 0 when no lane is valid, so that nxt + base stays in the
-         * slice whatever an invalid lane's corner00 holds */
-        const int64_t base = valid ? (int64_t)t->corner00[at + lo] - lo : 0;
+        const __mmask8 valid = _mm512_mask_cmpge_epi64_mask(box, c00, zero_i);
+        /* the valid lanes form a run when lane l reads corner00 base + l,
+         * base taken from lane lo whether it is valid or not, which keeps the
+         * scalar load off the compare's path (a base from the first valid
+         * lane was slower); every corner00 lies in [-1, M), so nxt + base
+         * stays within TILE cells of the slice, and the loads read only the
+         * valid lanes */
+        const int64_t base = (int64_t)t->corner00[at + lo] - lo;
         const __m512i run = _mm512_add_epi64(lane, _mm512_set1_epi64(base));
         const int loads = _mm512_mask_cmpeq_epi64_mask(valid, c00, run) == valid;
         const __m512d fe = _mm512_maskz_loadu_pd(inside, t->frac_e + at);
@@ -997,15 +996,16 @@ check_length(const char *func, const Py_buffer *view, const char *name, int axis
     return -1;
 }
 
-/* Index of the first valid transition whose four successor corners are not
- * all inside a cost slice of m cells, or -1 when every one is. */
+/* Index of the first entry of corner00 that is neither -1 (an invalid
+ * transition) nor a corner whose four successor corners all lie inside a
+ * cost slice of m cells, or -1 when there is none. */
 static Py_ssize_t
-first_bad_corner(Py_ssize_t size, Py_ssize_t m, const unsigned char *valid,
-                 const int32_t *corner00, int64_t stride_e, int64_t stride_t)
+first_bad_corner(Py_ssize_t size, Py_ssize_t m, const int32_t *corner00, int64_t stride_e,
+                 int64_t stride_t)
 {
     const int64_t limit = (int64_t)m - stride_e - stride_t;
     for (Py_ssize_t i = 0; i < size; i++) {
-        if (valid[i] && (corner00[i] < 0 || corner00[i] >= limit))
+        if (corner00[i] < -1 || corner00[i] >= limit)
             return i;
     }
     return -1;
@@ -1213,14 +1213,13 @@ alloc_doubles(Py_ssize_t n)
 }
 
 enum {
-    COST, ACTION, VALID, CORNER00, FRAC_E, FRAC_THETA, CYC_FADE, JE, CAL, SCALE, BOXES,
+    COST, ACTION, CORNER00, FRAC_E, FRAC_THETA, CYC_FADE, JE, CAL, SCALE, BOXES,
     N_ARRAYS
 };
 
 static const Spec PASS_SPECS[N_ARRAYS] = {
     [COST] = {"cost", 'd', 3, 1},
     [ACTION] = {"action", 'i', 3, 1},
-    [VALID] = {"valid", 'B', 2, 0},
     [CORNER00] = {"corner00", 'i', 2, 0},
     [FRAC_E] = {"frac_e", 'd', 2, 0},
     [FRAC_THETA] = {"frac_theta", 'd', 2, 0},
@@ -1232,8 +1231,8 @@ static const Spec PASS_SPECS[N_ARRAYS] = {
 };
 
 PyDoc_STRVAR(backward_pass_doc,
-"backward_pass(cost, action, valid, corner00, frac_e, frac_theta,\n"
-"              cyc_fade, je, cal, scale, penalty, n_rows, boxes)\n"
+"backward_pass(cost, action, corner00, frac_e, frac_theta, cyc_fade,\n"
+"              je, cal, scale, penalty, n_rows, boxes)\n"
 "\n"
 "Backward induction over flattened state cells for B scenarios that share\n"
 "the transition table; fills cost[b, N-1..0] and action[b] in place from\n"
@@ -1241,10 +1240,10 @@ PyDoc_STRVAR(backward_pass_doc,
 "and columns [boxes[n, 2], boxes[n, 3]) of the n_rows x (M / n_rows) grid;\n"
 "the others get penalty and action 0. action gets the index of each cell's\n"
 "minimum over the K actions. Arguments as in _kernel_py.backward_pass:\n"
-"C-contiguous float64 cost (B, N+1, M) and int32 action (B, N, M); uint8\n"
-"valid, int32 corner00 and float64 frac_e, frac_theta and cyc_fade, each\n"
-"(M, K) in a TransitionTable's tile order; float64 je (N, B, K), cal (B, M)\n"
-"and scale (B,); int64 boxes (N, 4).");
+"C-contiguous float64 cost (B, N+1, M) and int32 action (B, N, M); int32\n"
+"corner00, -1 for an invalid transition, and float64 frac_e, frac_theta and\n"
+"cyc_fade, each (M, K) in a TransitionTable's tile order; float64 je\n"
+"(N, B, K), cal (B, M) and scale (B,); int64 boxes (N, 4).");
 
 static PyObject *
 py_backward_pass(PyObject *self, PyObject *args)
@@ -1254,10 +1253,10 @@ py_backward_pass(PyObject *self, PyObject *args)
     PyObject *objs[N_ARRAYS];
     double penalty;
     Py_ssize_t n_rows;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOdnO:backward_pass", &objs[COST], &objs[ACTION],
-                          &objs[VALID], &objs[CORNER00], &objs[FRAC_E], &objs[FRAC_THETA],
-                          &objs[CYC_FADE], &objs[JE], &objs[CAL], &objs[SCALE], &penalty,
-                          &n_rows, &objs[BOXES]))
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOdnO:backward_pass", &objs[COST], &objs[ACTION],
+                          &objs[CORNER00], &objs[FRAC_E], &objs[FRAC_THETA], &objs[CYC_FADE],
+                          &objs[JE], &objs[CAL], &objs[SCALE], &penalty, &n_rows,
+                          &objs[BOXES]))
         return NULL;
     Py_buffer views[N_ARRAYS];
     memset(views, 0, sizeof(views));
@@ -1267,7 +1266,7 @@ py_backward_pass(PyObject *self, PyObject *args)
     const Py_ssize_t n_steps = views[JE].shape[0];
     const Py_ssize_t n_scen = views[JE].shape[1];
     const Py_ssize_t n_actions = views[JE].shape[2];
-    const Py_ssize_t m = views[VALID].shape[0];
+    const Py_ssize_t m = views[CORNER00].shape[0];
     if (n_rows < 1 || m % n_rows != 0) {
         PyErr_Format(PyExc_ValueError, "%s: %zd rows, which do not divide M=%zd cells", func,
                      n_rows, m);
@@ -1276,7 +1275,6 @@ py_backward_pass(PyObject *self, PyObject *args)
     const Py_ssize_t want[N_ARRAYS][3] = {
         [COST] = {n_scen, n_steps + 1, m},
         [ACTION] = {n_scen, n_steps, m},
-        [VALID] = {m, n_actions},
         [CORNER00] = {m, n_actions},
         [FRAC_E] = {m, n_actions},
         [FRAC_THETA] = {m, n_actions},
@@ -1304,15 +1302,14 @@ py_backward_pass(PyObject *self, PyObject *args)
     const int64_t stride_e = n_rows > 1 ? n_cols : 0;
     const int64_t stride_t = n_cols > 1 ? 1 : 0;
 
-    const unsigned char *valid = views[VALID].buf;
     const int32_t *corner00 = views[CORNER00].buf;
     const int64_t *boxes = views[BOXES].buf;
     Py_ssize_t bad_corner, bad_box;
     Py_BEGIN_ALLOW_THREADS
-    bad_corner = first_bad_corner(m * n_actions, m, valid, corner00, stride_e, stride_t);
+    bad_corner = first_bad_corner(m * n_actions, m, corner00, stride_e, stride_t);
     bad_box = first_bad_box(n_steps, n_rows, n_cols, boxes);
     if (bad_corner < 0 && bad_box < 0) {
-        const Transitions t = {valid, corner00, views[FRAC_E].buf, views[FRAC_THETA].buf,
+        const Transitions t = {corner00, views[FRAC_E].buf, views[FRAC_THETA].buf,
                                views[CYC_FADE].buf, stride_e, stride_t, penalty};
         const Pass pass = {n_steps, n_scen, m, n_actions, n_rows, views[COST].buf,
                            views[ACTION].buf, &t, views[JE].buf, views[CAL].buf,

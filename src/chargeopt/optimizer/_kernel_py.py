@@ -12,6 +12,9 @@ same bits in a batch as alone. Mode II passes scale 0.0 and a zero cal, so
 its aging term is 0.0 * cyc + 0.0 = +0.0 for every finite cyc_fade, the term
 a zero aging array would give.
 
+An invalid transition has corner00 = -1, its other entries any value: its
+candidate is the penalty.
+
 The (M, K) table arrays come in a TransitionTable's tile order: each energy
 row's cells in tiles of TILE adjacent cells (the row's last Nj mod TILE
 cells one narrower tile), and within a tile action k of every cell before
@@ -37,10 +40,12 @@ one). For each block it un-tiles the tiles that hold the box's columns
 element by element, so a cell gets the same bits in any block. The
 temporaries are then at most one block of whole tiles by K per scenario,
 whatever the size of the box, so the kernel's memory does not depend on the
-region. Invalid transitions read corner 0 instead of their own corners, as
-the compiled kernel reads none of them, so both accept the same inputs, and
-both raise ValueError for a box outside the grid, a row count that does not
-divide M or an empty batch.
+region. Invalid transitions read corner 0 in place of their -1, and their
+candidates are then replaced by the penalty; the compiled kernel reads no
+corner for them. Both kernels accept the same inputs: both raise TypeError
+for an array of another item type, and ValueError for a corner00 entry
+below -1 or with a successor corner outside the M cells, for a box outside
+the grid, a row count that does not divide M or an empty batch.
 """
 
 from __future__ import annotations
@@ -55,8 +60,7 @@ BLOCK_CELLS = 1024  # cells per row block, which bounds the (cells, K) temporari
 def backward_pass(
     cost: np.ndarray,  # (B, N+1, M), slices N..0; slice N pre-initialized
     action: np.ndarray,  # (B, N, M) int32 out, the index of each cell's minimum
-    valid: np.ndarray,  # (M, K) uint8, as all (M, K) arrays in tile order
-    corner00: np.ndarray,  # (M, K) int32 flat lower-corner cell of the successor
+    corner00: np.ndarray,  # (M, K) int32 flat lower-corner cell of the successor, -1 if invalid; tile order
     frac_e: np.ndarray,  # (M, K)
     frac_theta: np.ndarray,  # (M, K)
     cyc_fade: np.ndarray,  # (M, K) cyclic fade fraction per transition
@@ -67,14 +71,43 @@ def backward_pass(
     n_rows: int,  # Ni, energy rows of Nj = M / Ni cells
     boxes: np.ndarray,  # (N, 4) int64 row range and column range [lo, hi) per step
 ) -> None:
+    # the item types the compiled kernel requires
+    for name, a, dtype in (
+        ("cost", cost, np.float64),
+        ("action", action, np.int32),
+        ("corner00", corner00, np.int32),
+        ("frac_e", frac_e, np.float64),
+        ("frac_theta", frac_theta, np.float64),
+        ("cyc_fade", cyc_fade, np.float64),
+        ("je", je, np.float64),
+        ("cal", cal, np.float64),
+        ("scale", scale, np.float64),
+        ("boxes", boxes, np.int64),
+    ):
+        if a.dtype != dtype:
+            raise TypeError(f"backward_pass: {name} has item type {a.dtype}, expected {np.dtype(dtype)}")
     n_steps, n_scen = je.shape[:2]
     if n_scen < 1:
         raise ValueError("backward_pass: no scenarios (B=0)")
-    if n_rows < 1 or valid.shape[0] % n_rows:
-        raise ValueError(f"backward_pass: {n_rows} rows, which do not divide M={valid.shape[0]} cells")
-    shape = (n_rows, valid.shape[0] // n_rows, je.shape[2])  # (Ni, Nj, K) views of the (M, K) arrays
+    m = corner00.shape[0]
+    if n_rows < 1 or m % n_rows:
+        raise ValueError(f"backward_pass: {n_rows} rows, which do not divide M={m} cells")
+    shape = (n_rows, m // n_rows, je.shape[2])  # (Ni, Nj, K) views of the (M, K) arrays
     stride_e = shape[1] if shape[0] > 1 else 0
     stride_t = 1 if shape[1] > 1 else 0
+    bad = (corner00 < -1) | (corner00 >= m - stride_e - stride_t)
+    if bad.any():
+        at = int(np.flatnonzero(bad)[0])  # the first in tile order, as the compiled kernel reports
+        # the cell and action of the entry, whose tile starts at column j0
+        i, in_row = divmod(at, shape[1] * shape[2])
+        j0 = in_row // (TILE * shape[2]) * TILE
+        w = min(shape[1] - j0, TILE)
+        in_tile = in_row - j0 * shape[2]
+        raise ValueError(
+            f"backward_pass: corner00[{at // shape[2]}, {at % shape[2]}] = {corner00.flat[at]} "
+            f"(cell {i * shape[1] + j0 + in_tile % w}, action {in_tile // w}) "
+            f"puts a successor corner outside the {m} cells"
+        )
     if boxes.shape != (n_steps, 4):
         raise ValueError(f"backward_pass: boxes has shape {boxes.shape}, expected ({n_steps}, 4)")
     outside = (boxes[:, ::2] < 0) | (boxes[:, ::2] > boxes[:, 1::2]) | (boxes[:, 1::2] > shape[:2])
@@ -105,8 +138,9 @@ def backward_pass(
                 tiles = a.reshape(shape[0], -1)[box[0], lo * shape[2] : hi * shape[2]]
                 return untile(tiles, hi - lo)[:, left - lo : right - lo]
 
-            mask = cells(valid) != 0
-            c = np.where(mask, cells(corner00), 0)
+            c = cells(corner00)
+            mask = c >= 0
+            c = np.maximum(c, 0)  # an invalid transition's -1 reads corner 0
             fe, ft, cyc = cells(frac_e), cells(frac_theta), cells(cyc_fade)
             ge, gt = 1.0 - fe, 1.0 - ft
             for b in range(n_scen):

@@ -37,11 +37,11 @@ def active_backend() -> str:
 def backward_pass(
     cost,
     action,
-    valid,
     corner00,
     frac_e,
     frac_theta,
     cyc_fade,
+    *,
     je,
     cal,
     scale,
@@ -54,12 +54,13 @@ def backward_pass(
 
     cost is the (B, N+1, Ni, Nj) float64 cost grid and action the (B, N,
     Ni, Nj) int32 action grid of the B scenarios; both are filled in place,
-    action with the index k of each cell's minimum over the K actions. valid,
+    action with the index k of each cell's minimum over the K actions.
     corner00 (int32), frac_e, frac_theta and cyc_fade are a
     TransitionTable's (M, K) arrays, in its tile order. Successor costs are
     read by bilinear interpolation from corner00 with weights (frac_e,
-    frac_theta). Scenario b's candidate for cell c and action k is
-    (je[n, b, k] + (scale[b] * cyc_fade(c, k) + cal[b, c])) + successor
+    frac_theta); a transition with corner00 = -1 is invalid, and its
+    candidate is the penalty. Scenario b's candidate for cell c and action
+    k is (je[n, b, k] + (scale[b] * cyc_fade(c, k) + cal[b, c])) + successor
     cost, where cyc_fade(c, k) is the table's entry for (c, k), je is
     (N, B, K), cal (B, M) the calendar cost per cell and scale (B,) the cost
     per unit of fade, 0.0 with a zero cal to leave aging out of the
@@ -70,13 +71,13 @@ def backward_pass(
     penalty and action 0. The table's arrays reach the kernel without a copy.
     Both kernels keep one first minimum per cell, so ties need no rule
     across the compiled kernel's lanes, each of which computes one cell.
-    backend names the kernel; None takes active_backend().
+    backend names the kernel; None takes active_backend(). The arguments
+    after the table's arrays are keyword-only.
     """
     n_scen, n_plus_1, ni, nj = cost.shape
     args = (
         cost.reshape(n_scen, n_plus_1, ni * nj),
         action.reshape(n_scen, n_plus_1 - 1, ni * nj),
-        np.ascontiguousarray(valid, dtype=np.uint8),
         np.ascontiguousarray(corner00, dtype=np.int32),
         np.ascontiguousarray(frac_e, dtype=np.float64),
         np.ascontiguousarray(frac_theta, dtype=np.float64),

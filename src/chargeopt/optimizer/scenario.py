@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,14 @@ def nearest_indices(grid: np.ndarray, x) -> np.ndarray:
     return np.where(pick_lo, lo, hi)
 
 
-def nearest_index(grid: np.ndarray, x: float) -> int:
-    return int(nearest_indices(np.asarray(grid, float), x))
+def nearest_index(grid, x: float) -> int:
+    """nearest_indices for one value x, on an ascending grid given as an
+    array or a list (a list of floats is the faster one to search)."""
+    n = len(grid)
+    # a NaN sorts last, as in np.searchsorted
+    hi = n - 1 if x != x else min(bisect_left(grid, x), n - 1)
+    lo = max(hi - 1, 0)
+    return lo if abs(x - grid[lo]) <= abs(grid[hi] - x) else hi
 
 
 @dataclass

@@ -28,7 +28,7 @@ from ..aging import aging_cost, calendar_fade
 from ..core import BatteryState, CostBreakdown
 from ..errors import InfeasiblePowerError, InvalidParameterError
 from . import backend as backend_mod
-from .scenario import BatteryModels, DdpGrids, Scenario, build_grids, nearest_index, nearest_indices
+from .scenario import BatteryModels, DdpGrids, Scenario, build_grids, nearest_index
 from .transitions import TransitionTable, build_transition_table
 
 
@@ -181,17 +181,16 @@ def _backward_pass(models, runs, table, region, backend):
     backend_mod.backward_pass(
         cost,
         action,
-        table.valid,
         table.corner00,
         table.frac_e,
         table.frac_theta,
         table.cyc_fade,
-        je,
-        cal,
-        scale,
-        s.penalty,
-        region,
-        backend,
+        je=je,
+        cal=cal,
+        scale=scale,
+        penalty=s.penalty,
+        region=region,
+        backend=backend,
     )
     for b, (_, grids_b) in enumerate(runs):
         grids_b.cost, grids_b.action, grids_b.region = cost[b], action[b], region.copy()
@@ -204,11 +203,15 @@ def _simulate(models: BatteryModels, runs) -> list:
     replay) or filled DdpGrids (a policy rollout). The scenarios may differ
     in include_aging_in_objective alone, which the loop does not read, and
     the policy rows share their grid axes. Each interval makes one
-    thermal.step and one aging_cost call over the rows still running. Both
-    are batch-invariant, so a row gets the bits it gets alone. A row whose
-    step fails stops there with a note; that step's calls are then made
-    row by row to find the rows that fail. A policy row that reads a cell of
-    a slice n < N outside its grids.region stops and gives None.
+    thermal.step call over the rows still running, and after the last
+    interval one aging_cost call costs every row's completed intervals.
+    Both are batch-invariant, so a row gets the bits it gets alone; the
+    aging costs are added into the totals in interval order, as a call per
+    interval would add them. A row whose step fails stops there with a
+    note; that step's calls are then made row by row to find the rows that
+    fail. aging_cost cannot fail: the scenario has checked soh0 and dt. A
+    policy row that reads a cell of a slice n < N outside its grids.region
+    stops and gives None.
     """
     s = runs[0][0]
     n_steps = s.grid.n_intervals
@@ -216,13 +219,18 @@ def _simulate(models: BatteryModels, runs) -> list:
     dt_h = s.grid.dt_h
     rows = [row for _, row in runs]
     is_policy = [isinstance(row, DdpGrids) for row in rows]
-    axes = next(((row.e_d, row.theta_d) for row, pol in zip(rows, is_policy) if pol), None)
+    # as lists, which nearest_index searches faster than arrays
+    e_axis, theta_axis = next(
+        ((row.e_d.tolist(), row.theta_d.tolist()) for row, pol in zip(rows, is_policy) if pol), (None, None)
+    )
     p_star = [np.zeros(n_steps) for _ in rows]
     e_traj = [np.empty(n_steps + 1) for _ in rows]
     theta_traj = [np.empty(n_steps + 1) for _ in rows]
+    delta_e_steps = [np.empty(n_steps) for _ in rows]
     j_e_steps = [np.zeros(n_steps) for _ in rows]
     j_d_steps = [np.zeros(n_steps) for _ in rows]
     totals = [[0.0] * 4 for _ in rows]  # buy, sell, cyc, cal
+    completed = [0] * len(rows)  # intervals each row has stepped
     feasible = [True] * len(rows)
     notes: list[list[str]] = [[] for _ in rows]
     left = [False] * len(rows)
@@ -239,14 +247,11 @@ def _simulate(models: BatteryModels, runs) -> list:
     running = list(range(len(rows)))
     for n in range(n_steps):
         p = {}
-        on_policy = [k for k in running if is_policy[k]]
-        if on_policy:
-            cells = zip(
-                nearest_indices(axes[0], [e[k] for k in on_policy]).tolist(),
-                nearest_indices(axes[1], [th[k] for k in on_policy]).tolist(),
-            )
-            for k, (i, j) in zip(on_policy, cells):
+        stepping = []
+        for k in running:
+            if is_policy[k]:
                 grids = rows[k]
+                i, j = nearest_index(e_axis, e[k]), nearest_index(theta_axis, th[k])
                 top, bottom, lft, rgt = grids.region[n]
                 if not (top <= i < bottom and lft <= j < rgt):
                     left[k] = True
@@ -254,11 +259,6 @@ def _simulate(models: BatteryModels, runs) -> list:
                 if grids.cost[n, i, j] >= s.penalty:
                     feasible[k] = False
                 p[k] = float(grids.p_d[grids.action[n, i, j]])
-        stepping = []
-        for k in running:
-            if is_policy[k]:
-                if left[k]:
-                    continue
             else:
                 p[k] = float(rows[k][n])
                 if not s.p_lo - 1e-12 <= p[k] <= s.p_hi + 1e-12:
@@ -291,30 +291,46 @@ def _simulate(models: BatteryModels, runs) -> list:
             if isinstance(step, Exception):
                 stop(k, n, p[k], step)
                 continue
-            delta_e, d_theta, j_cyc, j_cal = step
+            delta_e, d_theta = step
             j_buy = max(p[k], 0.0) * dt_h * eps_buy[n]
             j_sell = min(p[k], 0.0) * dt_h * eps_sell[n]
             p_star[k][n] = p[k]
             total = totals[k]
             total[0] += j_buy
             total[1] += j_sell
-            total[2] += j_cyc
-            total[3] += j_cal
             j_e_steps[k][n] = j_buy + j_sell
-            j_d_steps[k][n] = j_cyc + j_cal
+            delta_e_steps[k][n] = delta_e
             e[k] += delta_e
             th[k] += d_theta
             e_traj[k][n + 1] = e[k]
             theta_traj[k][n + 1] = th[k]
+            completed[k] = n + 1
             running.append(k)
+    # interval n of a row starts from (e_traj[n], theta_traj[n])
+    j_cyc, j_cal = (
+        v.tolist()
+        for v in aging_cost(
+            models.aging,
+            *(np.concatenate([x[k][:c] for k, c in enumerate(completed)]) for x in (delta_e_steps, theta_traj, e_traj)),
+            s.soh0,
+            s.grid.dt_min,
+        )
+    )
+    at = 0
+    for k, c in enumerate(completed):
+        total = totals[k]
+        for n in range(c):
+            total[2] += j_cyc[at + n]
+            total[3] += j_cal[at + n]
+            j_d_steps[k][n] = j_cyc[at + n] + j_cal[at + n]
+        at += c
     sols = []
     for k, row in enumerate(rows):
         if left[k]:
             sols.append(None)
             continue
         if is_policy[k]:
-            i = nearest_index(row.e_d, e[k])
-            j = nearest_index(row.theta_d, th[k])
+            i, j = nearest_index(e_axis, e[k]), nearest_index(theta_axis, th[k])
             if row.cost[n_steps, i, j] >= s.penalty:
                 feasible[k] = False
             if not np.isclose(e[k], s.e_target, atol=0.5 * s.e_step + 1e-12):
@@ -343,12 +359,10 @@ def _simulate(models: BatteryModels, runs) -> list:
 
 
 def _model_steps(models: BatteryModels, s: Scenario, e, th, p) -> list:
-    """(delta_e, d_theta, j_cyc, j_cal) of one interval for each row of the
-    states e, th and p (1-D arrays, or floats for one row), from one
-    thermal.step and one aging_cost call."""
+    """(delta_e, d_theta) of one interval for each row of the states e, th
+    and p (1-D arrays, or floats for one row), from one thermal.step call."""
     delta_e, _, d_theta = thermal.step(models.tables, models.thermal, e, th, p, s.grid.dt_min)
-    j_cyc, j_cal = aging_cost(models.aging, delta_e, th, e, s.soh0, s.grid.dt_min)
-    return list(zip(*(np.atleast_1d(v).tolist() for v in (delta_e, d_theta, j_cyc, j_cal))))
+    return list(zip(*(np.atleast_1d(v).tolist() for v in (delta_e, d_theta))))
 
 
 def checked_powers(powers, s: Scenario) -> np.ndarray:

@@ -37,8 +37,10 @@ class TransitionTable:
     untile gives the cell order back. The successor cost is read by bilinear interpolation of the next cost
     slice: corner00 is the flattened lower-left grid corner enclosing the
     continuous successor state and (frac_e, frac_theta) its interpolation
-    weights. valid marks transitions that satisfy the power bounds, the
-    deliverable-power limit, and the state bounds. cyc_fade is a
+    weights. A transition is valid when it satisfies the power bounds, the
+    deliverable-power limit, and the state bounds; an invalid one has
+    corner00 = -1, and the kernels give it the penalty whatever its other
+    entries hold. That is 28 bytes per (cell, action). cyc_fade is a
     capacity-fade fraction (unscaled by battery value), so one table serves
     every battery price. All arrays are read-only: one table is shared by
     every solve that asks for it (see build_transition_table).
@@ -56,13 +58,17 @@ class TransitionTable:
     them; a solve takes them from its scenario and grids.
     """
 
-    valid: np.ndarray  # (M, K) uint8, as every (M, K) array in tile order
-    corner00: np.ndarray  # (M, K) int32, flat index i*Nj + j of the lower corner
+    corner00: np.ndarray  # (M, K) int32 in tile order, flat index i*Nj + j of the lower corner, or -1
     frac_e: np.ndarray  # (M, K) in [0, 1]
     frac_theta: np.ndarray  # (M, K) in [0, 1]
     cyc_fade: np.ndarray  # (M, K) fade fraction
     succ_box: np.ndarray  # (M, 4) int64 i_lo, i_hi, j_lo, j_hi
     fingerprint: str
+
+    @property
+    def valid(self) -> np.ndarray:
+        """(M, K) bool in tile order: which transitions are valid."""
+        return self.corner00 >= 0
 
     def check(self, s: Scenario, models: BatteryModels, grids: DdpGrids) -> None:
         """Raise InvalidParameterError unless this table is the one
@@ -151,7 +157,7 @@ def table_fingerprint(s: Scenario, models: BatteryModels, grids: DdpGrids) -> st
 
 # The last table built. One entry: a solve without a table, a sweep and a
 # corpus of events share one model and bounds, and a second entry would keep
-# another ~23 MB alive at full scale.
+# another ~22 MB alive at full scale.
 _last_table: TransitionTable | None = None
 
 
@@ -209,23 +215,23 @@ def _build(s: Scenario, models: BatteryModels, grids: DdpGrids, fingerprint: str
         & (th_next >= s.theta_lo)
         & (th_next <= s.theta_hi)
     )
-    valid = (valid_power & deliverable & valid_state).astype(np.uint8)
+    valid = valid_power & deliverable & valid_state
     ie, frac_e = electrical.interp_axis(e_d, e_next)
     jt, frac_theta = electrical.interp_axis(theta_d, th_next)
     succ_box = np.stack(
         _corner_span(ie, frac_e, valid, len(e_d)) + _corner_span(jt, frac_theta, valid, len(theta_d)), axis=1
     )
     corner00 = (ie * len(theta_d) + jt).astype(np.int32)
+    corner00[~valid] = -1
     del ie, jt
 
-    if np.any(~np.isfinite(delta_e[valid.astype(bool)])):
+    if np.any(~np.isfinite(delta_e[valid])):
         raise InvalidParameterError("transition table produced non-finite energy steps")
 
     cyc_fade = aging_mod.cyclic_fade(models.aging, delta_e)
-    for a in (valid, corner00, frac_e, frac_theta, cyc_fade):
+    for a in (corner00, frac_e, frac_theta, cyc_fade):
         _tile(a, len(theta_d))
     table = TransitionTable(
-        valid=valid,
         corner00=corner00,
         frac_e=frac_e,
         frac_theta=frac_theta,
@@ -244,7 +250,6 @@ def _corner_span(lo, frac, valid, n_axis):
     axis of the corners its valid transitions read with a nonzero weight:
     lo where frac < 1, lo + 1 where frac > 0. (n_axis, 0) when no transition
     is valid."""
-    valid = valid.astype(bool)
     reads_lo = valid & (frac < 1.0)
     reads_hi = valid & (frac > 0.0)
     start = np.minimum(

@@ -149,6 +149,14 @@ def test_nearest_indices_match_argmin():
         )
         expected = np.array([np.argmin(np.abs(grid - x)) for x in xs])
         assert np.array_equal(nearest_indices(grid, xs), expected)
+        # the forward loop's scalar read, on the axis as a list or an array
+        for axis in (grid, grid.tolist()):
+            assert [nearest_index(axis, float(x)) for x in xs] == expected.tolist()
+        # where argmin is no reference, the vector rule's results: NaN sorts
+        # last, +inf ties the last two nodes and takes the lower
+        n = len(grid)
+        for x, want in ((np.nan, n - 1), (np.inf, n - 2), (-np.inf, 0)):
+            assert nearest_index(grid.tolist(), x) == int(nearest_indices(grid, x)) == want
 
 
 def _check_against_oracle(s, models, backend, trial):
@@ -439,6 +447,9 @@ def test_replay_stops_when_temperature_leaves_physical_range():
     assert sol.theta_traj.tolist() == [20.0, 45.0, 70.0, 95.0, 95.0, 95.0]
     assert np.all(sol.e_traj[3:] == sol.e_traj[3])
     assert sol.p_star.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+    # the aging costed after the loop covers the intervals stepped, and no other
+    assert np.all(sol.j_d_steps[:3] > 0) and sol.j_d_steps[3:].tolist() == [0.0, 0.0]
+    assert sol.cost.j_d == pytest.approx(sol.j_d_steps.sum(), rel=1e-12)
 
 
 def test_table_built_for_another_dt_is_rejected():
@@ -564,7 +575,7 @@ def test_table_arrays_are_read_only():
     s, models, grids = _cache_instance()
     table = build_transition_table(s, models, grids)
     arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 6
+    assert len(arrays) == 5  # corner00, frac_e, frac_theta, cyc_fade and succ_box
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
@@ -611,6 +622,28 @@ def test_table_arrays_hold_each_cells_transitions_in_tile_order():
                 assert 0 <= si - corner00[i, j, k] // nj <= 1 and 0 <= sj - corner00[i, j, k] % nj <= 1
 
 
+def test_a_built_table_holds_corner_minus_one_exactly_where_a_check_fails():
+    # a coarse instance whose transitions fail each check somewhere: -450 and
+    # 100 kW lie outside [p_lo, p_hi], the deepest discharges exceed the
+    # deliverable power, and others leave the energy or temperature bounds
+    s = replace(default_scenario(), e_step=8.0, theta_step=10.0, p_lo=-400.0, p_hi=50.0, p_step=50.0)
+    models = _reference_models("plant-linear")
+    grids = replace(build_grids(s), p_d=make_range(-450.0, 100.0, 50.0))
+    ni, nj = len(grids.e_d), len(grids.theta_d)
+    corner00 = untile(build_transition_table(s, models, grids).corner00.reshape(ni, -1), nj)
+    valid = np.zeros(corner00.shape, bool)
+    for (i, j, k), step in chain_transitions(s, grids, models).items():
+        valid[i, j, k] = step is not None
+    e, th = np.meshgrid(grids.e_d, grids.theta_d, indexing="ij")
+    power = np.broadcast_to((s.p_lo <= grids.p_d) & (grids.p_d <= s.p_hi), valid.shape)
+    floor = electrical.max_discharge_power(*electrical.lookup_arrays(models.tables, e, th))
+    deliverable = grids.p_d >= floor[..., None]
+    for fails in (~power, power & ~deliverable, power & deliverable & ~valid):
+        assert fails.any()
+    assert np.array_equal(corner00 == -1, ~valid)
+    assert np.all(corner00[valid] >= 0)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_the_tables_int32_corners_reach_the_kernel_without_a_copy(monkeypatch, backend):
     s, models, grids = _cache_instance()
@@ -619,7 +652,7 @@ def test_the_tables_int32_corners_reach_the_kernel_without_a_copy(monkeypatch, b
     kernel = backend_mod._kernel if backend == "compiled" else _kernel_py
     corners = []
     backward_pass = kernel.backward_pass
-    monkeypatch.setattr(kernel, "backward_pass", lambda *args: corners.append(args[3]) or backward_pass(*args))
+    monkeypatch.setattr(kernel, "backward_pass", lambda *args: corners.append(args[2]) or backward_pass(*args))
     backward_induction(s, grids, models, table=table, backend=backend)
     assert len(corners) == 1 and corners[0] is table.corner00
 
@@ -651,7 +684,7 @@ def test_a_zero_scale_and_cal_add_what_a_zero_aging_array_added(kernel, n_scen):
     # +0.0 for every finite cyc, negative and -0.0 included, the term a zero
     # (M, K) array gave, so no candidate changes
     args = _lane_case(17, 3, 4, ties=True, n_scen=n_scen)
-    valid = args["valid"].astype(bool)
+    valid = args["corner00"] >= 0
     args["cyc_fade"][valid] = np.random.default_rng(3).choice([-1.5, -0.0, 0.0, 2.0], valid.sum())
     args["scale"][:] = 0.0
     args["cal"][:] = 0.0
@@ -699,17 +732,19 @@ def _box_mask(boxes, ni, nj):
 
 def _kernel_args(n_scen):
     """Keyword arguments of a well-formed backward_pass call on random data
-    for n_scen scenarios."""
+    for n_scen scenarios, with about one transition in five invalid."""
     rng = np.random.default_rng(0)
     n_steps, ni, nj, k = 3, 2, 3, 4
     m = ni * nj
     cost = np.zeros((n_scen, n_steps + 1, m))
     cost[:, -1] = rng.uniform(0.0, 5.0, (n_scen, m))
+    invalid = rng.uniform(size=(m, k)) >= 0.8
+    corner00 = rng.integers(0, (ni - 1) * nj - 1, size=(m, k)).astype(np.int32)
+    corner00[invalid] = -1
     return dict(
         cost=cost,
         action=np.zeros((n_scen, n_steps, m), np.int32),
-        valid=(rng.uniform(size=(m, k)) < 0.8).astype(np.uint8),
-        corner00=rng.integers(0, (ni - 1) * nj - 1, size=(m, k)).astype(np.int32),
+        corner00=corner00,
         frac_e=rng.uniform(size=(m, k)),
         frac_theta=rng.uniform(size=(m, k)),
         cyc_fade=rng.uniform(size=(m, k)),
@@ -752,9 +787,9 @@ def _lane_case(k, ni, nj, ties, n_steps=3, n_scen=1, corners="random"):
     equal candidates sit at different k, some candidates equal the penalty
     and -0.0 meets 0.0, and every other scenario has scale 0.0 (Mode II's);
     without, they are random, so that rounding shows. Invalid transitions
-    carry NaN weights and fades and int32 corners far outside the cost
-    slice. The table arrays are built in cell order and passed in tile
-    order, as a TransitionTable holds them.
+    have corner00 = -1 and carry NaN weights and fades. The table arrays
+    are built in cell order and passed in tile order, as a
+    TransitionTable holds them.
 
     corners picks the transitions. "random": random corners, which never
     form a run (consecutive corner00 along a tile's cells), every third cell
@@ -791,12 +826,12 @@ def _lane_case(k, ni, nj, ties, n_steps=3, n_scen=1, corners="random"):
         elif corners == "invalid-in-run":
             valid[changed] = 0
     invalid = valid == 0
-    corner00[invalid] = rng.choice([-(2**31 - 1), -m - 1, m, 2**31 - 1], invalid.sum())
+    corner00[invalid] = -1
     frac_e, frac_theta = draw((2, m, k), [0.0, 0.5, 1.0])
     cyc_fade = draw((m, k), [0.0, -0.0, -0.0, 0.5])
     for a in (frac_e, frac_theta, cyc_fade):
         a[invalid] = np.nan
-    for a in (valid, corner00, frac_e, frac_theta, cyc_fade):
+    for a in (corner00, frac_e, frac_theta, cyc_fade):
         _tile(a, nj)
     scale = draw(n_scen, [0.5, 2.0])
     if ties:
@@ -804,7 +839,6 @@ def _lane_case(k, ni, nj, ties, n_steps=3, n_scen=1, corners="random"):
     return dict(
         cost=cost,
         action=np.zeros((n_scen, n_steps, m), np.int32),
-        valid=valid,
         corner00=corner00,
         frac_e=frac_e,
         frac_theta=frac_theta,
@@ -1111,12 +1145,12 @@ def test_compiled_kernel_uses_lanes_where_the_cpu_has_avx512f():
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 @pytest.mark.parametrize(
     "name",
-    ["cost", "action", "valid", "corner00", "frac_e", "frac_theta", "cyc_fade", "je", "cal", "scale", "boxes"],
+    ["cost", "action", "corner00", "frac_e", "frac_theta", "cyc_fade", "je", "cal", "scale", "boxes"],
 )
 @pytest.mark.parametrize(
     "misuse, error, match",
     [
-        (lambda a: a.astype(np.int8 if a.dtype == np.uint8 else np.float32), TypeError, "{name} has item"),
+        (lambda a: a.astype(np.float32), TypeError, "{name} has item"),
         (lambda a: a.astype(np.int32 if a.dtype == np.int64 else np.int64), TypeError, "{name} has item"),
         # among them a float64 action: powers in kW where the kernels write indices
         (lambda a: a.astype(np.int32 if a.dtype == np.float64 else np.float64), TypeError, "{name} has item"),
@@ -1143,18 +1177,70 @@ def test_compiled_kernel_rejects_malformed_buffers(name, misuse, error, match, n
         backend_mod._kernel.backward_pass(*args.values())
 
 
+def _bad_corner_cases(n_scen):
+    """(arguments, message) of backward_pass calls that each set one
+    corner00 entry the kernels refuse: below -1, the sentinel of an invalid
+    transition, or with a successor corner past the slice (m - 1: its upper
+    corners). In tile order, entry 9 of the first row's one tile of 3 cells
+    is action 3 of cell 0."""
+    m = _kernel_args(n_scen)["corner00"].shape[0]
+    for corner in (-2, -m - 1, -(2**31 - 1), m - 1, m, 2**31 - 1):
+        args = _kernel_args(n_scen)
+        args["corner00"][2, 1] = corner
+        yield args, rf"corner00\[2, 1\] = {corner} \(cell 0, action 3\) puts a successor corner outside"
+
+
+@BATCHES
+def test_numpy_kernel_rejects_bad_corners(n_scen):
+    # the compiled kernel's: test_compiled_kernel_rejects_bad_corners_and_outputs
+    for args, match in _bad_corner_cases(n_scen):
+        with pytest.raises(ValueError, match=match):
+            _kernel_py.backward_pass(**args)
+
+
+@pytest.mark.parametrize("kernel", BACKENDS)
+@BATCHES
+def test_corner_minus_one_gives_the_penalty_and_action_0(kernel, n_scen):
+    # every transition invalid: each computed cell's minimum is the penalty,
+    # first met at action 0, whatever the weights and fades hold
+    args = _kernel_args(n_scen)
+    args["corner00"][:] = -1
+    for name in ("frac_e", "frac_theta", "cyc_fade"):
+        args[name][:] = np.nan
+    args["action"][:] = 7
+    run = backend_mod._kernel.backward_pass if kernel == "compiled" else _kernel_py.backward_pass
+    run(*args.values())
+    assert np.all(args["cost"][:, :-1] == args["penalty"])
+    assert np.all(args["action"] == 0)
+
+
+@pytest.mark.parametrize("kernel", BACKENDS)
+@pytest.mark.parametrize(
+    "name, dtype",
+    [
+        ("cost", np.float32),
+        ("action", np.float64),
+        ("action", np.int64),
+        ("action", np.int16),
+        ("corner00", np.int64),
+        ("corner00", np.float64),
+    ],
+)
+def test_kernels_reject_other_item_types(kernel, name, dtype):
+    # a float64 action grid would take the argmin indices as floats
+    args = _kernel_args(1)
+    args[name] = args[name].astype(dtype)
+    run = backend_mod._kernel.backward_pass if kernel == "compiled" else _kernel_py.backward_pass
+    with pytest.raises(TypeError, match=f"{name} has item"):
+        run(*args.values())
+
+
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 @BATCHES
 def test_compiled_kernel_rejects_bad_corners_and_outputs(n_scen):
     kernel = backend_mod._kernel.backward_pass
-    m = _kernel_args(n_scen)["valid"].shape[0]
-    # m - 1: its upper corners lie past the slice; the others lie outside it.
-    # In tile order, entry 9 of the first row's one tile of 3 cells is action 3 of cell 0
-    for corner in (m - 1, m, -1, -m - 1, 2**31 - 1, -(2**31 - 1)):
-        args = _kernel_args(n_scen)
-        args["valid"][2, 1] = 1
-        args["corner00"][2, 1] = corner
-        with pytest.raises(ValueError, match=rf"corner00\[2, 1\] = {corner} \(cell 0, action 3\) "):
+    for args, match in _bad_corner_cases(n_scen):
+        with pytest.raises(ValueError, match=match):
             kernel(*args.values())
     for name in ("cost", "action"):
         args = _kernel_args(n_scen)
@@ -1172,10 +1258,12 @@ def test_a_bad_corner_is_reported_with_its_cell_and_action():
         for action in range(k):
             args = _lane_case(k, ni, nj, ties=False, corners="runs")  # every transition valid
             entry = entry_of[cell, action]
-            args["corner00"].flat[entry] = -1
-            match = rf"corner00\[{entry // k}, {entry % k}\] = -1 \(cell {cell}, action {action}\) "
+            args["corner00"].flat[entry] = -2
+            match = rf"corner00\[{entry // k}, {entry % k}\] = -2 \(cell {cell}, action {action}\) "
             with pytest.raises(ValueError, match=match):
                 backend_mod._kernel.backward_pass(*args.values())
+            with pytest.raises(ValueError, match=match):
+                _kernel_py.backward_pass(**args)
 
 
 @pytest.mark.parametrize("kernel", BACKENDS)
