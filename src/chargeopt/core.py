@@ -222,17 +222,42 @@ def save_event_csv(event: ChargingEvent, path) -> None:
 def load_samples_csv(path) -> RawSamples:
     """Read raw event samples (header t_s,p_kw,e_kwh,theta_c,u_bat_v).
 
-    Every value must be finite, and every state one that BatteryState
-    accepts: e_kwh >= 0 and theta_c in [THETA_MIN_C, THETA_MAX_C].
+    The header must name those five columns; it may hold them in any order
+    and name further columns, which are read past. Blank lines are skipped.
+    Every data row must have one field per header column, and each of the
+    five columns a number that float() parses. Every value must be finite,
+    and every state one that BatteryState accepts: e_kwh >= 0 and theta_c
+    in [THETA_MIN_C, THETA_MAX_C]. A file that breaks a rule raises
+    InvalidParameterError naming the file, the data row and the column.
     """
     rows = []
     with open(path, newline="") as fh:
-        r = csv.DictReader(fh)
-        missing = set(EVENT_CSV_HEADER) - set(r.fieldnames or [])
+        r = csv.reader(fh)
+        header = next(r, [])
+        index = {name: k for k, name in enumerate(header)}  # a repeated name: its last column
+        missing = set(EVENT_CSV_HEADER) - set(index)
         if missing:
             raise InvalidParameterError(f"event CSV {path} missing columns {sorted(missing)}")
+        columns = [index[c] for c in EVENT_CSV_HEADER]
         for row in r:
-            rows.append([float(row[c]) for c in EVENT_CSV_HEADER])
+            if not row:
+                continue
+            if len(row) != len(header):
+                if len(row) < len(header):
+                    where = f"no value for column {header[len(row)]!r}"
+                else:
+                    where = f"column {len(header) + 1} has no header"
+                raise InvalidParameterError(
+                    f"event CSV {path} data row {len(rows) + 1} has {len(row)} fields, "
+                    f"the header {len(header)}: {where}"
+                )
+            try:
+                rows.append([float(row[k]) for k in columns])
+            except ValueError:
+                col, cell = next((c, row[k]) for c, k in zip(EVENT_CSV_HEADER, columns) if not _parses(row[k]))
+                raise InvalidParameterError(
+                    f"event CSV {path} has {cell!r} for {col} in data row {len(rows) + 1}, need a number"
+                ) from None
     if not rows:
         raise InvalidParameterError(f"event CSV {path} has no data rows")
     arr = np.asarray(rows, dtype=float)
@@ -251,6 +276,14 @@ def load_samples_csv(path) -> RawSamples:
             f"in data row {row + 1}, need e_kwh >= 0 and theta_c in [{THETA_MIN_C}, {THETA_MAX_C}]"
         )
     return RawSamples(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4])
+
+
+def _parses(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def load_event_csv(path, dt_min: float = 5.0, t0: float = 0.0, soh0: float = 1.0) -> ChargingEvent:

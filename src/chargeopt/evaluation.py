@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -145,9 +147,29 @@ def _stack_rows(rows: list) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModeComparison:
+    """One event's Mode I replay and Mode II and III solutions.
+
+    Its three modes.csv rows are formatted once, on first use, and cached on
+    it (csv_rows): the fields are frozen, and dataclasses.replace makes a new
+    comparison whose rows are formatted afresh.
+    """
+
     mode_i: DdpSolution
     mode_ii: DdpSolution
     mode_iii: DdpSolution
+
+    @cached_property
+    def csv_rows(self) -> tuple[str, str, str]:
+        """The text of its modes.csv rows for Modes I, II and III, each from
+        the mode cell to the line end: the event_id cell and its delimiter
+        are left to save_modes_csv."""
+        base = self.mode_i.cost.total
+        rows = []
+        for mode, sol in (("I", self.mode_i), ("II", self.mode_ii), ("III", self.mode_iii)):
+            c = sol.cost
+            norm = c.total / base if base != 0 else float("nan")
+            rows.append([mode] + [repr(v) for v in (c.j_e_buy, c.j_e_sell, c.j_d_cyc, c.j_d_cal, c.total, norm)])
+        return tuple(_csv_lines(rows))
 
     def normalized_totals(self) -> tuple[float, float, float]:
         """Totals normalized against Mode I."""
@@ -388,19 +410,30 @@ SWEEP_CSV_HEADER = ["axis_value", "j_e_buy", "j_e_sell", "j_d_cyc", "j_d_cal", "
 VALIDATION_CSV_HEADER = ["model", "local_rmse", "global_mae"]
 
 
+def _csv_lines(rows) -> list[str]:
+    """The text that csv.writer's default dialect writes for each row."""
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append)).writerows(rows)
+    return lines
+
+
 def save_modes_csv(rows: list[tuple[str, ModeComparison]], path) -> None:
+    """Write modes.csv: a header, then one row per (event_id, comparison)
+    and mode I, II, III, with repr floats and CRLF line ends.
+
+    A comparison's rows are formatted once and cached on it
+    (ModeComparison.csv_rows), so rewriting the file after appending an
+    event costs, over the events already written, one join and one write:
+    only the event_id cells are quoted anew, in one writerows call.
+    """
+    header, *id_lines = _csv_lines([MODES_CSV_HEADER] + [[event_id, ""] for event_id, _ in rows])
+    # the row [event_id, ""] less its line end: the event_id cell and its delimiter
+    end = len(csv.excel.lineterminator)
+    text = "".join(
+        id_line[:-end] + row for id_line, (_, cmp_) in zip(id_lines, rows) for row in cmp_.csv_rows
+    )
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(MODES_CSV_HEADER)
-        for event_id, cmp_ in rows:
-            base = cmp_.mode_i.cost.total
-            for mode, sol in (("I", cmp_.mode_i), ("II", cmp_.mode_ii), ("III", cmp_.mode_iii)):
-                c = sol.cost
-                norm = c.total / base if base != 0 else float("nan")
-                w.writerow(
-                    [event_id, mode]
-                    + [repr(v) for v in (c.j_e_buy, c.j_e_sell, c.j_d_cyc, c.j_d_cal, c.total, norm)]
-                )
+        fh.write(header + text)
 
 
 def save_sweep_csv(result: SweepResult, path) -> None:

@@ -9,6 +9,7 @@ plain mini-batch SGD loop.
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
@@ -17,6 +18,7 @@ from chargeopt import aging as aging_mod
 from chargeopt import electrical, tariff, thermal
 from chargeopt.core import TimeGrid
 from chargeopt.errors import TrainingFailureError
+from chargeopt.evaluation import MODES_CSV_HEADER
 from chargeopt.optimizer import BatteryModels, Scenario, nearest_index
 from chargeopt.thermal import ThermalModel
 
@@ -192,6 +194,23 @@ def mode_ordering_gaps(cmp_, s: Scenario):
     gap_total = (cmp_.mode_iii.cost.total - adj) - cmp_.mode_ii.cost.total
     gap_je = cmp_.mode_ii.cost.j_e - (cmp_.mode_iii.cost.j_e - adj)
     return gap_total, gap_je
+
+
+def reference_save_modes_csv(rows, path):
+    """modes.csv written row by row: repr of every value and one writerow
+    per event and mode, with no cached text."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(MODES_CSV_HEADER)
+        for event_id, cmp_ in rows:
+            base = cmp_.mode_i.cost.total
+            for mode, sol in (("I", cmp_.mode_i), ("II", cmp_.mode_ii), ("III", cmp_.mode_iii)):
+                c = sol.cost
+                norm = c.total / base if base != 0 else float("nan")
+                w.writerow(
+                    [event_id, mode]
+                    + [repr(v) for v in (c.j_e_buy, c.j_e_sell, c.j_d_cyc, c.j_d_cal, c.total, norm)]
+                )
 
 
 def finite_difference_gradients(layers, x, y, h=1e-5):

@@ -252,6 +252,21 @@ def test_compare_modes_command(tmp_path):
     assert (len(rows) - 1) % 3 == 0 and len(rows) > 1  # three rows per event
 
 
+def test_compare_modes_on_an_event_with_a_short_row_is_an_input_error(tmp_path, capsys):
+    events = _gen_events(tmp_path, n=2, seed=13)
+    path = sorted(events.glob("*.csv"))[0]
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0]  # data row 3 loses its u_bat_v cell
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "modes"
+    cfg = _write(tmp_path / "modes.json", {"events_dir": str(events), "out": str(out)})
+    assert main(["compare-modes", "--config", cfg]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+    assert f"event CSV {path} data row 3 has 4 fields, the header 5: no value for column 'u_bat_v'" in err
+    assert not (out / "modes.csv").exists()
+
+
 def test_sweep_commands(tmp_path):
     spath = _scenario_file(tmp_path)
     out = tmp_path / "sweeps"

@@ -176,3 +176,39 @@ def test_samples_csv_missing_column(tmp_path):
     path.write_text("t_s,p_kw\n0,1\n")
     with pytest.raises(InvalidParameterError):
         load_samples_csv(path)
+
+
+_SAMPLES_HEADER = "t_s,p_kw,e_kwh,theta_c,u_bat_v"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # fewer fields than the header
+        (f"{_SAMPLES_HEADER}\n0,1,20,20,360\n300,1,20,20\n", "data row 2 has 4 fields, the header 5: no value for column 'u_bat_v'"),
+        (f"{_SAMPLES_HEADER}\n0,1\n", "data row 1 has 2 fields, the header 5: no value for column 'e_kwh'"),
+        # more fields than the header
+        (f"{_SAMPLES_HEADER}\n0,1,20,20,360\n300,1,20,20,360,7\n", "data row 2 has 6 fields, the header 5: column 6 has no header"),
+        # a row that lacks only the cell of an extra named column
+        (f"{_SAMPLES_HEADER},note\n0,1,20,20,360,a\n300,1,20,20,360\n", "data row 2 has 5 fields, the header 6: no value for column 'note'"),
+        (f"{_SAMPLES_HEADER}\n0,1,20,20,360\n300,abc,20,20,360\n", "has 'abc' for p_kw in data row 2, need a number"),
+        (f"{_SAMPLES_HEADER}\n0,1,,20,360\n", "has '' for e_kwh in data row 1, need a number"),
+    ],
+    ids=["short", "two-fields", "long", "short-extra-column", "non-numeric", "empty-cell"],
+)
+def test_samples_csv_rejects_a_malformed_row(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidParameterError, match=re.escape(f"event CSV {path} ") + ".*" + re.escape(message)):
+        load_samples_csv(path)
+
+
+def test_samples_csv_accepts_a_reordered_header_extra_columns_and_blank_lines(tmp_path):
+    path = tmp_path / "reordered.csv"
+    path.write_text("note,u_bat_v,theta_c,e_kwh,p_kw,t_s,spare\nfirst,360,20,20,1,0,\n\nabc,361,21,22,2,300,x\n")
+    samples = load_samples_csv(path)
+    assert samples.t_s.tolist() == [0.0, 300.0]
+    assert samples.p_kw.tolist() == [1.0, 2.0]
+    assert samples.e_kwh.tolist() == [20.0, 22.0]
+    assert samples.theta_c.tolist() == [20.0, 21.0]
+    assert samples.u_bat_v.tolist() == [360.0, 361.0]

@@ -7,12 +7,14 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 from conftest import numpy_reference
+from oracles import reference_save_modes_csv
 
 from chargeopt import electrical, evaluation, learning
 from chargeopt.aging import default_params
-from chargeopt.core import TimeGrid
+from chargeopt.core import CostBreakdown, TimeGrid
 from chargeopt.errors import InfeasiblePowerError, InvalidParameterError
 from chargeopt.evaluation import (
+    ModeComparison,
     ModelErrors,
     compare_modes,
     default_scenario,
@@ -31,6 +33,7 @@ from chargeopt.evaluation import (
 )
 from chargeopt.optimizer import (
     BatteryModels,
+    DdpSolution,
     Scenario,
     build_grids,
     nearest_index,
@@ -451,6 +454,8 @@ def test_report_csvs(tmp_path, tables, default_corpus):
     lines = modes_path.read_text().strip().splitlines()
     assert lines[0] == "event_id,mode,j_e_buy,j_e_sell,j_d_cyc,j_d_cal,total,total_norm"
     assert len(lines) == 4  # header + 3 modes
+    reference_save_modes_csv([(ev.name, cmp_)], tmp_path / "reference.csv")
+    assert modes_path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     sweep = sweep_gamma(s, models, [1.0, 1.8])
     sweep_path = tmp_path / "sweep.csv"
@@ -468,6 +473,86 @@ def test_report_csvs(tmp_path, tables, default_corpus):
     assert vrows[0] == "model,local_rmse,global_mae"
     assert vrows[1].startswith("electrical_ecm,")
     assert vrows[2].startswith("constant,")
+
+
+# event ids the csv module must quote or leave alone, and cost values whose
+# repr is easy to get wrong; one case has a Mode I total of 0 (total_norm nan)
+_CSV_EVENT_IDS = ["ev,1", 'say "hi"', "two\nlines", "cr\rid", "", "  padded  ", "plain_007"]
+_CSV_COSTS = [
+    (0.0, 0.0, 0.0, 0.0),
+    (float("nan"), -0.0, 1e-17, 0.0),
+    (float("inf"), float("-inf"), 0.5, 1e-17),
+    (1.2345678901234567, -0.1, 0.03, 0.0),
+    (-0.0, -0.0, -0.0, -0.0),
+]
+
+
+def _solution(costs) -> DdpSolution:
+    empty = np.zeros(0)
+    return DdpSolution(empty, empty, empty, CostBreakdown(*costs), True, empty, empty)
+
+
+def _csv_rows(n: int) -> list:
+    """n (event_id, comparison) rows cycling through the edge cases above."""
+    k = len(_CSV_COSTS)
+    return [
+        (
+            _CSV_EVENT_IDS[i % len(_CSV_EVENT_IDS)] + ("" if i < len(_CSV_EVENT_IDS) else str(i)),
+            ModeComparison(*(_solution(_CSV_COSTS[(i + m) % k]) for m in range(3))),
+        )
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_save_modes_csv_has_the_bytes_of_the_row_by_row_writer(tmp_path, n):
+    rows = _csv_rows(n)
+    save_modes_csv(rows, tmp_path / "modes.csv")
+    reference_save_modes_csv(rows, tmp_path / "reference.csv")
+    assert (tmp_path / "modes.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    # rewriting the same rows, their text now cached, gives the same bytes
+    save_modes_csv(rows, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_save_modes_csv_after_an_appended_event_extends_the_previous_file(tmp_path):
+    rows = _csv_rows(9)
+    previous = None
+    for n in range(1, len(rows) + 1):
+        save_modes_csv(rows[:n], tmp_path / "modes.csv")
+        text = (tmp_path / "modes.csv").read_bytes()
+        if previous is not None:
+            assert text.startswith(previous) and len(text) > len(previous)
+        previous = text
+
+
+def test_a_replaced_comparison_writes_its_new_values(tmp_path):
+    (event_id, cmp_), = _csv_rows(1)
+    save_modes_csv([(event_id, cmp_)], tmp_path / "old.csv")
+    changed = replace(cmp_, mode_iii=_solution((3.0, -1.0, 0.25, 0.125)))
+    save_modes_csv([(event_id, changed)], tmp_path / "modes.csv")
+    reference_save_modes_csv([(event_id, changed)], tmp_path / "reference.csv")
+    assert (tmp_path / "modes.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert (tmp_path / "modes.csv").read_bytes() != (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "modes.csv").read_text().splitlines()[-1].endswith(",III,3.0,-1.0,0.25,0.125,2.375,nan")
+
+
+def test_a_second_write_formats_no_comparison_again(tmp_path, monkeypatch):
+    formatted = []
+    format_rows = ModeComparison.csv_rows.func
+
+    def counting(cmp_):
+        formatted.append(cmp_)
+        return format_rows(cmp_)
+
+    monkeypatch.setattr(ModeComparison.csv_rows, "func", counting)
+    rows = _csv_rows(20)
+    save_modes_csv(rows[:19], tmp_path / "modes.csv")
+    assert len(formatted) == 19
+    save_modes_csv(rows[:19], tmp_path / "modes.csv")
+    assert len(formatted) == 19
+    save_modes_csv(rows, tmp_path / "modes.csv")
+    assert len(formatted) == 20 and formatted[19] is rows[19][1]
 
 
 def _pipeline_digests():
