@@ -101,6 +101,15 @@
  * with AVX-512F. Neither uses libm's exp, BLAS or threads, so the bits depend
  * on neither the CPU nor the BLAS thread count.
  *
+ * Those loops add each term into a sum kept in memory. On CPUs with AVX-512F
+ * (lanes == 8) the folds keep their sums in registers instead, and do each
+ * sum's operations in the same order, so they give the same bits:
+ * fold_lanes keeps 32 rows of an output in four registers over all inputs,
+ * and grad_sums_lanes transposes the error once into rows padded to 8
+ * outputs and keeps 4 inputs x 8 outputs of the gradient sums, and the
+ * bias's 8, in registers over all rows of the batch; a masked store writes
+ * each register once. The plain loops, fold and grad_sums, run elsewhere.
+ *
  * sgd_epoch and temperature_change take a network as its sequence of
  * (weights, bias) pairs, the arrays a ThermalModel holds or learning.fit_mlp
  * trains (sgd_epoch updates them in place). Hidden layers are sigmoid units,
@@ -117,7 +126,8 @@
  * type, dimensions, contiguity, shape and, for an output, writability, and
  * every index it reads (every successor corner, once per call whatever B is,
  * every box, the permutation and the feature columns) before it runs a loop
- * with the GIL released.
+ * with the GIL released. The corner check is one pass of minimum and maximum
+ * over corner00, cloned for AVX-512F as the network loops are.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -143,8 +153,8 @@
  * batch size. */
 #define INLINE static inline __attribute__((always_inline))
 
-/* A network loop, compiled once per target; the loader picks the clone the
- * CPU runs (an ELF ifunc, so Linux only). */
+/* A network loop or the corner check, compiled once per target; the loader
+ * picks the clone the CPU runs (an ELF ifunc, so Linux only). */
 #if defined(HAVE_AVX512) && defined(__linux__)
 #define CLONES __attribute__((target_clones("avx512f", "default")))
 #else
@@ -594,6 +604,63 @@ fold(const double *restrict w, Py_ssize_t n_in, Py_ssize_t in_stride, Py_ssize_t
     }
 }
 
+#ifdef HAVE_AVX512
+/* fold over the rows [r0, r0 + 8 * n_regs) of one output o, of which the
+ * first left are rows of the block; each of the n_regs registers keeps 8 rows
+ * over all n_in inputs. */
+__attribute__((target("avx512f"), always_inline)) static inline void
+fold_rows_of(const double *restrict wo, Py_ssize_t n_in, Py_ssize_t in_stride,
+             const double *restrict a, Py_ssize_t nb, Py_ssize_t r0, Py_ssize_t left,
+             const int n_regs, double *restrict zo)
+{
+    __mmask8 rows[4];
+    __m512d sum[4];
+    for (int u = 0; u < n_regs; u++) {
+        const Py_ssize_t in_reg = left - 8 * u;
+        rows[u] = (__mmask8)(in_reg >= 8 ? 0xff : (1u << in_reg) - 1);
+        sum[u] = _mm512_mul_pd(_mm512_set1_pd(wo[0]),
+                               _mm512_maskz_loadu_pd(rows[u], a + r0 + 8 * u));
+    }
+    for (Py_ssize_t i = 1; i < n_in; i++) {
+        const __m512d wi = _mm512_set1_pd(wo[i * in_stride]);
+        const double *ai = a + i * nb + r0;
+        for (int u = 0; u < n_regs; u++)
+            sum[u] = _mm512_add_pd(sum[u],
+                                   _mm512_mul_pd(wi, _mm512_maskz_loadu_pd(rows[u], ai + 8 * u)));
+    }
+    for (int u = 0; u < n_regs; u++)
+        _mm512_mask_storeu_pd(zo + r0 + 8 * u, rows[u], sum[u]);
+}
+
+/* fold with the sums of 32 rows of an output in four registers over all
+ * inputs, instead of in memory: the same folds, so the same bits. */
+__attribute__((target("avx512f"))) static void
+fold_lanes(const double *restrict w, Py_ssize_t n_in, Py_ssize_t in_stride, Py_ssize_t n_out,
+           Py_ssize_t out_stride, const double *restrict a, Py_ssize_t nb, double *restrict z)
+{
+    for (Py_ssize_t o = 0; o < n_out; o++) {
+        const double *wo = w + o * out_stride;
+        double *zo = z + o * nb;
+        for (Py_ssize_t r0 = 0; r0 < nb; r0 += 32) {
+            const Py_ssize_t left = nb - r0;
+            switch (left < 32 ? (left + 7) / 8 : 4) {
+            case 1:
+                fold_rows_of(wo, n_in, in_stride, a, nb, r0, left, 1, zo);
+                break;
+            case 2:
+                fold_rows_of(wo, n_in, in_stride, a, nb, r0, left, 2, zo);
+                break;
+            case 3:
+                fold_rows_of(wo, n_in, in_stride, a, nb, r0, left, 3, zo);
+                break;
+            default:
+                fold_rows_of(wo, n_in, in_stride, a, nb, r0, left, 4, zo);
+            }
+        }
+    }
+}
+#endif
+
 /* A network: n_layers + 1 widths, inputs first, and each layer's weights
  * (widths[l], widths[l + 1]), row-major, and bias (widths[l + 1],). */
 typedef struct {
@@ -612,7 +679,12 @@ forward(const Net *net, double *acts, Py_ssize_t nb)
         const Py_ssize_t fi = net->widths[l], fo = net->widths[l + 1];
         const double *b = net->b[l];
         double *z = a + fi * nb;
-        fold(net->w[l], fi, fo, fo, 1, a, nb, z);
+#ifdef HAVE_AVX512
+        if (lanes == 8)
+            fold_lanes(net->w[l], fi, fo, fo, 1, a, nb, z);
+        else
+#endif
+            fold(net->w[l], fi, fo, fo, 1, a, nb, z);
         for (Py_ssize_t k = 0; k < fo; k++) {
             for (Py_ssize_t r = 0; r < nb; r++)
                 z[k * nb + r] += b[k];
@@ -636,9 +708,105 @@ typedef struct {
     double lr;
     /* one layer's gradients; every layer's activations over a batch; one
      * layer's error, (width, nb) twice (this layer's and the one below) and
-     * (nb, width) once */
+     * (nb, width) once, each row padded to a multiple of 8 outputs when
+     * grad_sums_lanes computes the sums */
     double *grads, *acts, *delta, *next, *delta_t;
 } Epoch;
+
+/* The gradient sums of a layer with fi inputs a (fi, nb) and fo outputs:
+ * gw[j, k] = a[j, 0] * d[0, k], then += a[j, r] * d[r, k] for r = 1, ...,
+ * nb - 1, and gb[k] the same fold of d[r, k] alone, where d[r, k] =
+ * delta[k * nb + r]; delta_t gets d as (nb, fo). */
+INLINE void
+grad_sums(const double *a, Py_ssize_t fi, Py_ssize_t fo, Py_ssize_t nb, const double *delta,
+          double *delta_t, double *gw, double *gb)
+{
+    for (Py_ssize_t k = 0; k < fo; k++) {
+        for (Py_ssize_t r = 0; r < nb; r++)
+            delta_t[r * fo + k] = delta[k * nb + r];
+    }
+    for (Py_ssize_t j = 0; j < fi; j++) {
+        for (Py_ssize_t k = 0; k < fo; k++)
+            gw[j * fo + k] = a[j * nb] * delta_t[k];
+    }
+    for (Py_ssize_t k = 0; k < fo; k++)
+        gb[k] = delta_t[k];
+    for (Py_ssize_t r = 1; r < nb; r++) {
+        const double *dr = delta_t + r * fo;
+        for (Py_ssize_t j = 0; j < fi; j++) {
+            const double ajr = a[j * nb + r];
+            for (Py_ssize_t k = 0; k < fo; k++)
+                gw[j * fo + k] += ajr * dr[k];
+        }
+        for (Py_ssize_t k = 0; k < fo; k++)
+            gb[k] += dr[k];
+    }
+}
+
+#ifdef HAVE_AVX512
+/* The folds of grad_sums for n_in inputs a (n_in, nb), and for the bias if
+ * bias is set, over one block of 8 outputs: d holds the block's errors of row
+ * r at d + r * n8, and the lanes in outs are stored, in gw's rows fo apart
+ * and in gb. Each sum stays in a register over all nb rows. */
+__attribute__((target("avx512f"), always_inline)) static inline void
+grad_block_of(const double *a, const int n_in, const int bias, Py_ssize_t nb, const double *d,
+              Py_ssize_t n8, __mmask8 outs, double *gw, Py_ssize_t fo, double *gb)
+{
+    __m512d dr = _mm512_loadu_pd(d);
+    __m512d sum[4], sum_b = dr;
+    for (int i = 0; i < n_in; i++)
+        sum[i] = _mm512_mul_pd(_mm512_set1_pd(a[i * nb]), dr);
+    for (Py_ssize_t r = 1; r < nb; r++) {
+        dr = _mm512_loadu_pd(d + r * n8);
+        for (int i = 0; i < n_in; i++)
+            sum[i] = _mm512_add_pd(sum[i], _mm512_mul_pd(_mm512_set1_pd(a[i * nb + r]), dr));
+        if (bias)
+            sum_b = _mm512_add_pd(sum_b, dr);
+    }
+    for (int i = 0; i < n_in; i++)
+        _mm512_mask_storeu_pd(gw + i * fo, outs, sum[i]);
+    if (bias)
+        _mm512_mask_storeu_pd(gb, outs, sum_b);
+}
+
+/* grad_sums with 8 outputs per register, the same folds in the same order,
+ * so the same bits (register blocking: Goto and van de Geijn, ACM TOMS
+ * 34(3), 2008). delta_t gets d as nb rows of n8 = fo rounded up to 8
+ * outputs, the padding 0. Each block of 8 outputs takes the inputs 4 at a
+ * time, the first (fi - 1) % 4 + 1 of them with the bias, and stores each of
+ * its sums once. */
+__attribute__((target("avx512f"))) static void
+grad_sums_lanes(const double *a, Py_ssize_t fi, Py_ssize_t fo, Py_ssize_t nb,
+                const double *delta, double *delta_t, double *gw, double *gb)
+{
+    const Py_ssize_t n8 = (fo + 7) / 8 * 8;
+    for (Py_ssize_t r = 0; r < nb; r++) {
+        for (Py_ssize_t k = 0; k < n8; k++)
+            delta_t[r * n8 + k] = k < fo ? delta[k * nb + r] : 0.0;
+    }
+    const Py_ssize_t first = (fi - 1) % 4 + 1;
+    for (Py_ssize_t k0 = 0; k0 < fo; k0 += 8) {
+        const __mmask8 outs = (__mmask8)(fo - k0 < 8 ? (1u << (fo - k0)) - 1 : 0xff);
+        const double *d = delta_t + k0;
+        double *g = gw + k0;
+        switch (first) {
+        case 1:
+            grad_block_of(a, 1, 1, nb, d, n8, outs, g, fo, gb + k0);
+            break;
+        case 2:
+            grad_block_of(a, 2, 1, nb, d, n8, outs, g, fo, gb + k0);
+            break;
+        case 3:
+            grad_block_of(a, 3, 1, nb, d, n8, outs, g, fo, gb + k0);
+            break;
+        default:
+            grad_block_of(a, 4, 1, nb, d, n8, outs, g, fo, gb + k0);
+        }
+        for (Py_ssize_t j = first; j < fi; j += 4)
+            grad_block_of(a + j * nb, 4, 0, nb, d, n8, outs, g + j * fo, fo, NULL);
+    }
+}
+#endif
 
 /* SGD steps over the rows perm[0..n), batch rows at a time, as
  * learning.fit_mlp's NumPy loop; pred[s] gets the prediction for row
@@ -672,28 +840,19 @@ epoch_body(const Epoch *e)
             double *w = net->w[l], *b = net->b[l];
             const double *a = e->acts + a0;
             double *gw = e->grads, *gb = gw + fi * fo;
-            for (Py_ssize_t k = 0; k < fo; k++) {
-                for (Py_ssize_t r = 0; r < nb; r++)
-                    delta_t[r * fo + k] = delta[k * nb + r];
-            }
-            for (Py_ssize_t j = 0; j < fi; j++) {
-                for (Py_ssize_t k = 0; k < fo; k++)
-                    gw[j * fo + k] = a[j * nb] * delta_t[k];
-            }
-            for (Py_ssize_t k = 0; k < fo; k++)
-                gb[k] = delta_t[k];
-            for (Py_ssize_t r = 1; r < nb; r++) {
-                const double *dr = delta_t + r * fo;
-                for (Py_ssize_t j = 0; j < fi; j++) {
-                    const double ajr = a[j * nb + r];
-                    for (Py_ssize_t k = 0; k < fo; k++)
-                        gw[j * fo + k] += ajr * dr[k];
-                }
-                for (Py_ssize_t k = 0; k < fo; k++)
-                    gb[k] += dr[k];
-            }
+#ifdef HAVE_AVX512
+            if (lanes == 8)
+                grad_sums_lanes(a, fi, fo, nb, delta, delta_t, gw, gb);
+            else
+#endif
+                grad_sums(a, fi, fo, nb, delta, delta_t, gw, gb);
             if (l > 0) {
-                fold(w, fo, 1, fi, fo, delta, nb, next);
+#ifdef HAVE_AVX512
+                if (lanes == 8)
+                    fold_lanes(w, fo, 1, fi, fo, delta, nb, next);
+                else
+#endif
+                    fold(w, fo, 1, fi, fo, delta, nb, next);
                 for (Py_ssize_t i = 0; i < fi * nb; i++)
                     next[i] = (next[i] * a[i]) * (1.0 - a[i]); /* sigmoid derivative */
                 double *t = delta;
@@ -998,12 +1157,21 @@ check_length(const char *func, const Py_buffer *view, const char *name, int axis
 
 /* Index of the first entry of corner00 that is neither -1 (an invalid
  * transition) nor a corner whose four successor corners all lie inside a
- * cost slice of m cells, or -1 when there is none. */
-static Py_ssize_t
+ * cost slice of m cells, or -1 when there is none. One pass of minimum and
+ * maximum, which GCC vectorizes, clears a valid table; only a table it does
+ * not clear is searched for the first bad entry. */
+CLONES static Py_ssize_t
 first_bad_corner(Py_ssize_t size, Py_ssize_t m, const int32_t *corner00, int64_t stride_e,
                  int64_t stride_t)
 {
     const int64_t limit = (int64_t)m - stride_e - stride_t;
+    int32_t lo = -1, hi = -1;
+    for (Py_ssize_t i = 0; i < size; i++) {
+        lo = corner00[i] < lo ? corner00[i] : lo;
+        hi = corner00[i] > hi ? corner00[i] : hi;
+    }
+    if (lo >= -1 && hi < limit)
+        return -1;
     for (Py_ssize_t i = 0; i < size; i++) {
         if (corner00[i] < -1 || corner00[i] >= limit)
             return i;
@@ -1175,15 +1343,16 @@ net_release(Net *net, Py_buffer *views)
 }
 
 /* The scratch a network's activations need over blocks of nb rows, in
- * doubles, or -1 with MemoryError set. Each width is at most the length of
- * a buffer, so their sum does not overflow. */
+ * doubles, or -1 with MemoryError set; the bytes of 8 such arrays fit in a
+ * Py_ssize_t. Each width is at most the length of a buffer, so their sum does
+ * not overflow. */
 static Py_ssize_t
 acts_size(const Net *net, Py_ssize_t nb)
 {
     Py_ssize_t sum = 0;
     for (Py_ssize_t l = 0; l <= net->n_layers; l++)
         sum += net->widths[l];
-    if (sum > PY_SSIZE_T_MAX / 8 / 4 / nb) {
+    if (sum > PY_SSIZE_T_MAX / 8 / 8 / nb) {
         PyErr_NoMemory();
         return -1;
     }
@@ -1363,11 +1532,14 @@ PyDoc_STRVAR(sgd_epoch_doc,
 "NumPy loop: the rows perm[0..n) in order, batch_size rows per step, each\n"
 "step subtracting learning_rate times learning.mlp_gradients from the\n"
 "network's weights and biases in place. pred[s] gets the prediction for row\n"
-"perm[s] made by its step. layers is the network's sequence of (weights,\n"
-"bias) pairs, writable float64 and C-contiguous: weights (fan_in, fan_out),\n"
-"the first fan_in the number of inputs and each other the fan_out before\n"
-"it, bias (fan_out,), the last fan_out 1. x is float64 (n, inputs), y and\n"
-"pred float64 (n,), perm an int64 (n,) array of row indices.");
+"perm[s] made by its step. Every sum is the NumPy loop's left fold, in the\n"
+"same order on every CPU; with AVX-512F the sums stay in vector registers\n"
+"over a fold, which changes no bit. layers is the network's sequence of\n"
+"(weights, bias) pairs, writable float64 and C-contiguous: weights\n"
+"(fan_in, fan_out), the first fan_in the number of inputs and each other\n"
+"the fan_out before it, bias (fan_out,), the last fan_out 1. x is float64\n"
+"(n, inputs), y and pred float64 (n,), perm an int64 (n,) array of row\n"
+"indices.");
 
 static PyObject *
 py_sgd_epoch(PyObject *self, PyObject *args)
@@ -1409,16 +1581,19 @@ py_sgd_epoch(PyObject *self, PyObject *args)
         goto done;
     }
     /* grads: the largest layer, whose size is bounded by its buffers'; acts:
-     * every layer over a batch; delta, next, delta_t: one layer's error, at
-     * most as wide as all layers together */
-    Py_ssize_t n_grads = 0;
+     * every layer over a batch; delta, next: one layer's error, at most as
+     * wide as all layers together; delta_t: the widest layer's error, with
+     * its outputs rounded up to a multiple of 8, at most 4 * (fo + 1) and so
+     * at most 4 * n_acts doubles in all */
+    Py_ssize_t n_grads = 0, n8 = 0;
     for (Py_ssize_t l = 0; l < net.n_layers; l++) {
-        const Py_ssize_t size = (net.widths[l] + 1) * net.widths[l + 1];
+        const Py_ssize_t fo = net.widths[l + 1], size = (net.widths[l] + 1) * fo;
         n_grads = size > n_grads ? size : n_grads;
+        n8 = (fo + 7) / 8 * 8 > n8 ? (fo + 7) / 8 * 8 : n8;
     }
     const Py_ssize_t nb = batch < n ? batch : (n > 0 ? n : 1);
     const Py_ssize_t n_acts = acts_size(&net, nb);
-    if (n_acts < 0 || (scratch = alloc_doubles(n_grads + 4 * n_acts)) == NULL)
+    if (n_acts < 0 || (scratch = alloc_doubles(n_grads + 3 * n_acts + n8 * nb)) == NULL)
         goto done;
     const Epoch epoch = {
         .net = net,

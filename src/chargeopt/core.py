@@ -219,26 +219,26 @@ def save_event_csv(event: ChargingEvent, path) -> None:
             )
 
 
-def load_samples_csv(path) -> RawSamples:
-    """Read raw event samples (header t_s,p_kw,e_kwh,theta_c,u_bat_v).
+def csv_rows(path, kind: str, columns) -> list[tuple[int, list[str]]]:
+    """The data rows of a CSV file whose header names `columns`: for each,
+    its number (1 for the first data row) and its cells of those columns,
+    in their order.
 
-    The header must name those five columns; it may hold them in any order
-    and name further columns, which are read past. Blank lines are skipped.
-    Every data row must have one field per header column, and each of the
-    five columns a number that float() parses. Every value must be finite,
-    and every state one that BatteryState accepts: e_kwh >= 0 and theta_c
-    in [THETA_MIN_C, THETA_MAX_C]. A file that breaks a rule raises
-    InvalidParameterError naming the file, the data row and the column.
+    The header may hold the columns in any order and name further columns,
+    which are read past; blank lines are skipped. Every data row must have
+    one field per header column. A file that breaks a rule raises
+    InvalidParameterError naming the file, as "<kind> CSV <path>", and the
+    data row and the column.
     """
     rows = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, [])
         index = {name: k for k, name in enumerate(header)}  # a repeated name: its last column
-        missing = set(EVENT_CSV_HEADER) - set(index)
+        missing = set(columns) - set(index)
         if missing:
-            raise InvalidParameterError(f"event CSV {path} missing columns {sorted(missing)}")
-        columns = [index[c] for c in EVENT_CSV_HEADER]
+            raise InvalidParameterError(f"{kind} CSV {path} missing columns {sorted(missing)}")
+        at = [index[c] for c in columns]
         for row in r:
             if not row:
                 continue
@@ -248,18 +248,43 @@ def load_samples_csv(path) -> RawSamples:
                 else:
                     where = f"column {len(header) + 1} has no header"
                 raise InvalidParameterError(
-                    f"event CSV {path} data row {len(rows) + 1} has {len(row)} fields, "
+                    f"{kind} CSV {path} data row {len(rows) + 1} has {len(row)} fields, "
                     f"the header {len(header)}: {where}"
                 )
-            try:
-                rows.append([float(row[k]) for k in columns])
-            except ValueError:
-                col, cell = next((c, row[k]) for c, k in zip(EVENT_CSV_HEADER, columns) if not _parses(row[k]))
-                raise InvalidParameterError(
-                    f"event CSV {path} has {cell!r} for {col} in data row {len(rows) + 1}, need a number"
-                ) from None
+            rows.append((len(rows) + 1, [row[k] for k in at]))
     if not rows:
-        raise InvalidParameterError(f"event CSV {path} has no data rows")
+        raise InvalidParameterError(f"{kind} CSV {path} has no data rows")
+    return rows
+
+
+def parse_cells(path, kind: str, row: int, columns, cells, parse=float, need: str = "a number") -> list:
+    """The cells of data row `row` (see csv_rows) of the named columns, each
+    parsed by `parse`; a cell it rejects with ValueError raises
+    InvalidParameterError naming the file, the row and the column."""
+    values = []
+    for column, cell in zip(columns, cells):
+        try:
+            values.append(parse(cell))
+        except ValueError:
+            raise InvalidParameterError(
+                f"{kind} CSV {path} has {cell!r} for {column} in data row {row}, need {need}"
+            ) from None
+    return values
+
+
+def load_samples_csv(path) -> RawSamples:
+    """Read raw event samples (header t_s,p_kw,e_kwh,theta_c,u_bat_v).
+
+    The rows are read as csv_rows reads them, and each of the five columns
+    must hold a number that float() parses. Every value must be finite,
+    and every state one that BatteryState accepts: e_kwh >= 0 and theta_c
+    in [THETA_MIN_C, THETA_MAX_C]. A file that breaks a rule raises
+    InvalidParameterError naming the file, the data row and the column.
+    """
+    rows = [
+        parse_cells(path, "event", n, EVENT_CSV_HEADER, cells)
+        for n, cells in csv_rows(path, "event", EVENT_CSV_HEADER)
+    ]
     arr = np.asarray(rows, dtype=float)
     bad = np.argwhere(~np.isfinite(arr))
     if len(bad):
@@ -276,14 +301,6 @@ def load_samples_csv(path) -> RawSamples:
             f"in data row {row + 1}, need e_kwh >= 0 and theta_c in [{THETA_MIN_C}, {THETA_MAX_C}]"
         )
     return RawSamples(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4])
-
-
-def _parses(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
 
 
 def load_event_csv(path, dt_min: float = 5.0, t0: float = 0.0, soh0: float = 1.0) -> ChargingEvent:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import csv_rows, parse_cells
 from .errors import InfeasiblePowerError, InvalidParameterError
 
 try:
@@ -202,17 +203,15 @@ def save_tables_csv(tables: EcmTables, path) -> None:
 
 
 def load_tables_csv(path) -> EcmTables:
-    """Read long-format tables; validates that the grid is rectangular."""
-    rows = []
-    with open(path, newline="") as fh:
-        r = csv.DictReader(fh)
-        missing = set(ECM_CSV_HEADER) - set(r.fieldnames or [])
-        if missing:
-            raise InvalidParameterError(f"lookup CSV {path} missing columns {sorted(missing)}")
-        for row in r:
-            rows.append([float(row[c]) for c in ECM_CSV_HEADER])
-    if not rows:
-        raise InvalidParameterError(f"lookup CSV {path} has no data rows")
+    """Read long-format tables; validates that the grid is rectangular.
+
+    The rows are read as core.csv_rows reads them, and each cell must be a
+    number that float() parses.
+    """
+    rows = [
+        parse_cells(path, "lookup", n, ECM_CSV_HEADER, cells)
+        for n, cells in csv_rows(path, "lookup", ECM_CSV_HEADER)
+    ]
     arr = np.asarray(rows, float)
     e_axis = np.unique(arr[:, 0])
     theta_axis = np.unique(arr[:, 1])

@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import TimeGrid
+from .core import TimeGrid, csv_rows, parse_cells
 from .errors import InvalidParameterError
 
 DEFAULT_FEE_EUR_PER_KWH = 0.188
@@ -123,22 +123,25 @@ MARKET_CSV_HEADER = ["timestamp_iso8601", "price_eur_per_kwh"]
 PROFILE_CSV_HEADER = ["hour", "eps_buy", "eps_sell"]
 
 
+def _epoch_s(stamp: str) -> float:
+    """Epoch seconds of an ISO 8601 time, taken as UTC when it names no zone."""
+    d = datetime.fromisoformat(stamp)
+    if d.tzinfo is None:
+        d = d.replace(tzinfo=timezone.utc)
+    return d.timestamp()
+
+
 def load_market_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read an hourly market history; returns (epoch seconds, EUR/kWh)."""
+    """Read an hourly market history; returns (epoch seconds, EUR/kWh).
+
+    The rows are read as core.csv_rows reads them; each timestamp must be an
+    ISO 8601 time (UTC when it names no zone) and each price a number that
+    float() parses.
+    """
     ts, pr = [], []
-    with open(path, newline="") as fh:
-        r = csv.DictReader(fh)
-        missing = set(MARKET_CSV_HEADER) - set(r.fieldnames or [])
-        if missing:
-            raise InvalidParameterError(f"market CSV {path} missing columns {sorted(missing)}")
-        for row in r:
-            d = datetime.fromisoformat(row["timestamp_iso8601"])
-            if d.tzinfo is None:
-                d = d.replace(tzinfo=timezone.utc)
-            ts.append(d.timestamp())
-            pr.append(float(row["price_eur_per_kwh"]))
-    if not ts:
-        raise InvalidParameterError(f"market CSV {path} has no data rows")
+    for n, (stamp, price) in csv_rows(path, "market", MARKET_CSV_HEADER):
+        ts += parse_cells(path, "market", n, MARKET_CSV_HEADER[:1], [stamp], _epoch_s, "an ISO 8601 time")
+        pr += parse_cells(path, "market", n, MARKET_CSV_HEADER[1:], [price])
     if not np.all(np.isfinite(pr)):
         raise InvalidParameterError(f"market CSV {path} has a non-finite price")
     return np.asarray(ts), np.asarray(pr)
@@ -153,26 +156,24 @@ def save_profile_csv(profile: PriceProfile, path) -> None:
 
 
 def load_profile_csv(path, label: str = "custom") -> PriceProfile:
-    """Read a profile with one row per hour 0-23, each hour exactly once."""
+    """Read a profile with one row per hour 0-23, each hour exactly once.
+
+    The rows are read as core.csv_rows reads them; each hour must be an
+    integer that int() parses and each price a number that float() parses.
+    """
     buy = np.full(24, np.nan)
     sell = np.full(24, np.nan)
     seen = set()
-    with open(path, newline="") as fh:
-        r = csv.DictReader(fh)
-        missing = set(PROFILE_CSV_HEADER) - set(r.fieldnames or [])
-        if missing:
-            raise InvalidParameterError(f"profile CSV {path} missing columns {sorted(missing)}")
-        for row in r:
-            h = int(row["hour"])
-            if not 0 <= h < 24:
-                raise InvalidParameterError(f"profile CSV {path} has hour {h}, outside 0-23")
-            if h in seen:
-                raise InvalidParameterError(f"profile CSV {path} has hour {h} twice")
-            seen.add(h)
-            buy[h] = float(row["eps_buy"])
-            sell[h] = float(row["eps_sell"])
-            if not (np.isfinite(buy[h]) and np.isfinite(sell[h])):
-                raise InvalidParameterError(f"profile CSV {path} has a non-finite price at hour {h}")
+    for n, (hour, *prices) in csv_rows(path, "profile", PROFILE_CSV_HEADER):
+        (h,) = parse_cells(path, "profile", n, PROFILE_CSV_HEADER[:1], [hour], int, "an integer")
+        if not 0 <= h < 24:
+            raise InvalidParameterError(f"profile CSV {path} has hour {h}, outside 0-23")
+        if h in seen:
+            raise InvalidParameterError(f"profile CSV {path} has hour {h} twice")
+        seen.add(h)
+        buy[h], sell[h] = parse_cells(path, "profile", n, PROFILE_CSV_HEADER[1:], prices)
+        if not (np.isfinite(buy[h]) and np.isfinite(sell[h])):
+            raise InvalidParameterError(f"profile CSV {path} has a non-finite price at hour {h}")
     if np.any(np.isnan(buy)) or np.any(np.isnan(sell)):
         raise InvalidParameterError(f"profile CSV {path} does not cover all 24 hours")
     return PriceProfile(buy, sell, label)

@@ -324,6 +324,33 @@ def test_profile_csv_with_a_bad_hour_is_an_input_error(tmp_path, capsys, extra_r
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["lookup", "market", "profile"])
+def test_a_short_row_in_a_tables_or_price_csv_is_an_input_error(tmp_path, capsys, kind):
+    # each loader used to let a TypeError from float(None) out as a traceback
+    bad = tmp_path / f"{kind}.csv"
+    if kind == "lookup":
+        bad.write_text("e_kwh,theta_c,u_ocv_v,r_i_ohm\n0,0,300,0.1\n0,25,300\n")
+        cfg = {"n_events": 2, "seed": 7, "out": str(tmp_path / "events"), "ecm_tables_csv": str(bad)}
+        command, missing = "gen-synthetic", "r_i_ohm"
+    else:
+        events = _gen_events(tmp_path, n=2, seed=13)
+        cfg = {"events_dir": str(events), "out": str(tmp_path / "modes")}
+        if kind == "market":
+            bad.write_text("timestamp_iso8601,price_eur_per_kwh\n2018-01-01T00:00:00+00:00,0.031\n2018-01-01T01:00:00+00:00\n")
+            cfg["market_history_csv"], missing = str(bad), "price_eur_per_kwh"
+        else:
+            good = tmp_path / "good.csv"
+            save_profile_csv(default_profiles()[0], good)
+            bad.write_text(good.read_text().replace("\n1,", "\n1,0.3\n2,", 1))
+            cfg.update(workday_profile_csv=str(bad), weekend_profile_csv=str(good))
+            missing = "eps_sell"
+        command = "compare-modes"
+    assert main([command, "--config", _write(tmp_path / "cfg.json", cfg)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+    assert f"{kind} CSV {bad} data row 2 has " in err and f"no value for column {missing!r}" in err
+
+
 def test_validate_rejects_a_non_finite_sample(tmp_path, capsys):
     events = _gen_events(tmp_path, n=2, seed=11)
     path = sorted(events.glob("*.csv"))[0]

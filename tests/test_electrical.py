@@ -1,5 +1,7 @@
 """Equivalent-circuit model: current root, losses, energy throughput."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import numpy_reference, same_bits
@@ -188,6 +190,26 @@ def test_tables_csv_rejects_non_finite_values(tmp_path, rows, message):
     path = tmp_path / "ecm.csv"
     path.write_text("e_kwh,theta_c,u_ocv_v,r_i_ohm\n" + rows)
     with pytest.raises(InvalidParameterError, match=message):
+        load_tables_csv(path)
+
+
+_ECM_HEADER = "e_kwh,theta_c,u_ocv_v,r_i_ohm"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,0,300,0.1\n0,25,300\n", "data row 2 has 3 fields, the header 4: no value for column 'r_i_ohm'"),
+        ("0,0,300,0.1\n0,25,300,0.1,7\n", "data row 2 has 5 fields, the header 4: column 5 has no header"),
+        ("0,0,300,0.1\n0,25,volts,0.1\n", "has 'volts' for u_ocv_v in data row 2, need a number"),
+    ],
+    ids=["short", "long", "non-numeric"],
+)
+def test_tables_csv_rejects_a_malformed_row(tmp_path, rows, message):
+    # a short row used to raise TypeError from float(None), and a long row to load
+    path = tmp_path / "ecm.csv"
+    path.write_text(f"{_ECM_HEADER}\n{rows}80,0,420,0.1\n80,25,420,0.1\n")
+    with pytest.raises(InvalidParameterError, match=re.escape(f"lookup CSV {path} ") + ".*" + re.escape(message)):
         load_tables_csv(path)
 
 

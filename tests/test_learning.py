@@ -222,7 +222,10 @@ def test_mlp_divergence_raises_with_the_epoch():
 
 
 @pytest.mark.parametrize("normalized", [False, True])
-@pytest.mark.parametrize("hidden_layers, neurons", [(1, 1), (1, 5), (2, 10), (3, 20)])
+# widths at and around the compiled epoch's blocks of 8 outputs and 4 inputs
+@pytest.mark.parametrize(
+    "hidden_layers, neurons", [(1, 1), (1, 5), (1, 8), (1, 9), (2, 10), (2, 16), (2, 17), (3, 20)]
+)
 @pytest.mark.parametrize("n", [5, 31, 33, 850, 864])
 def test_fit_mlp_matches_the_reference_sgd_loop_bit_for_bit(mlp_path, n, hidden_layers, neurons, normalized):
     # n around and off multiples of the 32-row batch, so the last batch is short or full

@@ -1,5 +1,7 @@
 """Price supplementation, profile averaging, gamma scaling, hourly lookup."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,42 @@ def test_market_csv(tmp_path):
     assert len(ts) == 2
     assert pr[1] == 0.029
     assert ts[1] - ts[0] == 3600.0
+
+
+_MALFORMED_ROWS = {
+    "market": (
+        load_market_csv,
+        "timestamp_iso8601,price_eur_per_kwh\n2018-01-01T00:00:00+00:00,0.031\n",
+        [
+            ("2018-01-01T01:00:00+00:00", "data row 2 has 1 fields, the header 2: no value for column 'price_eur_per_kwh'"),
+            ("2018-01-01T01:00:00+00:00,0.029,7", "data row 2 has 3 fields, the header 2: column 3 has no header"),
+            ("2018-01-01T01:00:00+00:00,cheap", "has 'cheap' for price_eur_per_kwh in data row 2, need a number"),
+            ("yesterday,0.029", "has 'yesterday' for timestamp_iso8601 in data row 2, need an ISO 8601 time"),
+        ],
+    ),
+    "profile": (
+        load_profile_csv,
+        "hour,eps_buy,eps_sell\n0,0.3,0.1\n",
+        [
+            ("1,0.3", "data row 2 has 2 fields, the header 3: no value for column 'eps_sell'"),
+            ("1,0.3,0.1,7", "data row 2 has 4 fields, the header 3: column 4 has no header"),
+            ("1,0.3,cheap", "has 'cheap' for eps_sell in data row 2, need a number"),
+            ("1.5,0.3,0.1", "has '1.5' for hour in data row 2, need an integer"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    [(kind, case) for kind, (_, _, cases) in _MALFORMED_ROWS.items() for case in range(len(cases))],
+    ids=[f"{kind}-{name}" for kind in _MALFORMED_ROWS for name in ("short", "long", "non-numeric", "bad-key")],
+)
+def test_price_csvs_reject_a_malformed_row(tmp_path, kind, case):
+    # a short row used to raise TypeError from float(None), and a long row to load
+    load, head, cases = _MALFORMED_ROWS[kind]
+    row, message = cases[case]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{head}{row}\n")
+    with pytest.raises(InvalidParameterError, match=re.escape(f"{kind} CSV {path} ") + ".*" + re.escape(message)):
+        load(path)

@@ -232,9 +232,10 @@ needs_kernel = pytest.mark.skipif(thermal._kernel is None, reason="compiled kern
 @pytest.mark.parametrize("variant", ["linear", "mlp"])
 @pytest.mark.parametrize(
     # one row, fewer rows than a compiled block (128) or a NumPy fold loop (64),
-    # and either side of a compiled block and of a NumPy piece
+    # either side of the compiled fold's 8 and 32 rows in registers, and
+    # either side of a compiled block and of a NumPy piece
     "rows",
-    [1, 2, 17, 63, 64, 127, 129, thermal.PREDICT_PIECE_ROWS - 1, thermal.PREDICT_PIECE_ROWS + 5],
+    [1, 2, 9, 17, 33, 63, 64, 127, 129, thermal.PREDICT_PIECE_ROWS - 1, thermal.PREDICT_PIECE_ROWS + 5],
 )
 def test_predict_batch_compiled_equals_numpy(variant, rows):
     m = _random_model(variant, seed=rows)
