@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import check_keys
 from .errors import InvalidParameterError
 
 SECONDS_PER_YEAR = 365 * 24 * 3600  # 31_536_000
@@ -160,4 +161,5 @@ def load_params_json(path) -> AgingParams:
     missing = set(AGING_JSON_KEYS) - set(data)
     if missing:
         raise InvalidParameterError(f"aging params file {path} missing keys {sorted(missing)}")
+    check_keys(data, AGING_JSON_KEYS, f"aging params file {path}")
     return AgingParams(**{k: float(data[k]) for k in AGING_JSON_KEYS})

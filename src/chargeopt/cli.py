@@ -116,6 +116,7 @@ def cmd_gen_synthetic(cfg) -> int:
     seed = int(cfg.get("seed", 0))
     n_events = int(cfg.get("n_events", 10))
     plant_cfg = cfg.get("plant", {})
+    core.check_keys(plant_cfg, [f.name for f in dataclasses.fields(thermal.ThermalPlant)], "plant")
     plant = thermal.ThermalPlant(**{k: float(v) for k, v in plant_cfg.items()})
     tables = _load_tables(cfg)
     dt = float(cfg.get("dt_min", 5.0))

@@ -272,6 +272,14 @@ def parse_cells(path, kind: str, row: int, columns, cells, parse=float, need: st
     return values
 
 
+def check_keys(data: dict, allowed, what: str) -> None:
+    """Raise InvalidParameterError naming the keys of data that allowed
+    lacks, so that a misspelt key fails instead of leaving its default."""
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise InvalidParameterError(f"{what} has unknown keys {unknown}")
+
+
 def load_samples_csv(path) -> RawSamples:
     """Read raw event samples (header t_s,p_kw,e_kwh,theta_c,u_bat_v).
 

@@ -397,8 +397,8 @@ def gamma_star_two_interval(
     per-interval aging cost, against the discounted resale."""
     delta_e, _ = electrical.energy_step(models.tables, e, theta, p_abs, dt_min)
     j_cyc, j_cal = aging_cost(models.aging, delta_e, theta, e, h0, dt_min)
-    j_e = p_abs * (dt_min / 60.0) * eps_buy
-    return gamma_star(j_e, j_cyc + j_cal, eta)
+    j_e, _ = tariff.energy_cost(p_abs, dt_min / 60.0, eps_buy, 0.0)
+    return float(gamma_star(j_e, j_cyc + j_cal, eta))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from .scenario import (
     load_scenario_json,
     make_range,
     nearest_index,
-    nearest_indices,
     save_scenario_json,
     scenario_from_dict,
     scenario_to_dict,
@@ -41,7 +40,6 @@ __all__ = [
     "load_scenario_json",
     "make_range",
     "nearest_index",
-    "nearest_indices",
     "replay",
     "save_scenario_json",
     "save_solution_csv",

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..aging import AgingParams
-from ..core import TimeGrid
+from ..core import TimeGrid, check_keys
 from ..electrical import EcmTables
 from ..errors import InvalidParameterError
 from ..tariff import PriceProfile
@@ -80,19 +80,10 @@ def make_range(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(num)
 
 
-def nearest_indices(grid: np.ndarray, x) -> np.ndarray:
-    """Indices of the grid values nearest to x; ties go to the lower index."""
-    x = np.asarray(x, float)
-    # np.minimum and np.maximum cost half a np.clip call
-    hi = np.minimum(np.searchsorted(grid, x, side="left"), len(grid) - 1)
-    lo = np.maximum(hi - 1, 0)
-    pick_lo = np.abs(x - grid[lo]) <= np.abs(grid[hi] - x)
-    return np.where(pick_lo, lo, hi)
-
-
 def nearest_index(grid, x: float) -> int:
-    """nearest_indices for one value x, on an ascending grid given as an
-    array or a list (a list of floats is the faster one to search)."""
+    """Index of the value of an ascending grid nearest to x, ties to the
+    lower index; the grid is an array or a list (a list of floats is the
+    faster one to search)."""
     n = len(grid)
     # a NaN sorts last, as in np.searchsorted
     hi = n - 1 if x != x else min(bisect_left(grid, x), n - 1)
@@ -185,7 +176,11 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    """The scenario a dict of scenario_to_dict's layout describes; a key
+    outside that layout, or a malformed value, raises InvalidParameterError."""
     try:
+        check_keys(d, (*_SCENARIO_SCALARS, "include_aging_in_objective", "grid", "profile"), "scenario")
+        check_keys(d["profile"], ("eps_buy", "eps_sell", "label"), "scenario profile")
         grid = TimeGrid(**d["grid"])
         profile = PriceProfile(
             np.asarray(d["profile"]["eps_buy"], float),

@@ -9,11 +9,13 @@ and N, such as Modes II and III of one event, are solved in one pass
 is its one-scenario case. Forward
 integration then walks the continuous dynamics from the initial state,
 looking the policy up at the nearest grid cell, which is exactly how the
-cost grid was built. Costs along the returned trajectory are recomputed
-from the models at the continuous states, never from grid snapshots.
-Forward integration and replay share one forward loop, which steps the
-rollouts of one scenario in lockstep, one row each (rollouts); a mode
-comparison steps its replay and two policy rollouts together.
+cost grid was built. Forward integration and replay share one forward
+loop, which steps the rollouts of one scenario in lockstep, one row each
+(rollouts); a mode comparison steps its replay and two policy rollouts
+together. The loop only steps states. Costs along the returned
+trajectories come from one pass after it, at the continuous states, never
+from grid snapshots: energy from tariff.energy_cost, the function that
+prices energy in the backward pass's objective, and aging from aging_cost.
 """
 
 from __future__ import annotations
@@ -39,7 +41,11 @@ class DdpSolution:
     Trajectories satisfy the continuous transition functions exactly (they
     are forward-simulated, not grid-snapped). feasible is False when the
     forward pass visits a cell carrying the penalty cost. j_e_steps and
-    j_d_steps hold the per-interval energy and aging costs.
+    j_d_steps hold the per-interval energy and aging costs, 0.0 after an
+    interval the rollout could not step; cost holds their four parts, each
+    summed in interval order. Energy is priced by tariff.energy_cost, as in
+    the backward pass's objective, and aging by aging_cost, at the states of
+    the trajectory.
     """
 
     p_star: np.ndarray
@@ -162,8 +168,6 @@ def _backward_pass(models, runs, table, region, backend):
     for all of them. Each grids gets new cost and action arrays, views of
     one array per batch, and its own copy of region."""
     s, grids = runs[0]
-    buy_kwh = np.maximum(grids.p_d, 0.0) * s.grid.dt_h
-    sell_kwh = np.minimum(grids.p_d, 0.0) * s.grid.dt_h
     e_mesh, th_mesh = np.meshgrid(grids.e_d, grids.theta_d, indexing="ij")
     cost = np.empty((len(runs), *grids.cost.shape))
     action = np.empty((len(runs), *grids.action.shape), np.int32)
@@ -173,7 +177,8 @@ def _backward_pass(models, runs, table, region, backend):
     for b, (s_b, grids_b) in enumerate(runs):
         cost[b, -1] = grids_b.cost[-1]
         eps_buy, eps_sell = tariff.interval_prices(s_b.profile, s_b.grid)
-        je[:, b] = buy_kwh[None, :] * eps_buy[:, None] + sell_kwh[None, :] * eps_sell[:, None]
+        j_buy, j_sell = tariff.energy_cost(grids.p_d, s_b.grid.dt_h, eps_buy[:, None], eps_sell[:, None])
+        je[:, b] = j_buy + j_sell
         if s_b.include_aging_in_objective:
             scale[b] = models.aging.cost_per_fade
             cal_fade = calendar_fade(models.aging, th_mesh.reshape(-1), e_mesh.reshape(-1), s_b.soh0, s_b.grid.dt_min)
@@ -203,46 +208,44 @@ def _simulate(models: BatteryModels, runs) -> list:
     replay) or filled DdpGrids (a policy rollout). The scenarios may differ
     in include_aging_in_objective alone, which the loop does not read, and
     the policy rows share their grid axes. Each interval makes one
-    thermal.step call over the rows still running, and after the last
-    interval one aging_cost call costs every row's completed intervals.
-    Both are batch-invariant, so a row gets the bits it gets alone; the
-    aging costs are added into the totals in interval order, as a call per
-    interval would add them. A row whose step fails stops there with a
-    note; that step's calls are then made row by row to find the rows that
-    fail. aging_cost cannot fail: the scenario has checked soh0 and dt. A
-    policy row that reads a cell of a slice n < N outside its grids.region
-    stops and gives None.
+    thermal.step call over the rows still running, and the loop records each
+    row's power, energy change and states. A row whose step fails stops
+    there with a note; that step's calls are then made row by row to find
+    the rows that fail. A policy row that reads a cell of a slice n < N
+    outside its grids.region stops and gives None.
+
+    After the loop, one pass costs the completed intervals of every row:
+    one interval_prices, one tariff.energy_cost and one aging_cost call, so
+    energy is priced as the backward pass prices it. Each cost is 0.0 past
+    a row's completed intervals. The calls are elementwise and
+    batch-invariant, so a row gets the bits it gets alone, and each total is
+    a left fold from 0.0 in interval order, as a loop over the intervals
+    adds them. aging_cost cannot fail: the scenario has checked soh0 and dt.
     """
     s = runs[0][0]
     n_steps = s.grid.n_intervals
-    eps_buy, eps_sell = tariff.interval_prices(s.profile, s.grid)
-    dt_h = s.grid.dt_h
     rows = [row for _, row in runs]
     is_policy = [isinstance(row, DdpGrids) for row in rows]
     # as lists, which nearest_index searches faster than arrays
     e_axis, theta_axis = next(
         ((row.e_d.tolist(), row.theta_d.tolist()) for row, pol in zip(rows, is_policy) if pol), (None, None)
     )
-    p_star = [np.zeros(n_steps) for _ in rows]
-    e_traj = [np.empty(n_steps + 1) for _ in rows]
-    theta_traj = [np.empty(n_steps + 1) for _ in rows]
-    delta_e_steps = [np.empty(n_steps) for _ in rows]
-    j_e_steps = [np.zeros(n_steps) for _ in rows]
-    j_d_steps = [np.zeros(n_steps) for _ in rows]
-    totals = [[0.0] * 4 for _ in rows]  # buy, sell, cyc, cal
+    # interval n of a row starts from (e_traj[n], theta_traj[n]), draws p_star[n] and moves delta_e[n]
+    p_star = np.zeros((len(rows), n_steps))
+    delta_e = np.zeros((len(rows), n_steps))
+    e_traj = np.full((len(rows), n_steps + 1), s.e0)
+    theta_traj = np.full((len(rows), n_steps + 1), s.theta0)
     completed = [0] * len(rows)  # intervals each row has stepped
     feasible = [True] * len(rows)
     notes: list[list[str]] = [[] for _ in rows]
     left = [False] * len(rows)
     e, th = [s.e0] * len(rows), [s.theta0] * len(rows)
-    for k in range(len(rows)):
-        e_traj[k][0], theta_traj[k][0] = s.e0, s.theta0
 
     def stop(k, n, p, exc):
         notes[k].append(f"interval {n}: cannot simulate action {p:.3f} kW ({exc})")
         feasible[k] = False
-        e_traj[k][n + 1 :] = e[k]
-        theta_traj[k][n + 1 :] = th[k]
+        e_traj[k, n + 1 :] = e[k]
+        theta_traj[k, n + 1 :] = th[k]
 
     running = list(range(len(rows)))
     for n in range(n_steps):
@@ -291,39 +294,23 @@ def _simulate(models: BatteryModels, runs) -> list:
             if isinstance(step, Exception):
                 stop(k, n, p[k], step)
                 continue
-            delta_e, d_theta = step
-            j_buy = max(p[k], 0.0) * dt_h * eps_buy[n]
-            j_sell = min(p[k], 0.0) * dt_h * eps_sell[n]
-            p_star[k][n] = p[k]
-            total = totals[k]
-            total[0] += j_buy
-            total[1] += j_sell
-            j_e_steps[k][n] = j_buy + j_sell
-            delta_e_steps[k][n] = delta_e
-            e[k] += delta_e
+            d_e, d_theta = step
+            p_star[k, n], delta_e[k, n] = p[k], d_e
+            e[k] += d_e
             th[k] += d_theta
-            e_traj[k][n + 1] = e[k]
-            theta_traj[k][n + 1] = th[k]
+            e_traj[k, n + 1] = e[k]
+            theta_traj[k, n + 1] = th[k]
             completed[k] = n + 1
             running.append(k)
-    # interval n of a row starts from (e_traj[n], theta_traj[n])
-    j_cyc, j_cal = (
-        v.tolist()
-        for v in aging_cost(
-            models.aging,
-            *(np.concatenate([x[k][:c] for k, c in enumerate(completed)]) for x in (delta_e_steps, theta_traj, e_traj)),
-            s.soh0,
-            s.grid.dt_min,
-        )
+    done = np.arange(n_steps) < np.array(completed)[:, None]
+    prices = (np.broadcast_to(eps, done.shape)[done] for eps in tariff.interval_prices(s.profile, s.grid))
+    costs = np.zeros((4, *done.shape))  # buy, sell, cyc, cal
+    costs[:2, done] = tariff.energy_cost(p_star[done], s.grid.dt_h, *prices)
+    costs[2:, done] = aging_cost(
+        models.aging, delta_e[done], theta_traj[:, :-1][done], e_traj[:, :-1][done], s.soh0, s.grid.dt_min
     )
-    at = 0
-    for k, c in enumerate(completed):
-        total = totals[k]
-        for n in range(c):
-            total[2] += j_cyc[at + n]
-            total[3] += j_cal[at + n]
-            j_d_steps[k][n] = j_cyc[at + n] + j_cal[at + n]
-        at += c
+    j_e_steps, j_d_steps = costs[0] + costs[1], costs[2] + costs[3]
+    totals = np.add.accumulate(np.concatenate([np.zeros((4, len(rows), 1)), costs], axis=2), axis=2)[..., -1]
     sols = []
     for k, row in enumerate(rows):
         if left[k]:
@@ -342,13 +329,12 @@ def _simulate(models: BatteryModels, runs) -> list:
                 notes[k].append("energy trajectory leaves [e_lo, e_hi]")
             if np.any(theta_traj[k] < s.theta_lo - 1e-9) or np.any(theta_traj[k] > s.theta_hi + 1e-9):
                 notes[k].append("temperature trajectory leaves [theta_lo, theta_hi]")
-        buy, sell, cyc, cal = totals[k]
         sols.append(
             DdpSolution(
                 p_star=p_star[k],
                 e_traj=e_traj[k],
                 theta_traj=theta_traj[k],
-                cost=CostBreakdown(j_e_buy=float(buy), j_e_sell=float(sell), j_d_cyc=float(cyc), j_d_cal=float(cal)),
+                cost=CostBreakdown(*totals[:, k].tolist()),
                 feasible=feasible[k],
                 j_e_steps=j_e_steps[k],
                 j_d_steps=j_d_steps[k],
@@ -391,6 +377,9 @@ def rollouts(models: BatteryModels, runs) -> list[DdpSolution]:
     checked before any is stepped: a power trajectory of the wrong length
     or with a non-finite power, grids that backward_induction has not
     filled, or grids with other axes raise InvalidParameterError.
+
+    Every row is costed after the loop, in one tariff.energy_cost and one
+    aging_cost call for all rows (see DdpSolution).
 
     A policy row whose continuous state leaves the region backward
     induction computed (for instance after an invalid action out of a

@@ -1,4 +1,5 @@
-"""Electricity price profiles: supplementation, averaging, gamma scaling.
+"""Electricity price profiles: supplementation, averaging, gamma scaling,
+and the energy cost of a power draw.
 
 Buy and sell prices are 24 hourly values in EUR/kWh, piecewise constant
 within each hour. An interval is priced at the hour containing its start.
@@ -88,6 +89,21 @@ def interval_prices(profile: PriceProfile, grid: TimeGrid) -> tuple[np.ndarray, 
     starts = grid.interval_starts()
     hours = (np.floor(starts / 3600.0).astype(np.int64)) % 24
     return np.asarray(profile.eps_buy, float)[hours], np.asarray(profile.eps_sell, float)[hours]
+
+
+def energy_cost(p_kw, dt_h, eps_buy, eps_sell):
+    """(j_buy, j_sell) in EUR of drawing p_kw for dt_h hours, elementwise
+    over broadcast arrays: j_buy prices the bought energy max(p, 0) * dt_h
+    at eps_buy, j_sell the sold energy min(p, 0) * dt_h, which is negative,
+    at eps_sell.
+
+    The DP objective and the costing of every rollout both price energy
+    here. A zero power keeps its sign, as Python's max and min keep the
+    first of equal arguments: -0.0 kW costs -0.0, which np.maximum would
+    not give.
+    """
+    p = np.asarray(p_kw, float)
+    return (np.where(p < 0.0, 0.0, p) * dt_h) * eps_buy, (np.where(p > 0.0, 0.0, p) * dt_h) * eps_sell
 
 
 # Synthetic hourly day-ahead market shape (EUR/kWh) with a morning ramp and an

@@ -1,5 +1,6 @@
 """Cyclic and calendar fade, equivalent age, aging cost."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -137,3 +138,13 @@ def test_params_json_round_trip(tmp_path):
     save_params_json(p, path)
     back = load_params_json(path)
     assert back == p
+
+
+def test_params_json_with_an_unknown_key_is_an_input_error(tmp_path):
+    path = tmp_path / "aging.json"
+    save_params_json(default_params(), path)
+    data = json.loads(path.read_text())
+    data["v_ev"] = 4470.0  # a misspelt v_ev_eur would leave its default
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidParameterError, match="v_ev"):
+        load_params_json(path)

@@ -41,6 +41,12 @@ def test_gen_synthetic_deterministic(tmp_path):
     assert "plant" in manifest
 
 
+def test_gen_synthetic_with_an_unknown_plant_key_is_an_input_error(tmp_path, capsys):
+    cfg = _write(tmp_path / "gen.json", {"n_events": 2, "plant": {"k_ambient": 0.02}, "out": str(tmp_path / "ev")})
+    assert main(["gen-synthetic", "--config", cfg]) == EXIT_INPUT
+    assert "k_ambient" in capsys.readouterr().err
+
+
 def test_fit_thermal_and_validate(tmp_path):
     events = _gen_events(tmp_path, n=6, seed=11)
     fit_out = tmp_path / "fit"
@@ -221,6 +227,17 @@ def test_optimize_rejects_a_non_integer_interval_count(tmp_path, capsys):
     cfg = _write(tmp_path / "opt.json", {"scenario_json": str(spath), "out": str(tmp_path / "opt")})
     assert main(["optimize", "--config", cfg]) == EXIT_INPUT
     assert "n_intervals must be an integer, got 24.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", [(), ("profile",)])
+def test_optimize_rejects_an_unknown_scenario_key(tmp_path, capsys, where):
+    spath = _scenario_file(tmp_path)
+    data = json.loads(spath.read_text())
+    (data["profile"] if where else data)["e_stpe"] = 0.4
+    spath.write_text(json.dumps(data))
+    cfg = _write(tmp_path / "opt.json", {"scenario_json": str(spath), "out": str(tmp_path / "opt")})
+    assert main(["optimize", "--config", cfg]) == EXIT_INPUT
+    assert "e_stpe" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from conftest import numpy_reference
 from oracles import reference_save_modes_csv
 
 from chargeopt import electrical, evaluation, learning
-from chargeopt.aging import default_params
+from chargeopt.aging import aging_cost, default_params
 from chargeopt.core import CostBreakdown, TimeGrid
 from chargeopt.errors import InfeasiblePowerError, InvalidParameterError
 from chargeopt.evaluation import (
@@ -441,6 +441,18 @@ def test_gamma_star_two_interval_in_plausible_band(tables):
     wd, _ = default_profiles()
     g = gamma_star_two_interval(models, eps_buy=float(np.mean(wd.eps_buy)))
     assert 1.2 <= g <= 2.2
+
+
+def test_gamma_star_two_interval_prices_the_buy_interval_as_a_charge(tables):
+    # the buy interval goes through tariff.energy_cost, which prices a
+    # charge p_abs as p_abs * dt_h * eps_buy
+    models = _models(tables)
+    eps_buy = float(np.mean(default_profiles()[0].eps_buy))
+    delta_e, _ = electrical.energy_step(tables, 40.0, 21.0, 7.0, 5.0)
+    j_cyc, j_cal = aging_cost(models.aging, delta_e, 21.0, 40.0, 0.975, 5.0)
+    want = gamma_star(7.0 * (5.0 / 60.0) * eps_buy, j_cyc + j_cal, 0.997)
+    got = gamma_star_two_interval(models, eps_buy=eps_buy)
+    assert type(got) is float and got.hex() == want.hex()
 
 
 def test_report_csvs(tmp_path, tables, default_corpus):

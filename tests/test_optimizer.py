@@ -32,7 +32,6 @@ from chargeopt.optimizer import (
     load_scenario_json,
     make_range,
     nearest_index,
-    nearest_indices,
     replay,
     save_scenario_json,
     scenario_from_dict,
@@ -44,7 +43,7 @@ from chargeopt.optimizer import backend as backend_mod
 from chargeopt.optimizer import solver as solver_mod
 from chargeopt.optimizer.scenario import _SCENARIO_SCALARS
 from chargeopt.optimizer.transitions import TILE, _tile, untile
-from chargeopt.tariff import PriceProfile, default_profiles
+from chargeopt.tariff import PriceProfile, default_profiles, scale_gamma
 from oracles import brute_force_optimum, chain_transitions, random_tiny_instance
 
 BACKENDS = ["python"] + (["compiled"] if HAVE_COMPILED else [])
@@ -114,7 +113,7 @@ def test_nearest_index_rules():
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7, 33, 1001])
 def test_axis_reads_give_a_row_the_same_bits_alone_and_in_a_batch(rows):
-    # the forward loop reads the axes for all its rollouts in one call
+    # the transition table and the circuit lookups read an axis for many states in one call
     grid = make_range(8.0, 80.0, 0.8)
     rng = np.random.default_rng(rows)
     x = rng.uniform(0.0, 90.0, rows)  # some beyond the hull, where the reads clamp
@@ -123,7 +122,7 @@ def test_axis_reads_give_a_row_the_same_bits_alone_and_in_a_batch(rows):
     x[-1] = -0.0  # a signed zero below the hull
 
     def reads(v):
-        return (nearest_indices(grid, v), *electrical.interp_axis(grid, v))
+        return electrical.interp_axis(grid, v)
 
     order = rng.permutation(rows)
     batch, shuffled = reads(x), reads(x[order])
@@ -147,16 +146,15 @@ def test_nearest_indices_match_argmin():
                 grid,  # exact nodes
             ]
         )
-        expected = np.array([np.argmin(np.abs(grid - x)) for x in xs])
-        assert np.array_equal(nearest_indices(grid, xs), expected)
-        # the forward loop's scalar read, on the axis as a list or an array
+        expected = [int(np.argmin(np.abs(grid - x))) for x in xs]
+        # the forward loop's read, on the axis as a list or an array
         for axis in (grid, grid.tolist()):
-            assert [nearest_index(axis, float(x)) for x in xs] == expected.tolist()
-        # where argmin is no reference, the vector rule's results: NaN sorts
-        # last, +inf ties the last two nodes and takes the lower
-        n = len(grid)
-        for x, want in ((np.nan, n - 1), (np.inf, n - 2), (-np.inf, 0)):
-            assert nearest_index(grid.tolist(), x) == int(nearest_indices(grid, x)) == want
+            assert [nearest_index(axis, float(x)) for x in xs] == expected
+            # where argmin is no reference: NaN sorts last, as in np.searchsorted,
+            # and +inf ties the last two nodes and takes the lower
+            n = len(grid)
+            for x, want in ((np.nan, n - 1), (np.inf, n - 2), (-np.inf, 0)):
+                assert nearest_index(axis, x) == want
 
 
 def _check_against_oracle(s, models, backend, trial):
@@ -324,6 +322,64 @@ def test_replay_zero_power_costs_calendar_only():
     assert sol.cost.j_e_sell == 0.0
     assert sol.cost.j_d_cyc == pytest.approx(0.0, abs=1e-15)
     assert sol.cost.j_d_cal > 0.0
+
+
+def test_a_replay_of_signed_zero_powers_keeps_their_signs():
+    # energy is priced with the zero rule of Python's max and min, which
+    # keep the first of equal arguments: -0.0 kW costs -0.0, and each total
+    # is a left fold from +0.0
+    models = _simple_models()
+    s = Scenario(
+        grid=TimeGrid(t0=0.0, n_intervals=3, dt_min=60.0),
+        e0=3.0,
+        e_target=3.0,
+        theta0=20.0,
+        profile=_flat_profile(),
+        e_lo=0.0,
+        e_hi=6.0,
+        theta_lo=10.0,
+        theta_hi=30.0,
+        p_lo=-2.0,
+        p_hi=2.0,
+        soh0=0.98,
+    )
+    for powers in ([-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]):
+        sol = replay(powers, s, models)
+        assert sol.notes == ()
+        assert np.array_equal(np.signbit(sol.p_star), np.signbit(powers))
+        assert np.array_equal(np.signbit(sol.j_e_steps), np.signbit(powers))
+        assert np.array_equal(sol.j_e_steps, np.zeros(3))
+        buy, sell = sol.cost.j_e_buy, sol.cost.j_e_sell
+        assert np.array([buy, sell]).tobytes() == np.zeros(2).tobytes()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_solve_prices_each_interval_as_its_backward_pass_did(monkeypatch, backend):
+    # the objective and the re-costing share tariff.energy_cost: a policy
+    # rollout takes grid actions unclamped, so interval n's energy cost is
+    # the pass's je[n, k] for the action k it took, bit for bit
+    models = BatteryModels(
+        tables=electrical.default_tables(),
+        thermal=thermal.plant_linear_model(thermal.ThermalPlant()),
+        aging=default_params(),
+    )
+    s = default_scenario(profile=scale_gamma(default_profiles()[0], 1.8), e_step=1.6, theta_step=2.0, p_step=2.0)
+    passes = []
+    backward_pass = backend_mod.backward_pass
+    monkeypatch.setattr(
+        backend_mod, "backward_pass", lambda *a, **k: passes.append(k["je"].copy()) or backward_pass(*a, **k)
+    )
+    grids = backward_induction(s, build_grids(s), models, backend=backend)
+    sol = forward_integration(s, grids, models)
+    (je,) = passes
+    n = np.arange(s.grid.n_intervals)
+    taken = [
+        grids.action[k, nearest_index(grids.e_d, sol.e_traj[k]), nearest_index(grids.theta_d, sol.theta_traj[k])]
+        for k in n
+    ]
+    assert np.array_equal(sol.p_star, grids.p_d[taken])
+    assert (sol.p_star < 0).any() and (sol.p_star > 0).any()  # both the buy and the sell price
+    assert sol.j_e_steps.tobytes() == je[n, 0, taken].tobytes()
 
 
 def test_replay_charge_then_idle_profile():
@@ -1703,6 +1759,18 @@ def test_scenario_json_round_trip(tmp_path):
     assert back.include_aging_in_objective is False
     assert back.grid == s.grid
     assert np.allclose(back.profile.eps_buy, s.profile.eps_buy)
+
+
+@pytest.mark.parametrize("where, key", [((), "e_stpe"), (("profile",), "eps_sel"), (("grid",), "dt")])
+def test_an_unknown_scenario_key_is_an_input_error(where, key):
+    # a misspelt key would otherwise solve at the default of the key it misses
+    d = scenario_to_dict(default_scenario())
+    part = d
+    for name in where:
+        part = part[name]
+    part[key] = 0.4
+    with pytest.raises(InvalidParameterError, match=key):
+        scenario_from_dict(d)
 
 
 @pytest.mark.parametrize("value", ["false", "true", 0.5, 0, 1, None])

@@ -11,6 +11,7 @@ from chargeopt.tariff import (
     PriceProfile,
     average_profiles,
     default_profiles,
+    energy_cost,
     interval_prices,
     load_market_csv,
     load_profile_csv,
@@ -18,6 +19,20 @@ from chargeopt.tariff import (
     scale_gamma,
     supplement,
 )
+
+
+def test_energy_cost_prices_as_python_max_and_min_do():
+    p = np.array([-50.0, -3.7, -0.0, 0.0, 1e-300, 2.25, 50.0])
+    dt_h, eps_buy, eps_sell = 5.0 / 60.0, 0.2913, 0.1877
+    j_buy, j_sell = energy_cost(p[:, None], dt_h, np.array([eps_buy, 2 * eps_buy]), np.array([eps_sell, 2 * eps_sell]))
+    assert j_buy.shape == j_sell.shape == (len(p), 2)
+    for column, scale in enumerate((1.0, 2.0)):
+        want_buy = [max(x, 0.0) * dt_h * (scale * eps_buy) for x in p.tolist()]
+        want_sell = [min(x, 0.0) * dt_h * (scale * eps_sell) for x in p.tolist()]
+        # compared as bytes: -0.0 kW costs -0.0 on both sides
+        assert j_buy[:, column].tobytes() == np.array(want_buy).tobytes()
+        assert j_sell[:, column].tobytes() == np.array(want_sell).tobytes()
+    assert np.signbit(energy_cost(-0.0, dt_h, eps_buy, eps_sell)).tolist() == [True, True]
 
 
 def test_supplement_values():

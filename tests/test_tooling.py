@@ -6,8 +6,9 @@ path of MLP training one mlp_gradients call per minibatch, and on the
 compiled path one epoch call per epoch and none of mlp_gradients; one
 energy_step call per interval of a validation, whatever the number of
 models, one thermal.step and one lookup_arrays call per interval of a
-mode comparison, for its three rollouts together, one aging_cost call per
-forward loop, and one backward_pass and
+mode comparison, for its three rollouts together, one interval_prices,
+one energy_cost and one aging_cost call per forward loop, and one
+backward_pass and
 one reachable_region call per mode comparison, for Modes II and III
 together. The benchmark's kernel annotation reads (M, K, N) from a
 backward_pass call. The compiled module's source compiles without a
@@ -161,21 +162,32 @@ def test_compare_modes_steps_its_three_rollouts_with_one_call_per_interval(monke
 
 
 def test_a_forward_loop_costs_its_aging_with_one_call(monkeypatch):
-    # aging_cost is elementwise and batch-invariant, so the loop costs every
-    # interval of every row after its last interval: one call per rollouts
-    # call, for compare_modes' three rows as for one
+    # the loop only steps states: after its last interval, one pass prices
+    # every interval of every row with one interval_prices, one energy_cost
+    # and one aging_cost call per rollouts call, for compare_modes' three
+    # rows as for one; pricing inside the loop would make one per interval
     event, s, models, table = _mode_comparison_instance()
-    calls = _counting(monkeypatch, solver_mod, "aging_cost")
-    cmp_ = evaluation.compare_modes(event, s, models, table=table)
-    assert len(calls) == 1
     grids = solver_mod.backward_induction(s, build_grids(s), models, table=table)
-    for rollout in (
-        lambda: solver_mod.forward_integration(s, grids, models),
-        lambda: solver_mod.replay(cmp_.mode_i.p_star, s, models),
-    ):
-        calls.clear()
-        rollout()
-        assert len(calls) == 1
+    costing = [
+        _counting(monkeypatch, module, name)
+        for module, name in ((tariff, "interval_prices"), (tariff, "energy_cost"), (solver_mod, "aging_cost"))
+    ]
+    per_rollouts = []
+    rollouts = solver_mod.rollouts
+
+    def counted(*args, **kwargs):
+        for calls in costing:
+            calls.clear()
+        sols = rollouts(*args, **kwargs)
+        per_rollouts.append([len(calls) for calls in costing])
+        return sols
+
+    monkeypatch.setattr(solver_mod, "rollouts", counted)
+    monkeypatch.setattr(evaluation, "rollouts", counted)
+    cmp_ = evaluation.compare_modes(event, s, models, table=table)
+    solver_mod.forward_integration(s, grids, models)
+    solver_mod.replay(cmp_.mode_i.p_star, s, models)
+    assert per_rollouts == [[1, 1, 1]] * 3
 
 
 @pytest.mark.parametrize("module, name", [(backend_mod, "backward_pass"), (solver_mod, "reachable_region")])
